@@ -1,16 +1,21 @@
 // Kernel-layer scan throughput: vectorized kernels vs the legacy scalar
-// row loop, across selectivities and thread counts.
+// row loop, across selectivities and thread counts; plus the support-sparse
+// bootstrap resampler vs the dense n-draw oracle.
 //
 // Produces BENCH_kernels.json (the PR's perf acceptance artifact): rows/sec
 // for the fused filter+SUM path plus the COUNT / moments / min-max kernel
 // profiles, at selectivities {0.001, 0.01, 0.1, 0.5, 1.0} and 1/4/8
 // threads, against the identical query on the scalar baseline
-// (ExecutorOptions::use_kernels = false).
+// (ExecutorOptions::use_kernels = false). The bootstrap section times one
+// AVG difference CI (n = 25k sample rows, R = 120 resamples) at support
+// fractions {0.5%, 5%, 50%, 100%}, sparse against dense.
 //
 // Usage:
 //   bench_kernels [--preset smoke|full] [--rows N] [--out PATH] [--check]
 // --check exits nonzero if the kernel path is slower than the scalar
-// baseline on the 0.1-selectivity single-thread SUM case (the CI gate).
+// baseline on the 0.1-selectivity single-thread SUM case, if the sparse
+// bootstrap is less than 5x faster than the dense oracle at 5% support, or
+// if it is slower than the oracle at 100% support (the CI gates).
 
 #include <algorithm>
 #include <bit>
@@ -26,8 +31,11 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/timer.h"
+#include "dense_bootstrap_oracle.h"
 #include "exec/executor.h"
+#include "stats/bootstrap.h"
 #include "storage/table.h"
+#include "synopsis/estimator.h"
 
 namespace aqpp {
 namespace {
@@ -91,6 +99,75 @@ struct CaseResult {
   bool answers_match = false;
   bool deterministic = false;  // bit-identical vs the 1-thread kernel run
 };
+
+// Best-of-repetitions wall time of fn().
+template <typename Fn>
+double TimeBest(const Fn& fn, double min_seconds) {
+  fn();  // warm
+  double best = std::numeric_limits<double>::infinity();
+  size_t reps = 0;
+  Timer total;
+  while (reps < 5 || (total.ElapsedSeconds() < min_seconds && reps < 400)) {
+    Timer t;
+    fn();
+    best = std::min(best, t.ElapsedSeconds());
+    ++reps;
+  }
+  return best;
+}
+
+struct BootstrapResult {
+  double support = 0;   // fraction of rows on the support
+  size_t k = 0;
+  double dense_us = 0;
+  double sparse_us = 0;
+  bool estimates_match = false;  // bit-identical point estimates
+};
+
+// One AVG difference CI over an n-row sample whose support holds
+// `support` * n rows: the sparse path (compaction from the dense series +
+// support-sparse resampling) against the dense oracle (n draws and two
+// n-row gathers per resample).
+BootstrapResult TimeBootstrap(size_t n, size_t resamples, double support,
+                              double min_seconds) {
+  Rng gen(2025);
+  std::vector<double> s(n, 0.0), c(n, 0.0);
+  const size_t k = static_cast<size_t>(support * static_cast<double>(n));
+  for (size_t i : SampleWithoutReplacement(n, k, gen)) {
+    const auto v = AvgContribution(100.0 + 30.0 * gen.NextGaussian(),
+                                   1.0 + gen.NextDouble(),
+                                   gen.NextBernoulli(0.5) ? 1.0 : -1.0);
+    s[i] = v[0];
+    c[i] = v[1];
+  }
+  const PreValues pre{1e6, 1e4, 0.0};
+  auto sparse = [&] {
+    SupportSeries<2> contrib(n);
+    for (size_t i = 0; i < n; ++i) contrib.Push({s[i], c[i]});
+    Rng rng(7);
+    return AvgDifferenceBootstrapCI(contrib, pre, 0.95, resamples, rng);
+  };
+  auto dense = [&] {
+    Rng rng(7);
+    return oracle::DenseAvgDifferenceBootstrapCI(s, c, pre, 0.95, resamples,
+                                                 rng);
+  };
+  BootstrapResult r;
+  r.support = support;
+  r.k = k;
+  r.estimates_match = std::bit_cast<uint64_t>(sparse().estimate) ==
+                      std::bit_cast<uint64_t>(dense().estimate);
+  // Alternate rounds so a slow period lands on both sides of the ratio;
+  // the 100%-support gate compares two costs of the same order, so it gets
+  // more rounds than the scan cases.
+  r.dense_us = r.sparse_us = std::numeric_limits<double>::infinity();
+  for (int round = 0; round < 6; ++round) {
+    r.dense_us = std::min(r.dense_us, 1e6 * TimeBest(dense, min_seconds / 2));
+    r.sparse_us =
+        std::min(r.sparse_us, 1e6 * TimeBest(sparse, min_seconds / 2));
+  }
+  return r;
+}
 
 }  // namespace
 }  // namespace aqpp
@@ -198,6 +275,27 @@ int main(int argc, char** argv) {
     }
   }
 
+  constexpr size_t kBootstrapRows = 25000;
+  constexpr size_t kBootstrapResamples = 120;
+  std::vector<BootstrapResult> boot;
+  for (double support : {0.005, 0.05, 0.5, 1.0}) {
+    boot.push_back(TimeBootstrap(kBootstrapRows, kBootstrapResamples, support,
+                                 min_seconds));
+    const BootstrapResult& b = boot.back();
+    std::fprintf(stderr,
+                 "bootstrap support=%.3f k=%zu dense=%.1fus sparse=%.1fus "
+                 "(%.1fx)%s\n",
+                 b.support, b.k, b.dense_us, b.sparse_us,
+                 b.dense_us / b.sparse_us,
+                 b.estimates_match ? "" : " ESTIMATE-MISMATCH");
+  }
+  auto boot_speedup = [&](double support) {
+    for (const BootstrapResult& b : boot) {
+      if (b.support == support) return b.dense_us / b.sparse_us;
+    }
+    return 0.0;
+  };
+
   std::ofstream out(out_path);
   out << "{\n  \"benchmark\": \"kernel_scans\",\n";
   out << StrFormat("  \"preset\": \"%s\",\n", preset.c_str());
@@ -226,15 +324,54 @@ int main(int argc, char** argv) {
         r.deterministic ? "true" : "false",
         i + 1 < results.size() ? "," : "");
   }
-  out << "  ]\n}\n";
+  out << "  ],\n";
+  out << StrFormat(
+      "  \"bootstrap\": {\"rows\": %zu, \"resamples\": %zu,\n"
+      "    \"workload\": \"one AVG difference CI; sparse = compaction + "
+      "Binomial(n, k/n) hits + k-row picks, dense = n draws + two n-row "
+      "gathers per resample\",\n"
+      "    \"gate_speedup_support0.05\": %.2f, "
+      "\"gate_speedup_support1.0\": %.2f,\n"
+      "    \"results\": [\n",
+      kBootstrapRows, kBootstrapResamples, boot_speedup(0.05),
+      boot_speedup(1.0));
+  for (size_t i = 0; i < boot.size(); ++i) {
+    const BootstrapResult& b = boot[i];
+    out << StrFormat(
+        "      {\"support\": %.3f, \"k\": %zu, \"dense_us\": %.1f, "
+        "\"sparse_us\": %.1f, \"speedup\": %.2f, "
+        "\"estimates_bit_identical\": %s}%s\n",
+        b.support, b.k, b.dense_us, b.sparse_us, b.dense_us / b.sparse_us,
+        b.estimates_match ? "true" : "false", i + 1 < boot.size() ? "," : "");
+  }
+  out << "    ]\n  }\n}\n";
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
 
   bool ok = true;
   for (const CaseResult& r : results) {
     if (!r.answers_match || !r.deterministic) ok = false;
   }
+  for (const BootstrapResult& b : boot) {
+    if (!b.estimates_match) ok = false;
+  }
   if (!ok) {
-    std::fprintf(stderr, "FAIL: kernel/scalar mismatch or nondeterminism\n");
+    std::fprintf(stderr,
+                 "FAIL: kernel/scalar mismatch, nondeterminism, or sparse/"
+                 "dense bootstrap estimate mismatch\n");
+    return 1;
+  }
+  if (check && boot_speedup(0.05) < 5.0) {
+    std::fprintf(stderr,
+                 "FAIL: sparse bootstrap less than 5x faster than the dense "
+                 "oracle at 5%% support (%.2fx)\n",
+                 boot_speedup(0.05));
+    return 1;
+  }
+  if (check && boot_speedup(1.0) < 1.0) {
+    std::fprintf(stderr,
+                 "FAIL: sparse bootstrap slower than the dense oracle at "
+                 "100%% support (%.2fx)\n",
+                 boot_speedup(1.0));
     return 1;
   }
   if (check && gate_speedup < 1.0) {

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.h"
+
 namespace aqpp {
 
 // xoshiro256** with a SplitMix64 seeder. Satisfies the UniformRandomBitGenerator
@@ -25,14 +27,39 @@ class Rng {
 
   // Raw 64 random bits.
   uint64_t operator()() { return Next(); }
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform double in [0, 1).
   double NextDouble();
 
-  // Uniform integer in [0, bound) using Lemire's rejection method.
-  // Requires bound > 0.
-  uint64_t NextBounded(uint64_t bound);
+  // Uniform integer in [0, bound) using Lemire's nearly-divisionless
+  // rejection method. Requires bound > 0. Inline: bootstrap resampling makes
+  // millions of these draws per query.
+  uint64_t NextBounded(uint64_t bound) {
+    AQPP_DCHECK(bound > 0);
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t l = static_cast<uint64_t>(m);
+    if (l < bound) {
+      const uint64_t t = -bound % bound;
+      while (l < t) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        l = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t NextInt(int64_t lo, int64_t hi);
@@ -47,6 +74,10 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
   // Cached second Box-Muller variate.
   bool has_cached_gaussian_ = false;

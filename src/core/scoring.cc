@@ -136,20 +136,6 @@ Result<BatchCandidateScorer::QueryContext> BatchCandidateScorer::Prepare(
 
 namespace {
 
-// Per-thread scratch for the bootstrap scoring paths, reused across
-// candidates and queries (pool workers are persistent, so these buffers are
-// allocated once per thread for the process lifetime).
-struct BootstrapScratch {
-  std::vector<double> s2_contrib;
-  std::vector<double> s_contrib;
-  std::vector<double> c_contrib;
-};
-
-BootstrapScratch& ThreadScratch() {
-  static thread_local BootstrapScratch scratch;
-  return scratch;
-}
-
 // Per-thread per-stratum moment accumulators (stratified SumCI).
 std::vector<RunningMoments>& StratumScratch(size_t num_strata) {
   static thread_local std::vector<RunningMoments> moments;
@@ -175,12 +161,6 @@ double SparseVarianceSample(const RunningMoments& z, double n) {
   return m2_all / (n - 1.0);
 }
 
-// Ensures `v` is an all-zero vector of size n. Callers that write sparse
-// entries must restore the zeros afterwards (cheap: same active list).
-void EnsureZeroed(std::vector<double>& v, size_t n) {
-  if (v.size() != n) v.assign(n, 0.0);
-}
-
 }  // namespace
 
 Result<double> BatchCandidateScorer::Score(
@@ -202,7 +182,7 @@ Result<double> BatchCandidateScorer::Score(
         const size_t i = r;
         const uint8_t inside = cells_.Contains(i, pre) ? 1 : 0;
         if (q_mask[i] == inside) continue;
-        fn(i, static_cast<double>(q_mask[i]) - static_cast<double>(inside));
+        fn(i, MaskDifference(q_mask[i], inside));
       }
     } else if (active != nullptr) {
       const size_t d = cells_.num_dims();
@@ -219,14 +199,14 @@ Result<double> BatchCandidateScorer::Score(
         for (uint32_t k = active->starts[g]; k < active->starts[g + 1]; ++k) {
           const size_t i = active->rows[k];
           if (q_mask[i] == inside) continue;
-          fn(i, static_cast<double>(q_mask[i]) - static_cast<double>(inside));
+          fn(i, MaskDifference(q_mask[i], inside));
         }
       }
     } else {
       for (size_t i = 0; i < n; ++i) {
         const uint8_t inside = cells_.Contains(i, pre) ? 1 : 0;
         if (q_mask[i] == inside) continue;
-        fn(i, static_cast<double>(q_mask[i]) - static_cast<double>(inside));
+        fn(i, MaskDifference(q_mask[i], inside));
       }
     }
   };
@@ -264,53 +244,35 @@ Result<double> BatchCandidateScorer::Score(
       });
       return lambda_ * std::sqrt(SparseVarianceSample(z, dn) / dn);
     }
-    case AggregateFunction::kAvg: {
-      AQPP_CHECK(measure != nullptr);
-      BootstrapScratch& scratch = ThreadScratch();
-      EnsureZeroed(scratch.s_contrib, n);
-      EnsureZeroed(scratch.c_contrib, n);
-      for_nonzero([&](size_t i, double diff) {
-        double w = weights[i];
-        scratch.s_contrib[i] = w * (*measure)[i] * diff;
-        scratch.c_contrib[i] = w * diff;
-      });
-      double half_width =
-          AvgDifferenceBootstrapCI(scratch.s_contrib, scratch.c_contrib,
-                                   values, confidence_level_,
-                                   bootstrap_resamples_, rng)
-              .half_width;
-      for_nonzero([&](size_t i, double diff) {
-        (void)diff;
-        scratch.s_contrib[i] = 0.0;
-        scratch.c_contrib[i] = 0.0;
-      });
-      return half_width;
-    }
+    case AggregateFunction::kAvg:
     case AggregateFunction::kVar: {
       AQPP_CHECK(measure != nullptr);
-      BootstrapScratch& scratch = ThreadScratch();
-      EnsureZeroed(scratch.s2_contrib, n);
-      EnsureZeroed(scratch.s_contrib, n);
-      EnsureZeroed(scratch.c_contrib, n);
+      // The bootstrap support, built straight from the nonzero-difference
+      // rows in ascending row order (the order the estimator builds it in;
+      // a grouped active set walks rows by cell, so sort first).
+      std::vector<std::pair<uint32_t, double>> rows;  // (row, diff)
       for_nonzero([&](size_t i, double diff) {
-        double w = weights[i];
-        scratch.s2_contrib[i] = w * (*measure)[i] * (*measure)[i] * diff;
-        scratch.s_contrib[i] = w * (*measure)[i] * diff;
-        scratch.c_contrib[i] = w * diff;
+        rows.emplace_back(static_cast<uint32_t>(i), diff);
       });
-      double half_width =
-          VarDifferenceBootstrapCI(scratch.s2_contrib, scratch.s_contrib,
-                                   scratch.c_contrib, values,
-                                   confidence_level_, bootstrap_resamples_,
-                                   rng)
-              .half_width;
-      for_nonzero([&](size_t i, double diff) {
-        (void)diff;
-        scratch.s2_contrib[i] = 0.0;
-        scratch.s_contrib[i] = 0.0;
-        scratch.c_contrib[i] = 0.0;
-      });
-      return half_width;
+      if (active != nullptr && !active->starts.empty()) {
+        std::sort(rows.begin(), rows.end());
+      }
+      if (ctx.func == AggregateFunction::kAvg) {
+        SupportSeries<2> contrib(n);
+        for (const auto& [i, diff] : rows) {
+          contrib.Push(AvgContribution((*measure)[i], weights[i], diff));
+        }
+        return AvgDifferenceBootstrapCI(contrib, values, confidence_level_,
+                                        bootstrap_resamples_, rng)
+            .half_width;
+      }
+      SupportSeries<3> contrib(n);
+      for (const auto& [i, diff] : rows) {
+        contrib.Push(VarContribution((*measure)[i], weights[i], diff));
+      }
+      return VarDifferenceBootstrapCI(contrib, values, confidence_level_,
+                                      bootstrap_resamples_, rng)
+          .half_width;
     }
     case AggregateFunction::kMin:
     case AggregateFunction::kMax:

@@ -16,8 +16,8 @@
 //    (QueryContext) and shared by all candidates (and scoring threads).
 //  * Candidate scoring fuses mask derivation with the moment accumulation
 //    (RunningMoments directly; no per-candidate y/mask vectors). AVG/VAR
-//    bootstrap scratch lives in thread-local buffers reused across
-//    candidates and queries.
+//    collect only the nonzero-difference rows as the compacted bootstrap
+//    support (stats/bootstrap.h).
 //  * The per-candidate sweep can be restricted to an active-row list (rows
 //    inside the query or inside the hull of all candidate boxes, computed
 //    once per batch): every excluded row has difference 0 for every
@@ -25,12 +25,12 @@
 //    form instead of being walked row by row.
 //
 // AVG/VAR scores are bit-identical to SampleEstimator::EstimateWithPre on
-// the same sample and RNG state (identical contribution vectors and RNG
-// consumption); SUM/COUNT scores are algebraically identical with the zero
-// rows folded in closed form, equal to the legacy path within ~1 ulp of the
-// moment arithmetic (the equivalence suite asserts 1e-9 relative). Either
-// way the batched scorer changes identification cost, not identification
-// decisions.
+// the same sample and RNG state (identical support series in ascending row
+// order, identical RNG consumption); SUM/COUNT scores are algebraically
+// identical with the zero rows folded in closed form, equal to the legacy
+// path within ~1 ulp of the moment arithmetic (the equivalence suite
+// asserts 1e-9 relative). Either way the batched scorer changes
+// identification cost, not identification decisions.
 
 #ifndef AQPP_CORE_SCORING_H_
 #define AQPP_CORE_SCORING_H_

@@ -24,34 +24,5 @@ void DifferenceSeries(const double* v, const uint8_t* q, const uint8_t* p,
   }
 }
 
-void WeightedDifferenceContribs(const double* v, const double* w,
-                                const uint8_t* q, const uint8_t* p, size_t n,
-                                double* s, double* c) {
-  for (size_t i = 0; i < n; ++i) {
-    double diff = static_cast<double>(q[i]) - static_cast<double>(p[i]);
-    s[i] = w[i] * v[i] * diff;
-    c[i] = w[i] * diff;
-  }
-}
-
-void WeightedDifferenceContribs2(const double* v, const double* w,
-                                 const uint8_t* q, const uint8_t* p, size_t n,
-                                 double* s2, double* s, double* c) {
-  for (size_t i = 0; i < n; ++i) {
-    double diff = static_cast<double>(q[i]) - static_cast<double>(p[i]);
-    s2[i] = w[i] * v[i] * v[i] * diff;
-    s[i] = w[i] * v[i] * diff;
-    c[i] = w[i] * diff;
-  }
-}
-
-double GatherSum(const double* v, const uint32_t* idx, size_t k) {
-  double sum = 0.0;
-  for (size_t j = 0; j < k; ++j) {
-    sum += v[idx[j]];
-  }
-  return sum;
-}
-
 }  // namespace kernels
 }  // namespace aqpp

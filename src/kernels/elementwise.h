@@ -1,11 +1,10 @@
 // Branch-free elementwise kernels over sample-sized arrays.
 //
 // These back the sample-side estimator and the progressive prefix executor:
-// masking measures, forming the AQP++ difference series
-// y_i = A_i * (cond_q(i) - cond_pre(i)), building weighted bootstrap
-// contribution arrays, and gathering bootstrap resample sums. Each kernel is
-// arithmetically identical to the row loop it replaces (same expression,
-// same evaluation order), so estimates are bit-for-bit unchanged.
+// masking measures and forming the AQP++ difference series
+// y_i = A_i * (cond_q(i) - cond_pre(i)). Each kernel is arithmetically
+// identical to the row loop it replaces (same expression, same evaluation
+// order), so estimates are bit-for-bit unchanged.
 
 #ifndef AQPP_KERNELS_ELEMENTWISE_H_
 #define AQPP_KERNELS_ELEMENTWISE_H_
@@ -25,22 +24,6 @@ void MaskToDouble(const uint8_t* mask, size_t n, double* y);
 // y[i] = (v ? v[i] : 1.0) * (q[i] - p[i]); p may be null (treated as zero).
 void DifferenceSeries(const double* v, const uint8_t* q, const uint8_t* p,
                       size_t n, double* y);
-
-// The AVG difference-estimator contribution arrays:
-//   s[i] = w[i] * v[i] * (q[i] - p[i]),  c[i] = w[i] * (q[i] - p[i]).
-void WeightedDifferenceContribs(const double* v, const double* w,
-                                const uint8_t* q, const uint8_t* p, size_t n,
-                                double* s, double* c);
-
-// The VAR difference-estimator contribution arrays: the two above plus
-//   s2[i] = w[i] * v[i] * v[i] * (q[i] - p[i]).
-void WeightedDifferenceContribs2(const double* v, const double* w,
-                                 const uint8_t* q, const uint8_t* p, size_t n,
-                                 double* s2, double* s, double* c);
-
-// Sum of v[idx[j]] for j in [0, k), accumulated in index order (bootstrap
-// resample sums; identical order to the scalar gather loop it replaces).
-double GatherSum(const double* v, const uint32_t* idx, size_t k);
 
 }  // namespace kernels
 }  // namespace aqpp

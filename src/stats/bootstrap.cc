@@ -1,74 +1,46 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
-#include "stats/descriptive.h"
+#include "obs/metrics.h"
 
 namespace aqpp {
 
 namespace {
 
-// Percentile-method interval from the bootstrap distribution.
-ConfidenceInterval FromBootstrapDistribution(std::vector<double> estimates,
-                                             double level) {
-  double point = Mean(estimates);
-  double alpha = (1.0 - level) / 2.0;
-  std::sort(estimates.begin(), estimates.end());
-  auto at = [&](double p) {
-    double idx = p * static_cast<double>(estimates.size() - 1);
-    size_t lo = static_cast<size_t>(idx);
-    size_t hi = std::min(lo + 1, estimates.size() - 1);
-    double frac = idx - static_cast<double>(lo);
-    return estimates[lo] + frac * (estimates[hi] - estimates[lo]);
-  };
-  double lower = at(alpha);
-  double upper = at(1.0 - alpha);
-  ConfidenceInterval ci;
-  ci.estimate = point;
-  ci.half_width = (upper - lower) / 2.0;
-  ci.level = level;
-  return ci;
+obs::Histogram* SupportRowsHistogram() {
+  static obs::Histogram* const h = obs::Registry::Global().GetHistogram(
+      "aqpp_bootstrap_support_rows", "",
+      {0, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576},
+      "Support rows k per bootstrap CI; resampling cost scales with k.");
+  return h;
 }
 
 }  // namespace
 
-ConfidenceInterval BootstrapCI(
-    size_t sample_size,
-    const std::function<double(const std::vector<size_t>&)>& statistic,
-    Rng& rng, const BootstrapOptions& options) {
-  AQPP_CHECK_GT(sample_size, 0u);
-  AQPP_CHECK_GT(options.num_resamples, 1u);
-  std::vector<double> estimates;
-  estimates.reserve(options.num_resamples);
-  std::vector<size_t> indices(sample_size);
-  for (size_t r = 0; r < options.num_resamples; ++r) {
-    for (size_t i = 0; i < sample_size; ++i) {
-      indices[i] = static_cast<size_t>(rng.NextBounded(sample_size));
-    }
-    estimates.push_back(statistic(indices));
-  }
-  return FromBootstrapDistribution(std::move(estimates),
-                                   options.confidence_level);
+SupportResampler::SupportResampler(size_t n, size_t k)
+    : k_(k),
+      hits_(n, n == 0 ? 0.0
+                      : static_cast<double>(k) / static_cast<double>(n)) {
+  AQPP_CHECK_LE(k, n);
+  SupportRowsHistogram()->Observe(static_cast<double>(k));
 }
 
-ConfidenceInterval BootstrapSumCI(const std::vector<double>& contributions,
-                                  Rng& rng, const BootstrapOptions& options) {
-  AQPP_CHECK(!contributions.empty());
-  AQPP_CHECK_GT(options.num_resamples, 1u);
-  size_t n = contributions.size();
-  std::vector<double> estimates;
-  estimates.reserve(options.num_resamples);
-  for (size_t r = 0; r < options.num_resamples; ++r) {
-    double sum = 0;
-    for (size_t i = 0; i < n; ++i) {
-      sum += contributions[static_cast<size_t>(rng.NextBounded(n))];
-    }
-    estimates.push_back(sum);
-  }
-  return FromBootstrapDistribution(std::move(estimates),
-                                   options.confidence_level);
+double PercentileHalfWidth(std::vector<double> estimates, double level) {
+  if (estimates.empty()) return 0.0;
+  std::sort(estimates.begin(), estimates.end());
+  const size_t last = estimates.size() - 1;
+  auto at = [&](double p) {
+    const double idx = p * static_cast<double>(last);
+    const size_t lo = static_cast<size_t>(idx);
+    const size_t hi = std::min(lo + 1, last);
+    if (hi == lo) return estimates[lo];
+    const double frac = idx - static_cast<double>(lo);
+    return estimates[lo] + frac * (estimates[hi] - estimates[lo]);
+  };
+  const double alpha = (1.0 - level) / 2.0;
+  return (at(1.0 - alpha) - at(alpha)) / 2.0;
 }
 
 }  // namespace aqpp

@@ -1,17 +1,18 @@
 // Closed-form, distribution-sensitive confidence intervals.
 //
 // The percentile bootstrap (stats/bootstrap.h) adapts to skew automatically
-// but costs resamples × n work and consumes RNG draws. These constructors
-// get the same sensitivity analytically: a CLT interval widened by a
-// third-moment (Johnson/Edgeworth) correction term, so heavy-tailed measure
-// distributions produce wider intervals than the plain normal approximation
-// would — at closed-form cost and with zero randomness.
+// but costs resamples × k work (k = support rows) and consumes RNG draws.
+// These constructors get the same sensitivity analytically: a CLT interval
+// widened by a third-moment (Johnson/Edgeworth) correction term, so
+// heavy-tailed measure distributions produce wider intervals than the plain
+// normal approximation would — at closed-form cost and with zero
+// randomness.
 //
-// All three take per-row series in the same shape the bootstrap CI
-// constructors in synopsis/estimator.h take, so a caller can swap interval
-// methods without recomputing contributions. The widening is additive on
-// |mu3|, so a closed-form interval is never tighter than its plain CLT
-// counterpart.
+// All three take dense per-row series holding the same per-row values as
+// the support series the bootstrap CI constructors in synopsis/estimator.h
+// take (AvgContribution / VarContribution, zeros included). The widening
+// is additive on |mu3|, so a closed-form interval is never tighter than its
+// plain CLT counterpart.
 
 #ifndef AQPP_SYNOPSIS_CLOSED_FORM_H_
 #define AQPP_SYNOPSIS_CLOSED_FORM_H_
@@ -33,7 +34,7 @@ ConfidenceInterval ClosedFormSumCI(const std::vector<double>& z, double level);
 
 // CI for the ratio (pre.sum + S)/(pre.count + C) where S, C are estimated
 // from per-row weighted contributions (s_contrib[i] = w_i A_i d_i,
-// c_contrib[i] = w_i d_i — the exact series AvgDifferenceBootstrapCI takes).
+// c_contrib[i] = w_i d_i — AvgContribution's values for every row).
 // Delta method on the linearized series u_i = (z_s,i - R z_c,i)/den, with
 // the same skew widening applied to u. Pass PreValues{} for the direct
 // (no-precomputation) AVG.
@@ -42,7 +43,7 @@ ConfidenceInterval ClosedFormRatioCI(const std::vector<double>& s_contrib,
                                      const PreValues& pre, double level);
 
 // CI for VAR = (pre.sum_sq + S2)/T - ((pre.sum + S)/T)^2, T = pre.count + C,
-// from the three contribution series VarDifferenceBootstrapCI takes. Delta
+// from the three contribution series of VarContribution, every row. Delta
 // method with gradients (gq, gs, gc) on the linearized combination, plus the
 // skew widening.
 ConfidenceInterval ClosedFormVarCI(const std::vector<double>& s2_contrib,

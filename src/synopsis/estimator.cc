@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.h"
 #include "kernels/elementwise.h"
@@ -134,75 +133,38 @@ ConfidenceInterval SampleEstimator::SumDifferenceCI(
   return ci;
 }
 
-ConfidenceInterval AvgDifferenceBootstrapCI(
-    const std::vector<double>& s_contrib, const std::vector<double>& c_contrib,
-    const PreValues& pre, double confidence_level, size_t resamples,
-    Rng& rng) {
-  const size_t n = s_contrib.size();
-  auto ratio_of = [&](double s, double c) {
-    double den = pre.count + c;
-    return den != 0 ? (pre.sum + s) / den : 0.0;
+ConfidenceInterval AvgDifferenceBootstrapCI(const SupportSeries<2>& contrib,
+                                            const PreValues& pre,
+                                            double confidence_level,
+                                            size_t resamples, Rng& rng) {
+  auto ratio_of = [&](const SupportSeries<2>::Row& sums) {
+    double den = pre.count + sums[1];
+    return den != 0 ? (pre.sum + sums[0]) / den : 0.0;
   };
-  std::vector<double> estimates;
-  estimates.reserve(resamples);
-  std::vector<uint32_t> idx(n);
-  for (size_t r = 0; r < resamples; ++r) {
-    for (size_t i = 0; i < n; ++i) {
-      idx[i] = static_cast<uint32_t>(rng.NextBounded(n));
-    }
-    double s = kernels::GatherSum(s_contrib.data(), idx.data(), n);
-    double c = kernels::GatherSum(c_contrib.data(), idx.data(), n);
-    estimates.push_back(ratio_of(s, c));
-  }
-  std::iota(idx.begin(), idx.end(), 0u);
-  double s_full = kernels::GatherSum(s_contrib.data(), idx.data(), n);
-  double c_full = kernels::GatherSum(c_contrib.data(), idx.data(), n);
-  std::sort(estimates.begin(), estimates.end());
-  double alpha = (1.0 - confidence_level) / 2.0;
-  double lo = Quantile(estimates, alpha);
-  double hi = Quantile(estimates, 1.0 - alpha);
   ConfidenceInterval ci;
   ci.level = confidence_level;
-  ci.estimate = ratio_of(s_full, c_full);
-  ci.half_width = (hi - lo) / 2.0;
+  ci.estimate = ratio_of(contrib.Sums());
+  ci.half_width = PercentileHalfWidth(
+      contrib.Resample(ratio_of, resamples, rng), confidence_level);
   return ci;
 }
 
-ConfidenceInterval VarDifferenceBootstrapCI(
-    const std::vector<double>& s2_contrib, const std::vector<double>& s_contrib,
-    const std::vector<double>& c_contrib, const PreValues& pre,
-    double confidence_level, size_t resamples, Rng& rng) {
-  const size_t n = s_contrib.size();
-  auto var_of = [&](double s2, double s, double c) {
-    double cnt = pre.count + c;
+ConfidenceInterval VarDifferenceBootstrapCI(const SupportSeries<3>& contrib,
+                                            const PreValues& pre,
+                                            double confidence_level,
+                                            size_t resamples, Rng& rng) {
+  auto var_of = [&](const SupportSeries<3>::Row& sums) {
+    double cnt = pre.count + sums[2];
     if (cnt <= 0) return 0.0;
-    double mean = (pre.sum + s) / cnt;
-    double ex2 = (pre.sum_sq + s2) / cnt;
+    double mean = (pre.sum + sums[1]) / cnt;
+    double ex2 = (pre.sum_sq + sums[0]) / cnt;
     return std::max(0.0, ex2 - mean * mean);
   };
-  std::vector<double> estimates;
-  estimates.reserve(resamples);
-  std::vector<uint32_t> idx(n);
-  for (size_t r = 0; r < resamples; ++r) {
-    for (size_t i = 0; i < n; ++i) {
-      idx[i] = static_cast<uint32_t>(rng.NextBounded(n));
-    }
-    double s2 = kernels::GatherSum(s2_contrib.data(), idx.data(), n);
-    double s = kernels::GatherSum(s_contrib.data(), idx.data(), n);
-    double c = kernels::GatherSum(c_contrib.data(), idx.data(), n);
-    estimates.push_back(var_of(s2, s, c));
-  }
-  std::iota(idx.begin(), idx.end(), 0u);
-  double s2f = kernels::GatherSum(s2_contrib.data(), idx.data(), n);
-  double sf = kernels::GatherSum(s_contrib.data(), idx.data(), n);
-  double cf = kernels::GatherSum(c_contrib.data(), idx.data(), n);
-  double alpha = (1.0 - confidence_level) / 2.0;
-  double lo = Quantile(estimates, alpha);
-  double hi = Quantile(estimates, 1.0 - alpha);
   ConfidenceInterval ci;
   ci.level = confidence_level;
-  ci.estimate = var_of(s2f, sf, cf);
-  ci.half_width = (hi - lo) / 2.0;
+  ci.estimate = var_of(contrib.Sums());
+  ci.half_width = PercentileHalfWidth(
+      contrib.Resample(var_of, resamples, rng), confidence_level);
   return ci;
 }
 
@@ -271,26 +233,31 @@ Result<ConfidenceInterval> SampleEstimator::EstimateDirectMasked(
       AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure_ptr,
                             MeasureRef(query.agg_column));
       const std::vector<double>& measure = *measure_ptr;
-      // Plug-in weighted population variance, bootstrap CI.
-      auto statistic = [&](const std::vector<size_t>& idx) {
-        RunningMoments m;
-        for (size_t i : idx) {
-          if (mask[i]) m.AddWeighted(measure[i], sample_->weights[i]);
-        }
-        return m.variance_population();
-      };
-      BootstrapOptions bopt;
-      bopt.num_resamples = options_.bootstrap_resamples;
-      bopt.confidence_level = options_.confidence_level;
+      // Plug-in weighted population variance, bootstrap CI. The statistic
+      // skips unmasked rows, so the masked rows are the resampling support.
+      std::vector<std::pair<double, double>> support;  // (A_i, w_i)
+      RunningMoments full;
+      for (size_t i = 0; i < n; ++i) {
+        if (!mask[i]) continue;
+        support.emplace_back(measure[i], sample_->weights[i]);
+        full.AddWeighted(measure[i], sample_->weights[i]);
+      }
       obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      ConfidenceInterval ci = BootstrapCI(n, statistic, rng, bopt);
+      SupportResampler resampler(n, support.size());
+      std::vector<double> estimates(options_.bootstrap_resamples);
+      for (double& e : estimates) {
+        RunningMoments m;
+        resampler.Draw(rng, [&](size_t j) {
+          m.AddWeighted(support[j].first, support[j].second);
+        });
+        e = m.variance_population();
+      }
+      ConfidenceInterval ci;
+      ci.level = options_.confidence_level;
+      ci.half_width = PercentileHalfWidth(std::move(estimates), ci.level);
       ci_span.Stop();
       // Center on the full-sample plug-in value.
-      RunningMoments m;
-      for (size_t i = 0; i < n; ++i) {
-        if (mask[i]) m.AddWeighted(measure[i], sample_->weights[i]);
-      }
-      ci.estimate = m.variance_population();
+      ci.estimate = full.variance_population();
       return ci;
     }
     case AggregateFunction::kMin:
@@ -339,27 +306,26 @@ Result<ConfidenceInterval> SampleEstimator::EstimateWithPreMasked(
       AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure_ptr,
                             MeasureRef(query.agg_column));
       const std::vector<double>& measure = *measure_ptr;
-      std::vector<double> s_contrib(n), c_contrib(n);
-      kernels::WeightedDifferenceContribs(
-          measure.data(), sample_->weights.data(), q_mask.data(),
-          pre_mask.data(), n, s_contrib.data(), c_contrib.data());
+      SupportSeries<2> contrib(n);
+      for (size_t i = 0; i < n; ++i) {
+        contrib.Push(AvgContribution(measure[i], sample_->weights[i],
+                                     MaskDifference(q_mask[i], pre_mask[i])));
+      }
       obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      return AvgDifferenceBootstrapCI(s_contrib, c_contrib, pre,
-                                      options_.confidence_level,
+      return AvgDifferenceBootstrapCI(contrib, pre, options_.confidence_level,
                                       options_.bootstrap_resamples, rng);
     }
     case AggregateFunction::kVar: {
       AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure_ptr,
                             MeasureRef(query.agg_column));
       const std::vector<double>& measure = *measure_ptr;
-      std::vector<double> s2_contrib(n), s_contrib(n), c_contrib(n);
-      kernels::WeightedDifferenceContribs2(
-          measure.data(), sample_->weights.data(), q_mask.data(),
-          pre_mask.data(), n, s2_contrib.data(), s_contrib.data(),
-          c_contrib.data());
+      SupportSeries<3> contrib(n);
+      for (size_t i = 0; i < n; ++i) {
+        contrib.Push(VarContribution(measure[i], sample_->weights[i],
+                                     MaskDifference(q_mask[i], pre_mask[i])));
+      }
       obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      return VarDifferenceBootstrapCI(s2_contrib, s_contrib, c_contrib, pre,
-                                      options_.confidence_level,
+      return VarDifferenceBootstrapCI(contrib, pre, options_.confidence_level,
                                       options_.bootstrap_resamples, rng);
     }
     case AggregateFunction::kMin:

@@ -12,7 +12,6 @@
 #ifndef AQPP_SYNOPSIS_ESTIMATOR_H_
 #define AQPP_SYNOPSIS_ESTIMATOR_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -23,6 +22,7 @@
 #include "expr/query.h"
 #include "obs/trace.h"
 #include "sampling/sample.h"
+#include "stats/bootstrap.h"
 #include "stats/confidence.h"
 
 namespace aqpp {
@@ -62,22 +62,41 @@ class MeasureCache {
 //
 // These are used verbatim by both SampleEstimator::EstimateWithPre and the
 // batched identification scorer, so the two paths produce bit-identical
-// intervals for the same per-row contributions and RNG state.
+// intervals for the same per-row contributions and RNG state. Both paths
+// build the support series in ascending row order from the helpers below.
+
+// diff_i = cond_q(i) - cond_pre(i): exactly -1.0, 0.0 or +1.0.
+inline double MaskDifference(uint8_t q, uint8_t pre) {
+  return static_cast<double>(q) - static_cast<double>(pre);
+}
+
+// One row's AVG contributions {w A diff, w diff}.
+inline SupportSeries<2>::Row AvgContribution(double a, double w,
+                                             double diff) {
+  return {w * a * diff, w * diff};
+}
+
+// One row's VAR contributions {w A^2 diff, w A diff, w diff}.
+inline SupportSeries<3>::Row VarContribution(double a, double w,
+                                             double diff) {
+  return {w * a * a * diff, w * a * diff, w * diff};
+}
 
 // AVG = (pre.sum + ŝ) / (pre.count + ĉ) with numerator/denominator estimated
 // by difference; percentile-bootstrap CI over the paired per-row
-// contributions s_contrib[i] = w_i * A_i * diff_i, c_contrib[i] = w_i *
-// diff_i (the paper's Section 4.2.2 procedure).
-ConfidenceInterval AvgDifferenceBootstrapCI(
-    const std::vector<double>& s_contrib, const std::vector<double>& c_contrib,
-    const PreValues& pre, double confidence_level, size_t resamples, Rng& rng);
+// contributions {s, c} = AvgContribution (the paper's Section 4.2.2
+// procedure), resampled over their support.
+ConfidenceInterval AvgDifferenceBootstrapCI(const SupportSeries<2>& contrib,
+                                            const PreValues& pre,
+                                            double confidence_level,
+                                            size_t resamples, Rng& rng);
 
 // VAR = E[A^2] - E[A]^2 reconstructed from three difference-estimated sums
-// (SUM(A^2), SUM(A), COUNT); percentile-bootstrap CI.
-ConfidenceInterval VarDifferenceBootstrapCI(
-    const std::vector<double>& s2_contrib, const std::vector<double>& s_contrib,
-    const std::vector<double>& c_contrib, const PreValues& pre,
-    double confidence_level, size_t resamples, Rng& rng);
+// (SUM(A^2), SUM(A), COUNT) = VarContribution; percentile-bootstrap CI.
+ConfidenceInterval VarDifferenceBootstrapCI(const SupportSeries<3>& contrib,
+                                            const PreValues& pre,
+                                            double confidence_level,
+                                            size_t resamples, Rng& rng);
 
 class SampleEstimator {
  public:

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <random>
 #include <set>
 #include <thread>
 
@@ -134,6 +136,86 @@ TEST(RngTest, ForkProducesIndependentStream) {
     if (a.Next() != b.Next()) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
+}
+
+// ---- Binomial draws --------------------------------------------------------
+//
+// The support-sparse bootstrap draws its per-resample hit count from
+// std::binomial_distribution<uint64_t> driven by Rng; these pin that pairing.
+
+// Pearson chi-square statistic of `draws` against the Binomial(n, p) pmf,
+// pooling adjacent values until each bin expects at least 5 draws; `df`
+// receives bins - 1.
+double BinomialChiSquare(const std::vector<int>& counts, uint64_t n, double p,
+                         int draws, int* df) {
+  const double dn = static_cast<double>(n);
+  auto expected = [&](uint64_t x) {
+    const double dx = static_cast<double>(x);
+    return draws * std::exp(std::lgamma(dn + 1) - std::lgamma(dx + 1) -
+                            std::lgamma(dn - dx + 1) + dx * std::log(p) +
+                            (dn - dx) * std::log1p(-p));
+  };
+  std::vector<std::pair<double, double>> bins;  // (expected, observed)
+  double e = 0, o = 0;
+  for (uint64_t x = 0; x <= n; ++x) {
+    e += expected(x);
+    o += counts[x];
+    if (e >= 5.0) {
+      bins.emplace_back(e, o);
+      e = o = 0;
+    }
+  }
+  bins.back().first += e;  // the thin upper tail joins the last bin
+  bins.back().second += o;
+  double chi2 = 0;
+  for (const auto& [be, bo] : bins) chi2 += (bo - be) * (bo - be) / be;
+  *df = static_cast<int>(bins.size()) - 1;
+  return chi2;
+}
+
+TEST(BinomialDrawTest, ChiSquareGoodnessOfFit) {
+  struct Case {
+    uint64_t n;
+    double p;
+  };
+  // The bootstrap's operating points: a 25k-row sample at 0.1%, 2% and 50%
+  // support, plus a small scoring subsample.
+  const Case kCases[] = {
+      {25000, 0.001}, {25000, 0.02}, {25000, 0.5}, {1562, 0.05}};
+  constexpr int kDraws = 20000;
+  for (const Case& c : kCases) {
+    Rng rng(600 + c.n + static_cast<uint64_t>(c.p * 1000));
+    std::binomial_distribution<uint64_t> binomial(c.n, c.p);
+    std::vector<int> counts(c.n + 1, 0);
+    for (int i = 0; i < kDraws; ++i) {
+      const uint64_t x = binomial(rng);
+      ASSERT_LE(x, c.n);
+      ++counts[x];
+    }
+    int df = 0;
+    const double chi2 = BinomialChiSquare(counts, c.n, c.p, kDraws, &df);
+    ASSERT_GT(df, 0);
+    // Wilson-Hilferty upper 0.1% point of chi-square(df).
+    const double h = 2.0 / (9.0 * df);
+    const double critical = df * std::pow(1 - h + 3.09 * std::sqrt(h), 3);
+    EXPECT_LT(chi2, critical)
+        << "n=" << c.n << " p=" << c.p << " df=" << df;
+  }
+}
+
+TEST(BinomialDrawTest, DegenerateProbabilities) {
+  Rng rng(61);
+  std::binomial_distribution<uint64_t> never(25000, 0.0), always(25000, 1.0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(never(rng), 0u);
+    EXPECT_EQ(always(rng), 25000u);
+  }
+}
+
+TEST(BinomialDrawTest, FreshDistributionReplaysTheSameDraws) {
+  Rng a(62), b(62);
+  std::binomial_distribution<uint64_t> first(25000, 0.3), second(25000, 0.3);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(first(a), second(b));
 }
 
 TEST(SampleWithoutReplacementTest, ReturnsSortedDistinct) {

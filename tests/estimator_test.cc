@@ -1,8 +1,13 @@
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "core/estimator.h"
+#include "core/identification.h"
+#include "cube/prefix_cube.h"
+#include "dense_bootstrap_oracle.h"
 #include "exec/executor.h"
 #include "sampling/samplers.h"
 #include "test_util.h"
@@ -108,6 +113,9 @@ TEST_F(EstimatorTest, DirectVar) {
   ASSERT_TRUE(ci.ok());
   double truth = *executor_->Execute(q);
   EXPECT_NEAR(ci->estimate, truth, truth * 0.2);
+  // The bootstrap resamples the masked rows (here every row).
+  EXPECT_GT(ci->half_width, 0.0);
+  EXPECT_NEAR(ci->estimate, truth, 5 * ci->half_width);
 }
 
 TEST_F(EstimatorTest, MinMaxUnsupported) {
@@ -342,6 +350,260 @@ TEST(MeasureBiasedEstimatorTest, OutlierQueriesAccurate) {
   // outlier-dominated workload (the Section 7.4 motivation).
   EXPECT_LT(ci_b->half_width, ci_u->half_width * 0.8);
   EXPECT_NEAR(ci_b->estimate, truth, 5 * ci_b->half_width + 1e-9);
+}
+
+// ---- Support-sparse bootstrap vs the dense oracle ---------------------------
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Random dense AVG/VAR contribution series over n rows, about `support_frac`
+// of them on the support. With `mixed_signs`, off-support rows carry a mix
+// of +0.0 and -0.0 and some support rows carry a -0.0 value in one series
+// (A = 0 with diff -1); without, every support row has A > 0 and diff +1.
+struct DenseSeries {
+  std::vector<double> s2, s, c;
+};
+
+DenseSeries RandomSeries(size_t n, double support_frac, Rng& rng,
+                         bool mixed_signs = true) {
+  DenseSeries d;
+  d.s2.resize(n);
+  d.s.resize(n);
+  d.c.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double w = 0.5 + rng.NextDouble();
+    double a = 100.0 + 30.0 * rng.NextGaussian();
+    if (mixed_signs && rng.NextBernoulli(0.05)) a = 0.0;
+    if (mixed_signs && rng.NextBernoulli(0.5)) a = -a;
+    double diff = 0.0;
+    if (rng.NextBernoulli(support_frac)) {
+      diff = !mixed_signs || rng.NextBernoulli(0.5) ? 1.0 : -1.0;
+    }
+    const auto v = VarContribution(a, w, diff);
+    d.s2[i] = v[0];
+    d.s[i] = v[1];
+    d.c[i] = v[2];
+  }
+  return d;
+}
+
+SupportSeries<2> AvgSupport(const DenseSeries& d) {
+  SupportSeries<2> out(d.s.size());
+  for (size_t i = 0; i < d.s.size(); ++i) out.Push({d.s[i], d.c[i]});
+  return out;
+}
+
+SupportSeries<3> VarSupport(const DenseSeries& d) {
+  SupportSeries<3> out(d.s.size());
+  for (size_t i = 0; i < d.s.size(); ++i) out.Push({d.s2[i], d.s[i], d.c[i]});
+  return out;
+}
+
+TEST(SupportBootstrapTest, EstimateBitIdenticalToDenseOracle) {
+  Rng gen = testutil::MakeTestRng(300);
+  const double kFracs[] = {0.0, 0.005, 0.05, 0.5, 1.0};
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = 1 + gen.NextBounded(3000);
+    const double frac = kFracs[trial % 5];
+    DenseSeries d = RandomSeries(n, frac, gen);
+    PreValues pre{gen.NextGaussian() * 1e4, 50.0 + 100.0 * gen.NextDouble(),
+                  1e6 * gen.NextDouble()};
+    const SupportSeries<2> avg = AvgSupport(d);
+    const SupportSeries<3> var = VarSupport(d);
+    if (frac == 0.0) {
+      ASSERT_EQ(avg.k(), 0u);
+    }
+    if (frac == 1.0) {
+      ASSERT_EQ(avg.k(), n);
+    }
+
+    Rng r1(trial), r2(trial);
+    auto sparse = AvgDifferenceBootstrapCI(avg, pre, 0.95, 60, r1);
+    auto dense =
+        oracle::DenseAvgDifferenceBootstrapCI(d.s, d.c, pre, 0.95, 60, r2);
+    EXPECT_EQ(Bits(sparse.estimate), Bits(dense.estimate))
+        << "n=" << n << " k=" << avg.k();
+    auto sparse_v = VarDifferenceBootstrapCI(var, pre, 0.95, 60, r1);
+    auto dense_v = oracle::DenseVarDifferenceBootstrapCI(d.s2, d.s, d.c, pre,
+                                                         0.95, 60, r2);
+    EXPECT_EQ(Bits(sparse_v.estimate), Bits(dense_v.estimate))
+        << "n=" << n << " k=" << var.k();
+    if (avg.k() == 0) {
+      // No row can move a resample: a zero-width interval on both paths.
+      EXPECT_EQ(sparse.half_width, 0.0);
+      EXPECT_EQ(dense.half_width, 0.0);
+      EXPECT_EQ(sparse_v.half_width, 0.0);
+    } else {
+      EXPECT_TRUE(std::isfinite(sparse.half_width));
+      EXPECT_GE(sparse.half_width, 0.0);
+    }
+  }
+}
+
+TEST(SupportBootstrapTest, NegativeZeroRowsStayOffTheSupport) {
+  SupportSeries<2> series(4);
+  series.Push({-0.0, 0.0});
+  series.Push({-0.0, 2.0});  // -0.0 next to a nonzero: a support row
+  series.Push({0.0, -0.0});
+  series.Push({std::nan(""), 0.0});  // NaN counts as support
+  ASSERT_EQ(series.k(), 2u);
+  EXPECT_EQ(Bits(series[0][0]), Bits(-0.0));
+  const auto sums = series.Sums();
+  EXPECT_EQ(Bits(sums[1]), Bits(2.0));
+  EXPECT_TRUE(std::isnan(sums[0]));
+}
+
+// Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+double KsStatistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  size_t i = 0, j = 0;
+  double d = 0.0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] == x) ++i;
+    while (j < b.size() && b[j] == x) ++j;
+    d = std::max(d, std::abs(static_cast<double>(i) / a.size() -
+                             static_cast<double>(j) / b.size()));
+  }
+  return d;
+}
+
+TEST(SupportBootstrapTest, ResampleStatisticsMatchDenseInDistribution) {
+  // One resample statistic per seed from each path, 2000 seeds apiece; the
+  // KS statistic must stay below the alpha = 0.001 critical value. A
+  // negative control that draws exactly k support picks per resample (the
+  // naive "resample the support" shortcut) must be rejected, which shows
+  // the test has the power to see a wrong hit count.
+  constexpr size_t kSeeds = 2000;
+  const double critical = 1.95 * std::sqrt(2.0 / kSeeds);
+  Rng gen = testutil::MakeTestRng(310);
+  const size_t n = 4000;
+  DenseSeries d = RandomSeries(n, 0.05, gen, /*mixed_signs=*/false);
+  const SupportSeries<2> avg = AvgSupport(d);
+  const SupportSeries<3> var = VarSupport(d);
+  // pre's mean (50) sits away from the support rows' (100), so the ratio
+  // moves with the number of support hits.
+  const PreValues pre{1e5, 2000.0, 3e7};
+  auto ratio_of = [&](const std::array<double, 2>& sums) {
+    return (pre.sum + sums[0]) / (pre.count + sums[1]);
+  };
+  auto var_of = [&](const std::array<double, 3>& sums) {
+    const double cnt = pre.count + sums[2];
+    const double mean = (pre.sum + sums[1]) / cnt;
+    return (pre.sum_sq + sums[0]) / cnt - mean * mean;
+  };
+  const std::array<const std::vector<double>*, 2> dense2 = {&d.s, &d.c};
+  const std::array<const std::vector<double>*, 3> dense3 = {&d.s2, &d.s,
+                                                            &d.c};
+  std::vector<double> sparse_avg, dense_avg, naive_avg, sparse_var, dense_var;
+  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    Rng a(seed), b(seed + 1'000'003), c(seed + 2'000'003);
+    sparse_avg.push_back(avg.Resample(ratio_of, 1, a)[0]);
+    sparse_var.push_back(var.Resample(var_of, 1, a)[0]);
+    dense_avg.push_back(oracle::DenseResample(dense2, ratio_of, 1, b)[0]);
+    dense_var.push_back(oracle::DenseResample(dense3, var_of, 1, b)[0]);
+    std::array<double, 2> sums{};
+    for (size_t p = 0; p < avg.k(); ++p) {
+      const auto& row = avg[static_cast<size_t>(c.NextBounded(avg.k()))];
+      sums[0] += row[0];
+      sums[1] += row[1];
+    }
+    naive_avg.push_back(ratio_of(sums));
+  }
+  EXPECT_LT(KsStatistic(sparse_avg, dense_avg), critical);
+  EXPECT_LT(KsStatistic(sparse_var, dense_var), critical);
+  EXPECT_GT(KsStatistic(naive_avg, dense_avg), critical);
+}
+
+TEST_F(EstimatorTest, DifferenceEstimateBitIdenticalToDenseOracle) {
+  // End to end through the estimator: real masks, real weights.
+  RangeQuery q = SumQuery(10, 50);
+  RangeQuery pre_q = SumQuery(12, 48);
+  SampleEstimator est(&sample_);
+  auto q_mask = est.Mask(q.predicate);
+  auto p_mask = est.Mask(pre_q.predicate);
+  ASSERT_TRUE(q_mask.ok() && p_mask.ok());
+  auto measure = est.MeasureValues(2);
+  ASSERT_TRUE(measure.ok());
+  const size_t n = sample_.size();
+  DenseSeries d;
+  for (size_t i = 0; i < n; ++i) {
+    const auto v = VarContribution((*measure)[i], sample_.weights[i],
+                                   MaskDifference((*q_mask)[i], (*p_mask)[i]));
+    d.s2.push_back(v[0]);
+    d.s.push_back(v[1]);
+    d.c.push_back(v[2]);
+  }
+  const PreValues pre{1e6, 1e4, 1e8};
+  Rng unused(0);
+  for (AggregateFunction func :
+       {AggregateFunction::kAvg, AggregateFunction::kVar}) {
+    RangeQuery fq = q;
+    fq.func = func;
+    Rng rng(15);
+    auto ci = est.EstimateWithPreMasked(fq, *q_mask, *p_mask, pre, rng);
+    ASSERT_TRUE(ci.ok());
+    const double oracle_estimate =
+        func == AggregateFunction::kAvg
+            ? oracle::DenseAvgDifferenceBootstrapCI(d.s, d.c, pre, 0.95, 2,
+                                                    unused)
+                  .estimate
+            : oracle::DenseVarDifferenceBootstrapCI(d.s2, d.s, d.c, pre, 0.95,
+                                                    2, unused)
+                  .estimate;
+    EXPECT_EQ(Bits(ci->estimate), Bits(oracle_estimate));
+    EXPECT_GT(ci->half_width, 0.0);
+  }
+}
+
+TEST(SupportBootstrapScorerTest, BatchedMatchesLegacyBitForBitWithGroupedSet) {
+  // Enough candidates that ScoreBatch groups the active set by cell (12 or
+  // more jobs), so the batched scorer walks rows out of row order and must
+  // sort its support before resampling.
+  auto table = testutil::MakeSynthetic({.rows = 40000, .seed = 320});
+  std::vector<DimensionPartition> dims = {
+      DimensionPartition{0, {20, 40, 60, 80, 100}},
+      DimensionPartition{1, {10, 20, 30, 40, 50}}};
+  auto cube = PrefixCube::Build(
+      *table, PartitionScheme(std::move(dims)),
+      {MeasureSpec::Sum(2), MeasureSpec::Count(), MeasureSpec::SumSquares(2)});
+  ASSERT_TRUE(cube.ok());
+  Rng srng(321);
+  auto sample = std::move(CreateUniformSample(*table, 0.2, srng)).value();
+  IdentificationOptions legacy_opts;
+  legacy_opts.use_batched_scorer = false;
+  Rng c1(322), c2(322);
+  AggregateIdentifier batched(cube->get(), &sample, {}, c1);
+  AggregateIdentifier legacy(cube->get(), &sample, legacy_opts, c2);
+
+  // Each bound strictly inside a cut interval, with a full interval between
+  // the two: both snap directions at both ends stay non-empty, giving
+  // 4^2 + 1 candidates.
+  Rng qrng(323);
+  for (AggregateFunction func :
+       {AggregateFunction::kAvg, AggregateFunction::kVar}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      RangeQuery q;
+      q.func = func;
+      q.agg_column = 2;
+      q.predicate.Add({0, qrng.NextInt(23, 37), qrng.NextInt(63, 77)});
+      q.predicate.Add({1, qrng.NextInt(12, 18), qrng.NextInt(32, 38)});
+      Rng r1(330 + trial), r2(330 + trial);
+      auto b = batched.ScoreAll(q, r1);
+      auto l = legacy.ScoreAll(q, r2);
+      ASSERT_TRUE(b.ok()) << b.status();
+      ASSERT_TRUE(l.ok()) << l.status();
+      ASSERT_GE(b->size(), 12u);
+      ASSERT_EQ(b->size(), l->size());
+      for (size_t i = 0; i < b->size(); ++i) {
+        EXPECT_EQ((*b)[i].pre.lo, (*l)[i].pre.lo);
+        EXPECT_EQ((*b)[i].pre.hi, (*l)[i].pre.hi);
+        EXPECT_EQ(Bits((*b)[i].scored_error), Bits((*l)[i].scored_error))
+            << "candidate " << i << " trial " << trial;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -330,33 +330,19 @@ TEST(ExecutorKernelTest, ResultsBitIdenticalAcrossThreadCounts) {
 TEST(ElementwiseKernelTest, MatchesScalarExpressions) {
   Rng rng(77);
   const size_t n = 4097;
-  std::vector<double> v(n), w(n);
+  std::vector<double> v(n);
   std::vector<uint8_t> q(n), p(n);
   for (size_t i = 0; i < n; ++i) {
     v[i] = rng.NextGaussian();
-    w[i] = rng.NextDouble() + 0.5;
     q[i] = rng.NextBernoulli(0.4);
     p[i] = rng.NextBernoulli(0.4);
   }
-  std::vector<double> y(n), s(n), c(n), s2(n);
+  std::vector<double> y(n);
   kernels::DifferenceSeries(v.data(), q.data(), p.data(), n, y.data());
-  kernels::WeightedDifferenceContribs2(v.data(), w.data(), q.data(), p.data(),
-                                       n, s2.data(), s.data(), c.data());
   for (size_t i = 0; i < n; ++i) {
     double diff = static_cast<double>(q[i]) - static_cast<double>(p[i]);
     EXPECT_EQ(Bits(y[i]), Bits(v[i] * diff));
-    EXPECT_EQ(Bits(s2[i]), Bits(w[i] * v[i] * v[i] * diff));
-    EXPECT_EQ(Bits(s[i]), Bits(w[i] * v[i] * diff));
-    EXPECT_EQ(Bits(c[i]), Bits(w[i] * diff));
   }
-  // GatherSum accumulates in index order.
-  std::vector<uint32_t> idx(n);
-  double expect = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<uint32_t>(rng.NextBounded(n));
-    expect += v[idx[i]];
-  }
-  EXPECT_EQ(Bits(kernels::GatherSum(v.data(), idx.data(), n)), Bits(expect));
 }
 
 TEST(BinningKernelTest, CellIdsMatchBucketSearch) {

@@ -572,5 +572,56 @@ TEST(BatchMetricsTest, BatchAndSingleFlightSeriesNamesArePinned) {
             std::string::npos);
 }
 
+// ---- Bootstrap support size ------------------------------------------------
+//
+// Bootstrap CI cost scales with the support k (rows in the query box or the
+// pre box but not both), so every bootstrap CI records k. Pin the series
+// name and its bucket layout, and check that AVG and VAR both feed it.
+
+TEST(BootstrapMetricsTest, SupportRowsHistogramIsPinned) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  EnabledGuard on(true);
+  auto table = testutil::MakeSynthetic({.rows = 20000});
+  EngineOptions opts;
+  opts.sample_rate = 0.05;
+  opts.cube_budget = 64;
+  auto engine = AqppEngine::Create(table, opts);
+  ASSERT_TRUE(engine.ok());
+  QueryTemplate tmpl;
+  tmpl.func = AggregateFunction::kAvg;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0};
+  ASSERT_TRUE((*engine)->Prepare(tmpl).ok());
+  RangeQuery q;
+  q.agg_column = 2;
+  q.predicate.Add({0, 13, 67});
+  // The first bootstrap registers the series with its fixed buckets.
+  q.func = AggregateFunction::kVar;
+  ASSERT_TRUE((*engine)->Execute(q).ok());
+  obs::Histogram* h =
+      obs::Registry::Global().GetHistogram("aqpp_bootstrap_support_rows");
+  for (AggregateFunction func :
+       {AggregateFunction::kAvg, AggregateFunction::kVar}) {
+    const uint64_t before = h->count();
+    q.func = func;
+    auto r = (*engine)->Execute(q);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_GE(h->count(), before + 1) << static_cast<int>(func);
+  }
+  // The support never exceeds the sample, so nothing lands past 2^20 rows.
+  EXPECT_EQ(h->bucket_count(h->num_buckets() - 1), 0u);
+
+  std::string text = obs::Registry::Global().RenderPrometheus();
+  EXPECT_NE(text.find("# TYPE aqpp_bootstrap_support_rows histogram\n"),
+            std::string::npos);
+  for (const char* le : {"0", "16", "64", "256", "1024", "4096", "16384",
+                         "65536", "262144", "1048576", "+Inf"}) {
+    EXPECT_NE(text.find("aqpp_bootstrap_support_rows_bucket{le=\"" +
+                        std::string(le) + "\"}"),
+              std::string::npos)
+        << le;
+  }
+}
+
 }  // namespace
 }  // namespace aqpp

@@ -1,3 +1,4 @@
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -118,34 +119,66 @@ TEST(ConfidenceTest, IntervalSemantics) {
 
 // ---- Bootstrap ------------------------------------------------------------------
 
-TEST(BootstrapTest, SumCIMatchesCLTScale) {
-  // Contributions are iid N(mu, sigma^2); the bootstrap CI of the sum should
-  // be close to the CLT interval lambda * sigma * sqrt(n).
+TEST(BootstrapTest, SumHalfWidthMatchesCLTScale) {
+  // Contributions are iid N(mu, sigma^2) on every row (k = n); the bootstrap
+  // CI of the sum should be close to the CLT interval lambda*sigma*sqrt(n).
   Rng rng = testutil::MakeTestRng(41);
   constexpr size_t kN = 2000;
-  std::vector<double> contrib(kN);
-  for (auto& c : contrib) c = 10.0 + 2.0 * rng.NextGaussian();
-  BootstrapOptions opt;
-  opt.num_resamples = 400;
-  auto ci = BootstrapSumCI(contrib, rng, opt);
+  SupportSeries<1> contrib(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    contrib.Push({10.0 + 2.0 * rng.NextGaussian()});
+  }
+  ASSERT_EQ(contrib.k(), kN);
+  auto sum = [](const std::array<double, 1>& s) { return s[0]; };
+  double half_width =
+      PercentileHalfWidth(contrib.Resample(sum, 400, rng), 0.95);
   double expected_halfwidth = 1.96 * 2.0 * std::sqrt(static_cast<double>(kN));
-  EXPECT_NEAR(ci.estimate, 10.0 * kN, 4 * expected_halfwidth);
-  EXPECT_NEAR(ci.half_width, expected_halfwidth, expected_halfwidth * 0.3);
+  EXPECT_NEAR(contrib.Sums()[0], 10.0 * kN, 4 * expected_halfwidth);
+  EXPECT_NEAR(half_width, expected_halfwidth, expected_halfwidth * 0.3);
 }
 
-TEST(BootstrapTest, GenericStatisticMean) {
-  Rng rng = testutil::MakeTestRng(43);
-  constexpr size_t kN = 500;
-  std::vector<double> data(kN);
-  for (auto& x : data) x = 5.0 + rng.NextGaussian();
-  auto statistic = [&](const std::vector<size_t>& idx) {
-    double s = 0;
-    for (size_t i : idx) s += data[i];
-    return s / static_cast<double>(idx.size());
-  };
-  auto ci = BootstrapCI(kN, statistic, rng, {.num_resamples = 300});
-  EXPECT_NEAR(ci.estimate, 5.0, 0.2);
-  EXPECT_NEAR(ci.half_width, 1.96 / std::sqrt(static_cast<double>(kN)), 0.04);
+TEST(BootstrapTest, SparseSupportKeepsTheDenseVariance) {
+  // 5% of n rows carry N(10, 2^2); the rest are exact zeros. A dense
+  // resample sum has variance n * Var(row) = n * (f (mu^2 + sigma^2) -
+  // f^2 mu^2) — the Binomial hit count contributes the mu^2 term, which a
+  // fixed k-pick resample would miss (it would give k * sigma^2 only).
+  Rng rng = testutil::MakeTestRng(42);
+  constexpr size_t kN = 20000;
+  SupportSeries<1> contrib(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    contrib.Push({rng.NextBernoulli(0.05) ? 10.0 + 2.0 * rng.NextGaussian()
+                                          : 0.0});
+  }
+  const double f = static_cast<double>(contrib.k()) / kN;
+  const double var_row = f * (100.0 + 4.0) - f * f * 100.0;
+  const double expected = 1.96 * std::sqrt(kN * var_row);
+  auto sum = [](const std::array<double, 1>& s) { return s[0]; };
+  double half_width =
+      PercentileHalfWidth(contrib.Resample(sum, 400, rng), 0.95);
+  EXPECT_NEAR(half_width, expected, expected * 0.2);
+}
+
+TEST(BootstrapTest, EmptySupportIsZeroWidthAndDrawsNothing) {
+  SupportSeries<1> contrib(500);
+  for (int i = 0; i < 500; ++i) contrib.Push({i % 2 ? 0.0 : -0.0});
+  ASSERT_EQ(contrib.k(), 0u);
+  Rng rng(7), untouched(7);
+  auto sum = [](const std::array<double, 1>& s) { return s[0]; };
+  auto estimates = contrib.Resample(sum, 50, rng);
+  EXPECT_EQ(PercentileHalfWidth(estimates, 0.95), 0.0);
+  for (double e : estimates) EXPECT_EQ(std::bit_cast<uint64_t>(e), 0u);
+  EXPECT_EQ(rng.Next(), untouched.Next());
+}
+
+TEST(BootstrapTest, PercentileHalfWidthInterpolates) {
+  std::vector<double> estimates;
+  for (int i = 100; i >= 0; --i) estimates.push_back(i);
+  // alpha/2 = 0.05: q_0.95 = 95, q_0.05 = 5.
+  EXPECT_DOUBLE_EQ(PercentileHalfWidth(estimates, 0.90), 45.0);
+  // Between order statistics: 4 replicates, p = 0.025 -> index 0.075.
+  EXPECT_DOUBLE_EQ(PercentileHalfWidth({0, 10, 20, 30}, 0.95),
+                   ((20 + 0.925 * 10) - (0 + 0.075 * 10)) / 2.0);
+  EXPECT_EQ(PercentileHalfWidth({}, 0.95), 0.0);
 }
 
 // ---- Distributions ----------------------------------------------------------------
