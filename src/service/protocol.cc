@@ -1,5 +1,6 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -252,6 +253,19 @@ Result<ProgressLine> ParseProgressLine(const std::string& line) {
     return Status::InvalidArgument("progress line is missing required fields");
   }
   return p;
+}
+
+std::string ErrorReply(const Status& status) {
+  return FormatResponse(
+      Response::Error(StatusCodeToString(status.code()), status.message()));
+}
+
+std::string MetricsReply(const std::string& text) {
+  Response header;
+  header.AddUint("lines",
+                 static_cast<uint64_t>(std::count(text.begin(), text.end(),
+                                                  '\n')));
+  return FormatResponse(header) + "\n" + text + "# EOF";
 }
 
 Result<Response> ParseResponse(const std::string& line) {

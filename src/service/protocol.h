@@ -105,6 +105,14 @@ struct Response {
 // One line, no trailing newline.
 std::string FormatResponse(const Response& response);
 
+// "ERR code=<code> msg=<message>" for a failed `status` (no newline).
+std::string ErrorReply(const Status& status);
+
+// The METRICS reply for Prometheus exposition `text`: an "OK lines=<n>"
+// header counting the raw text lines that follow, then a literal "# EOF"
+// line (OpenMetrics convention) so clients need no length bookkeeping.
+std::string MetricsReply(const std::string& text);
+
 // Inverse of FormatResponse (used by the client and the round-trip tests).
 Result<Response> ParseResponse(const std::string& line);
 

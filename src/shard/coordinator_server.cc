@@ -1,15 +1,5 @@
 #include "shard/coordinator_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
-#include "common/string_util.h"
 #include "obs/metrics.h"
 #include "service/protocol.h"
 #include "sql/binder.h"
@@ -17,125 +7,42 @@
 namespace aqpp {
 namespace shard {
 
-namespace {
-
-bool SendAll(int fd, const std::string& s) {
-  size_t sent = 0;
-  while (sent < s.size()) {
-    ssize_t n = ::send(fd, s.data() + sent, s.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 CoordinatorServer::CoordinatorServer(ShardCoordinator* coordinator,
                                      const Catalog* catalog,
                                      CoordinatorServerOptions options)
     : coordinator_(coordinator),
       catalog_(catalog),
-      options_(std::move(options)) {}
-
-CoordinatorServer::~CoordinatorServer() { Stop(); }
+      options_(std::move(options)),
+      lines_("shard/coordinator",
+             [this](const std::string& line, bool* quit) {
+               return HandleLine(line, quit);
+             }) {}
 
 Status CoordinatorServer::Start() {
-  if (running_.load()) return Status::FailedPrecondition("already started");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad host '" + options_.host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status st = Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (::listen(fd, options_.backlog) < 0) {
-    Status st =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_.store(fd);
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return lines_.Start(options_);
 }
 
-void CoordinatorServer::AcceptLoop() {
-  while (running_.load()) {
-    int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket closed by Stop()
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load() || active_fds_.size() >= options_.max_connections) {
-      SendAll(fd, FormatResponse(Response::Error(
-                      "ResourceExhausted", "connection limit reached")) +
-                      "\n");
-      ::close(fd);
-      continue;
-    }
-    active_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-}
+void CoordinatorServer::Stop() { lines_.Stop(); }
 
 std::string CoordinatorServer::HandleLine(const std::string& line,
                                           bool* quit) {
   auto req = ParseRequest(line);
-  if (!req.ok()) {
-    return FormatResponse(Response::Error(
-        StatusCodeToString(req.status().code()), req.status().message()));
-  }
+  if (!req.ok()) return ErrorReply(req.status());
   Response resp;
   switch (req->type) {
-    case RequestType::kHello:
-      resp.AddUint("shards", coordinator_->num_shards());
-      resp.AddUint("rows", coordinator_->total_rows());
-      return FormatResponse(resp);
     case RequestType::kPing:
       resp.AddUint("pong", 1);
       return FormatResponse(resp);
+    case RequestType::kHello:
     case RequestType::kShardInfo:
       resp.AddUint("shards", coordinator_->num_shards());
       resp.AddUint("rows", coordinator_->total_rows());
       return FormatResponse(resp);
     case RequestType::kQuery: {
       auto bound = ParseAndBind(req->sql, *catalog_);
-      if (!bound.ok()) {
-        return FormatResponse(
-            Response::Error(StatusCodeToString(bound.status().code()),
-                            bound.status().message()));
-      }
+      if (!bound.ok()) return ErrorReply(bound.status());
       auto answer = coordinator_->Query(bound->query);
-      if (!answer.ok()) {
-        return FormatResponse(
-            Response::Error(StatusCodeToString(answer.status().code()),
-                            answer.status().message()));
-      }
+      if (!answer.ok()) return ErrorReply(answer.status());
       resp.AddDouble("estimate", answer->merged.ci.estimate);
       resp.AddDouble("lo", answer->merged.ci.lower());
       resp.AddDouble("hi", answer->merged.ci.upper());
@@ -153,11 +60,7 @@ std::string CoordinatorServer::HandleLine(const std::string& line,
       // Forwarded verbatim: the coordinator owns no schema, so the payload
       // is validated (and decoded) by the target shard's workers.
       auto ack = coordinator_->IngestRaw(req->args);
-      if (!ack.ok()) {
-        return FormatResponse(
-            Response::Error(StatusCodeToString(ack.status().code()),
-                            ack.status().message()));
-      }
+      if (!ack.ok()) return ErrorReply(ack.status());
       resp.AddUint("appended", ack->appended);
       resp.AddUint("generation", ack->generation);
       resp.AddUint("delta_rows", ack->delta_rows);
@@ -175,73 +78,16 @@ std::string CoordinatorServer::HandleLine(const std::string& line,
       resp.AddUint("cache_evictions", cache.evictions);
       return FormatResponse(resp);
     }
-    case RequestType::kMetrics: {
-      std::string text = obs::Registry::Global().RenderPrometheus();
-      uint64_t lines = 0;
-      for (char c : text) {
-        if (c == '\n') ++lines;
-      }
-      resp.AddUint("lines", lines);
-      return FormatResponse(resp) + "\n" + text + "# EOF";
-    }
+    case RequestType::kMetrics:
+      return MetricsReply(obs::Registry::Global().RenderPrometheus());
     case RequestType::kQuit:
       *quit = true;
       resp.AddUint("bye", 1);
       return FormatResponse(resp);
     default:
-      return FormatResponse(Response::Error(
-          "InvalidArgument", "verb not supported by the coordinator"));
+      return ErrorReply(
+          Status::InvalidArgument("verb not supported by the coordinator"));
   }
-}
-
-void CoordinatorServer::HandleConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool quit = false;
-  while (!quit) {
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // disconnect or Stop()
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t nl;
-    while (!quit && (nl = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (TrimWhitespace(line).empty()) continue;
-      std::string reply = HandleLine(line, &quit);
-      if (!SendAll(fd, reply + "\n")) {
-        quit = true;
-      }
-    }
-  }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.erase(fd);
-}
-
-void CoordinatorServer::Stop() {
-  bool was_running = running_.exchange(false);
-  if (int fd = listen_fd_.exchange(-1); fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  (void)was_running;
 }
 
 }  // namespace shard

@@ -7,31 +7,24 @@
 //
 // SQL is bound against a schema catalog (column names + string
 // dictionaries); the catalog table carries no rows — the data lives on the
-// workers.
+// workers. The sockets, line framing and caps are LineServer's (see
+// service/line_server.h); the shard/coordinator/{accept,recv,send}
+// failpoints drop its connections.
 
 #ifndef AQPP_SHARD_COORDINATOR_SERVER_H_
 #define AQPP_SHARD_COORDINATOR_SERVER_H_
 
-#include <atomic>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "common/status.h"
+#include "service/line_server.h"
 #include "shard/coordinator.h"
 #include "storage/table.h"
 
 namespace aqpp {
 namespace shard {
 
-struct CoordinatorServerOptions {
-  std::string host = "127.0.0.1";
-  int port = 0;  // 0 = ephemeral
-  int backlog = 64;
-  size_t max_connections = 64;
-};
+using CoordinatorServerOptions = ListenOptions;
 
 class CoordinatorServer {
  public:
@@ -39,7 +32,6 @@ class CoordinatorServer {
   // outlive the server.
   CoordinatorServer(ShardCoordinator* coordinator, const Catalog* catalog,
                     CoordinatorServerOptions options = {});
-  ~CoordinatorServer();
 
   CoordinatorServer(const CoordinatorServer&) = delete;
   CoordinatorServer& operator=(const CoordinatorServer&) = delete;
@@ -47,23 +39,18 @@ class CoordinatorServer {
   Status Start();
   void Stop();
 
-  int port() const { return port_; }
+  int port() const { return lines_.port(); }
+  size_t active_connections() const { return lines_.active_connections(); }
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd);
   std::string HandleLine(const std::string& line, bool* quit);
 
   ShardCoordinator* coordinator_;
   const Catalog* catalog_;
   CoordinatorServerOptions options_;
-  std::atomic<int> listen_fd_{-1};
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  mutable std::mutex conn_mu_;
-  std::unordered_set<int> active_fds_;
-  std::vector<std::thread> conn_threads_;
+  // Declared last: destroyed, and so stopped, before the state its
+  // connection handlers use.
+  LineServer lines_;
 };
 
 }  // namespace shard

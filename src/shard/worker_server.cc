@@ -1,18 +1,9 @@
 #include "shard/worker_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
 #include <condition_variable>
-#include <cstring>
+#include <mutex>
+#include <vector>
 
-#include "common/clock.h"
-#include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -25,23 +16,27 @@ namespace shard {
 
 namespace {
 
-// Batch-pass metrics: same series the service's fused passes feed.
-struct BatcherMetrics {
+struct WorkerMetrics {
+  obs::Counter* partials;
+  obs::Counter* partial_errors;
+  obs::Histogram* partial_seconds;
+  // Batch-pass series: the same ones the service's fused passes feed.
   obs::Counter* fused;
   obs::Histogram* batch_size;
-  obs::Histogram* window_wait;
-  static const BatcherMetrics& Get() {
+  static const WorkerMetrics& Get() {
     auto& reg = obs::Registry::Global();
-    static const BatcherMetrics m = {
+    static const WorkerMetrics m = {
+        reg.GetCounter("aqpp_shard_partials_total", "",
+                       "PARTIAL requests answered by this shard worker."),
+        reg.GetCounter("aqpp_shard_partial_errors_total", "",
+                       "PARTIAL requests that failed to parse or compute."),
+        reg.GetHistogram("aqpp_shard_partial_seconds", "", {},
+                         "Wall-clock seconds per PARTIAL request."),
         reg.GetCounter(
             "aqpp_batch_queries_fused_total", "",
             "Member queries answered by fused shared-scan batch passes."),
         reg.GetHistogram("aqpp_batch_size", "", {1, 2, 4, 8, 16, 32, 64},
                          "Queries fused per shared-scan batch pass."),
-        reg.GetHistogram(
-            "aqpp_batch_window_wait_seconds", "",
-            {0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01},
-            "Seconds a lone batch leader waited for same-key company."),
     };
     return m;
   }
@@ -50,33 +45,21 @@ struct BatcherMetrics {
 }  // namespace
 
 // Fuses concurrent PARTIAL requests into single ShardWorker::PartialBatch
-// calls. A submitting thread with no active leader becomes one: it waits
-// briefly for company when alone, then executes everything queued and fans
-// the per-member results out. Followers park until their slot is fulfilled;
-// arrivals during an execution form the next batch.
+// calls. A submitting thread with no active leader becomes one: it executes
+// everything queued at once and fans the per-member results out. Followers
+// park until their slot is fulfilled; arrivals during an execution form the
+// next batch. A lone request never waits for company.
 class PartialBatcher {
  public:
-  PartialBatcher(const ShardWorker* worker, double window_seconds)
-      : worker_(worker), window_seconds_(window_seconds) {}
+  explicit PartialBatcher(const ShardWorker* worker) : worker_(worker) {}
 
   Result<ShardPartial> Submit(ShardWorker::PartialRequest req) {
     auto slot = std::make_shared<Slot>(std::move(req));
     std::unique_lock<std::mutex> lock(mu_);
     pending_.push_back(slot);
-    cv_.notify_all();  // a window-waiting leader collects us immediately
-    for (;;) {
-      if (slot->done) return std::move(slot->result);
-      if (!leader_active_) break;
-      cv_.wait(lock);
-    }
+    cv_.wait(lock, [&] { return slot->done || !leader_active_; });
+    if (slot->done) return std::move(slot->result);
     leader_active_ = true;
-    if (pending_.size() == 1 && window_seconds_ > 0) {
-      SteadyTime wait_start = SteadyNow();
-      cv_.wait_for(lock, std::chrono::duration<double>(window_seconds_),
-                   [this] { return pending_.size() > 1; });
-      BatcherMetrics::Get().window_wait->Observe(
-          SecondsBetween(wait_start, SteadyNow()));
-    }
     std::vector<std::shared_ptr<Slot>> batch;
     batch.swap(pending_);
     lock.unlock();
@@ -84,9 +67,9 @@ class PartialBatcher {
     std::vector<ShardWorker::PartialRequest> requests;
     requests.reserve(batch.size());
     for (const auto& s : batch) requests.push_back(s->req);
-    BatcherMetrics::Get().batch_size->Observe(
-        static_cast<double>(batch.size()));
-    BatcherMetrics::Get().fused->Increment(batch.size());
+    const WorkerMetrics& metrics = WorkerMetrics::Get();
+    metrics.batch_size->Observe(static_cast<double>(batch.size()));
+    metrics.fused->Increment(batch.size());
     auto results = worker_->PartialBatch(requests);
 
     lock.lock();
@@ -113,137 +96,32 @@ class PartialBatcher {
   };
 
   const ShardWorker* worker_;
-  double window_seconds_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool leader_active_ = false;
   std::vector<std::shared_ptr<Slot>> pending_;
 };
 
-namespace {
-
-struct WorkerMetrics {
-  obs::Counter* partials;
-  obs::Counter* partial_errors;
-  obs::Histogram* partial_seconds;
-  static const WorkerMetrics& Get() {
-    static const WorkerMetrics m = {
-        obs::Registry::Global().GetCounter(
-            "aqpp_shard_partials_total", "",
-            "PARTIAL requests answered by this shard worker."),
-        obs::Registry::Global().GetCounter(
-            "aqpp_shard_partial_errors_total", "",
-            "PARTIAL requests that failed to parse or compute."),
-        obs::Registry::Global().GetHistogram(
-            "aqpp_shard_partial_seconds", "", {},
-            "Wall-clock seconds per PARTIAL request."),
-    };
-    return m;
-  }
-};
-
-// Same contract as the service server's SendAll, behind the shard worker's
-// own failpoint so chaos schedules can kill exactly one tier.
-bool SendAll(int fd, const std::string& s) {
-  size_t limit = s.size();
-  if (auto fired = AQPP_FAILPOINT_EVAL("shard/worker/send")) {
-    if (fired->kind == fail::ActionKind::kReturnError) return false;
-    if (fired->kind == fail::ActionKind::kPartialIo) {
-      limit = static_cast<size_t>(static_cast<double>(s.size()) *
-                                  fired->io_fraction);
-    }
-  }
-  size_t sent = 0;
-  while (sent < limit) {
-    ssize_t n = ::send(fd, s.data() + sent, limit - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return sent == s.size();
-}
-
-}  // namespace
-
 WorkerServer::WorkerServer(const ShardWorker* worker,
                            WorkerServerOptions options)
-    : worker_(worker), options_(std::move(options)) {
-  if (options_.enable_batching) {
-    batcher_ = std::make_unique<PartialBatcher>(
-        worker_, options_.batch_window_seconds);
-  }
-}
+    : worker_(worker),
+      options_(std::move(options)),
+      batcher_(std::make_unique<PartialBatcher>(worker_)),
+      lines_("shard/worker", [this](const std::string& line, bool* quit) {
+        return HandleLine(line, quit);
+      }) {}
 
-WorkerServer::~WorkerServer() { Stop(); }
+WorkerServer::~WorkerServer() = default;
 
 Status WorkerServer::Start() {
-  if (running_.load()) return Status::FailedPrecondition("already started");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad host '" + options_.host + "'");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
-    Status st = Status::IOError(std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (::listen(fd, options_.backlog) < 0) {
-    Status st =
-        Status::IOError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  listen_fd_.store(fd);
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return lines_.Start(options_);
 }
 
-void WorkerServer::AcceptLoop() {
-  while (running_.load()) {
-    int fd = ::accept(listen_fd_.load(), nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket closed by Stop()
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load() || active_fds_.size() >= options_.max_connections) {
-      SendAll(fd, FormatResponse(Response::Error(
-                      "ResourceExhausted", "connection limit reached")) +
-                      "\n");
-      ::close(fd);
-      continue;
-    }
-    active_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  }
-}
+void WorkerServer::Stop() { lines_.Stop(); }
 
 std::string WorkerServer::HandleLine(const std::string& line, bool* quit) {
   auto req = ParseRequest(line);
-  if (!req.ok()) {
-    return FormatResponse(Response::Error(
-        StatusCodeToString(req.status().code()), req.status().message()));
-  }
+  if (!req.ok()) return ErrorReply(req.status());
   Response resp;
   switch (req->type) {
     case RequestType::kHello:
@@ -278,9 +156,7 @@ std::string WorkerServer::HandleLine(const std::string& line, bool* quit) {
       auto spec = ParsePartialSpec(req->args);
       if (!spec.ok()) {
         metrics.partial_errors->Increment();
-        return FormatResponse(
-            Response::Error(StatusCodeToString(spec.status().code()),
-                            spec.status().message()));
+        return ErrorReply(spec.status());
       }
       if (!spec->synopsis_kind.empty()) {
         // Estimator agreement check: a coordinator that wants synopsis
@@ -289,21 +165,15 @@ std::string WorkerServer::HandleLine(const std::string& line, bool* quit) {
         std::string have = active != nullptr ? active->kind() : "";
         if (spec->synopsis_kind != have) {
           metrics.partial_errors->Increment();
-          return FormatResponse(Response::Error(
-              "FailedPrecondition",
+          return ErrorReply(Status::FailedPrecondition(
               "synopsis mismatch: request wants '" + spec->synopsis_kind +
-                  "', worker has '" + (have.empty() ? "off" : have) + "'"));
+              "', worker has '" + (have.empty() ? "off" : have) + "'"));
         }
       }
-      auto partial =
-          batcher_ != nullptr
-              ? batcher_->Submit({spec->query, spec->wants, spec->seed})
-              : worker_->Partial(spec->query, spec->wants, spec->seed);
+      auto partial = batcher_->Submit({spec->query, spec->wants, spec->seed});
       if (!partial.ok()) {
         metrics.partial_errors->Increment();
-        return FormatResponse(
-            Response::Error(StatusCodeToString(partial.status().code()),
-                            partial.status().message()));
+        return ErrorReply(partial.status());
       }
       metrics.partials->Increment();
       metrics.partial_seconds->Observe(timer.ElapsedSeconds());
@@ -317,20 +187,12 @@ std::string WorkerServer::HandleLine(const std::string& line, bool* quit) {
     case RequestType::kIngest: {
       IngestManager* ingest = worker_->ingest();
       if (ingest == nullptr) {
-        return FormatResponse(Response::Error(
-            "FailedPrecondition",
+        return ErrorReply(Status::FailedPrecondition(
             "streaming ingest is not enabled on this worker"));
       }
       auto batch = DecodeIngestBatch(req->args, worker_->table());
-      if (!batch.ok()) {
-        return FormatResponse(
-            Response::Error(StatusCodeToString(batch.status().code()),
-                            batch.status().message()));
-      }
-      if (Status st = ingest->Append(**batch); !st.ok()) {
-        return FormatResponse(Response::Error(
-            StatusCodeToString(st.code()), st.message()));
-      }
+      if (!batch.ok()) return ErrorReply(batch.status());
+      if (Status st = ingest->Append(**batch); !st.ok()) return ErrorReply(st);
       IngestSnapshot snap = ingest->snapshot();
       resp.AddUint("appended", (*batch)->num_rows());
       resp.AddUint("generation", snap.committed_generation);
@@ -338,82 +200,16 @@ std::string WorkerServer::HandleLine(const std::string& line, bool* quit) {
       resp.AddUint("total_rows", snap.total_rows);
       return FormatResponse(resp);
     }
-    case RequestType::kMetrics: {
-      std::string text = obs::Registry::Global().RenderPrometheus();
-      uint64_t lines = 0;
-      for (char c : text) {
-        if (c == '\n') ++lines;
-      }
-      resp.AddUint("lines", lines);
-      return FormatResponse(resp) + "\n" + text + "# EOF";
-    }
+    case RequestType::kMetrics:
+      return MetricsReply(obs::Registry::Global().RenderPrometheus());
     case RequestType::kQuit:
       *quit = true;
       resp.AddUint("bye", 1);
       return FormatResponse(resp);
     default:
-      return FormatResponse(Response::Error(
-          "InvalidArgument", "verb not supported by shard workers"));
+      return ErrorReply(
+          Status::InvalidArgument("verb not supported by shard workers"));
   }
-}
-
-void WorkerServer::HandleConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  bool quit = false;
-  while (!quit) {
-    if (auto fired = AQPP_FAILPOINT_EVAL("shard/worker/recv");
-        fired.has_value() && fired->kind == fail::ActionKind::kReturnError) {
-      break;
-    }
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;  // disconnect or Stop()
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t nl;
-    while (!quit && (nl = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (TrimWhitespace(line).empty()) continue;
-      std::string reply = HandleLine(line, &quit);
-      if (!SendAll(fd, reply + "\n")) {
-        quit = true;
-      }
-    }
-  }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.erase(fd);
-}
-
-size_t WorkerServer::active_connections() const {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  return active_fds_.size();
-}
-
-void WorkerServer::Stop() {
-  bool was_running = running_.exchange(false);
-  if (int fd = listen_fd_.exchange(-1); fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  (void)was_running;
 }
 
 }  // namespace shard

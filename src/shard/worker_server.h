@@ -1,6 +1,6 @@
 // WorkerServer: the line-protocol TCP front end of one shard worker
-// (aqpp-shardd). Mirrors ServiceServer's socket structure (one accept
-// thread, one thread per connection, ephemeral port support) but speaks the
+// (aqpp-shardd). The sockets, line framing and caps are LineServer's (see
+// service/line_server.h), shared with ServiceServer; this class speaks the
 // shard verbs:
 //
 //   PING              liveness
@@ -8,28 +8,26 @@
 //   SHARDINFO         shard=<i> shards=<n> rows=<r> row_begin=<b>
 //                     sample_rows=<s> domains=<col:min:max,...>
 //   PARTIAL <spec>    computes the requested partial views (see
-//                     src/shard/partial.h) and returns them on one line
+//                     src/shard/partial.h) and returns them on one line;
+//                     PARTIALs that arrive while a batch computes are fused
+//                     into the next ShardWorker::PartialBatch call
 //   INGEST <payload>  appends a wire-encoded row batch to the worker's
 //                     delta (requires ShardWorker::EnableIngest); replies
 //                     appended= generation= delta_rows= total_rows=
 //   METRICS           Prometheus exposition (same framing as the service)
 //   QUIT              closes the connection
 //
-// Chaos seams: shard/worker/recv and shard/worker/send failpoints drop the
-// connection mid-session, the deterministic stand-ins for a killed worker.
+// Chaos seams: the shard/worker/{accept,recv,send} failpoints drop the
+// connection, the deterministic stand-ins for a killed worker.
 
 #ifndef AQPP_SHARD_WORKER_SERVER_H_
 #define AQPP_SHARD_WORKER_SERVER_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "common/status.h"
+#include "service/line_server.h"
 #include "shard/worker.h"
 
 namespace aqpp {
@@ -37,19 +35,7 @@ namespace shard {
 
 class PartialBatcher;
 
-struct WorkerServerOptions {
-  std::string host = "127.0.0.1";
-  int port = 0;  // 0 = ephemeral
-  int backlog = 64;
-  size_t max_connections = 64;
-  // Fuse concurrent PARTIAL requests (one per connection thread) into single
-  // ShardWorker::PartialBatch calls. A lone request holds a short collection
-  // window open for company; requests that arrive while a batch executes
-  // form the next one. False is the per-request ablation baseline; answers
-  // are bit-identical either way.
-  bool enable_batching = true;
-  double batch_window_seconds = 0.0005;
-};
+using WorkerServerOptions = ListenOptions;
 
 class WorkerServer {
  public:
@@ -63,24 +49,18 @@ class WorkerServer {
   Status Start();
   void Stop();
 
-  int port() const { return port_; }
-  size_t active_connections() const;
+  int port() const { return lines_.port(); }
+  size_t active_connections() const { return lines_.active_connections(); }
 
  private:
-  void AcceptLoop();
-  void HandleConnection(int fd);
   std::string HandleLine(const std::string& line, bool* quit);
 
   const ShardWorker* worker_;
   WorkerServerOptions options_;
   std::unique_ptr<PartialBatcher> batcher_;
-  std::atomic<int> listen_fd_{-1};
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  mutable std::mutex conn_mu_;
-  std::unordered_set<int> active_fds_;
-  std::vector<std::thread> conn_threads_;
+  // Declared last: destroyed, and so stopped, before the state its
+  // connection handlers use.
+  LineServer lines_;
 };
 
 }  // namespace shard

@@ -1,11 +1,19 @@
 // Sessions, the line protocol, and the TCP front end: round-trips,
 // concurrent client sessions over real sockets, backpressure ridden out by
-// the client retry loop, and bit-identical replies across the wire.
+// the client retry loop, bit-identical replies across the wire, and the
+// shared LineServer loop's caps and thread reaping on all three daemons.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -17,10 +25,15 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/client.h"
+#include "service/line_server.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/service.h"
 #include "service/session.h"
+#include "shard/coordinator.h"
+#include "shard/coordinator_server.h"
+#include "shard/local_group.h"
+#include "shard/worker_server.h"
 #include "sql/binder.h"
 #include "test_util.h"
 
@@ -520,6 +533,186 @@ TEST(ServiceServerTest, ClientsRideOutBackpressureViaRetryAfter) {
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(2 * kClients));
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_LE(stats.admission.peak_queue_depth, 1u);
+}
+
+// ---- The shared line-server loop, on all three daemons ---------------------
+
+// A raw protocol connection: framing and caps need byte-level control that
+// ServiceClient deliberately hides.
+class RawConnection {
+ public:
+  explicit RawConnection(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ =
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+    // A server that never answers fails the test instead of hanging it.
+    timeval tv{.tv_sec = 20, .tv_usec = 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  bool connected() const { return connected_; }
+
+  bool Send(const std::string& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                         MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  // The next line without its newline; "<eof>" once the server closed the
+  // connection, "<timeout>" if nothing arrived in time.
+  std::string ReadLine() {
+    size_t nl;
+    while ((nl = buffer_.find('\n')) == std::string::npos) {
+      char chunk[4096];
+      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n == 0) return "<eof>";
+      if (n < 0) return "<timeout>";
+      buffer_.append(chunk, static_cast<size_t>(n));
+    }
+    std::string line = buffer_.substr(0, nl);
+    buffer_.erase(0, nl + 1);
+    return line;
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  std::string buffer_;
+};
+
+// The service, one shard worker over the same table, and a coordinator
+// over that worker, each behind its own LineServer on an ephemeral port.
+struct ThreeDaemons {
+  struct Daemon {
+    std::string name;
+    std::function<int()> port;
+    std::function<size_t()> active_connections;
+  };
+
+  ThreeDaemons() {
+    shard::LocalShardGroupOptions gopt;
+    gopt.worker.sample_size = 512;
+    gopt.worker.cube_budget = 64;
+    auto built = shard::LocalShardGroup::Build(
+        service.table, *service.engine->prepared_template(), 1, gopt);
+    AQPP_CHECK_OK(built.status());
+    group = std::move(*built);
+    worker = std::make_unique<shard::WorkerServer>(&group->worker(0));
+    AQPP_CHECK_OK(worker->Start());
+    coordinator = std::make_unique<shard::ShardCoordinator>(
+        std::vector<std::vector<shard::ReplicaEndpoint>>{
+            {{.host = "127.0.0.1", .port = worker->port()}}});
+    AQPP_CHECK_OK(coordinator->Connect());
+    front = std::make_unique<shard::CoordinatorServer>(coordinator.get(),
+                                                       &service.catalog);
+    AQPP_CHECK_OK(front->Start());
+  }
+
+  std::vector<Daemon> daemons() const {
+    return {
+        {"service", [this] { return service.server->port(); },
+         [this] { return service.server->active_connections(); }},
+        {"worker", [this] { return worker->port(); },
+         [this] { return worker->active_connections(); }},
+        {"coordinator", [this] { return front->port(); },
+         [this] { return front->active_connections(); }},
+    };
+  }
+
+  // Destroyed bottom-up: each server stops before what it serves from.
+  TestServer service;
+  std::unique_ptr<shard::LocalShardGroup> group;
+  std::unique_ptr<shard::WorkerServer> worker;
+  std::unique_ptr<shard::ShardCoordinator> coordinator;
+  std::unique_ptr<shard::CoordinatorServer> front;
+};
+
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Connects, sends QUIT, reads the goodbye, and disconnects.
+void QuitCycle(int port) {
+  RawConnection conn(port);
+  ASSERT_TRUE(conn.connected());
+  ASSERT_TRUE(conn.Send("QUIT\n"));
+  ASSERT_EQ(conn.ReadLine(), "OK bye=1");
+}
+
+TEST(LineServerTest, FinishedConnectionThreadsAreReaped) {
+  ThreeDaemons tiers;
+  for (const auto& daemon : tiers.daemons()) {
+    SCOPED_TRACE(daemon.name);
+    // Warm up allocator arenas and the thread-stack cache first.
+    for (int i = 0; i < 20; ++i) QuitCycle(daemon.port());
+    ASSERT_TRUE(WaitFor([&] { return daemon.active_connections() == 0; }));
+    const size_t before = MappingCount();
+    for (int i = 0; i < 500; ++i) {
+      QuitCycle(daemon.port());
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_TRUE(WaitFor([&] { return daemon.active_connections() == 0; }));
+    const size_t after = MappingCount();
+    // An unjoined thread keeps its stack (and guard page) mapped: 500 of
+    // them would add ~1000 lines.
+    EXPECT_LT(after, before + 100) << before << " -> " << after;
+  }
+}
+
+TEST(LineServerTest, OverCapLineGetsOneErrorThenClose) {
+  ThreeDaemons tiers;
+  const std::string oversized(kMaxLineBytes + 1, 'x');  // no newline
+  for (const auto& daemon : tiers.daemons()) {
+    SCOPED_TRACE(daemon.name);
+    RawConnection conn(daemon.port());
+    ASSERT_TRUE(conn.connected());
+    ASSERT_TRUE(conn.Send(oversized));
+    EXPECT_EQ(conn.ReadLine(),
+              "ERR code=InvalidArgument msg=request line over the size cap");
+    EXPECT_EQ(conn.ReadLine(), "<eof>");
+  }
+}
+
+TEST(LineServerTest, ConnectionPastTheCapIsRefused) {
+  ThreeDaemons tiers;
+  for (const auto& daemon : tiers.daemons()) {
+    SCOPED_TRACE(daemon.name);
+    std::vector<std::unique_ptr<RawConnection>> held;
+    for (size_t i = 0; i < kMaxConnections; ++i) {
+      held.push_back(std::make_unique<RawConnection>(daemon.port()));
+      // A reply proves the connection is registered, not just queued.
+      ASSERT_TRUE(held.back()->Send("PING\n"));
+      ASSERT_EQ(held.back()->ReadLine(), "OK pong=1") << "connection " << i;
+    }
+    EXPECT_EQ(daemon.active_connections(), kMaxConnections);
+    RawConnection refused(daemon.port());
+    ASSERT_TRUE(refused.connected());
+    EXPECT_EQ(refused.ReadLine(),
+              "ERR code=ResourceExhausted msg=connection limit reached");
+    EXPECT_EQ(refused.ReadLine(), "<eof>");
+
+    // Freed slots are usable again.
+    held.clear();
+    ASSERT_TRUE(WaitFor([&] { return daemon.active_connections() == 0; }));
+    RawConnection again(daemon.port());
+    ASSERT_TRUE(again.Send("PING\n"));
+    EXPECT_EQ(again.ReadLine(), "OK pong=1");
+  }
 }
 
 }  // namespace

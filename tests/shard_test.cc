@@ -6,11 +6,13 @@
 // approximate: the shard tier's contract is that distribution is invisible
 // in the answer bits, so EXPECT_NEAR would under-test it.
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -439,6 +441,67 @@ TEST_F(CoordinatorTcpTest, TcpScatterMatchesInProcessGroupBitwise) {
   // TCP transport (encode -> %.17g wire -> parse) must be invisible.
   EXPECT_TRUE(SameBits(remote->ci.estimate, local->ci.estimate));
   EXPECT_TRUE(SameBits(remote->ci.half_width, local->ci.half_width));
+}
+
+// PARTIALs that arrive together at one WorkerServer are fused into shared
+// PartialBatch passes; over the wire every reply must still carry exactly
+// the bits a solo ShardWorker::Partial computes for the same request.
+TEST_F(CoordinatorTcpTest, ConcurrentWirePartialsMatchSoloPartialBitwise) {
+  constexpr int kClients = 8;
+  constexpr int kRequestsPerClient = 6;
+  const ShardWorker& worker = GroupOf(2).worker(0);
+  const AggregateFunction funcs[] = {
+      AggregateFunction::kSum, AggregateFunction::kCount,
+      AggregateFunction::kAvg, AggregateFunction::kVar};
+
+  // The reply line minus its wall-clock field, which legitimately differs.
+  auto canonical = [](ShardPartial p) {
+    p.exec_seconds = 0;
+    Response r;
+    EncodePartial(p, &r);
+    return FormatResponse(r);
+  };
+
+  std::vector<PartialSpec> specs;
+  std::vector<std::string> expected;
+  for (int i = 0; i < kClients * kRequestsPerClient; ++i) {
+    PartialSpec spec;
+    spec.query = MakeQuery(funcs[i % 4], 5 + i, 60 + i, i % 7, 30 + i % 11);
+    spec.wants = {.exact = i % 3 == 0, .sample = true, .engine = i % 2 == 0};
+    spec.seed = 1000 + static_cast<uint64_t>(i);
+    auto solo = worker.Partial(spec.query, spec.wants, spec.seed);
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    expected.push_back(canonical(*solo));
+    specs.push_back(std::move(spec));
+  }
+
+  std::vector<std::string> got(specs.size());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = ServiceClient::Connect("127.0.0.1", servers_[0]->port());
+      // Start together so requests overlap and batches actually form.
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      if (!client.ok()) return;  // its replies stay empty and mismatch
+      for (int j = 0; j < kRequestsPerClient; ++j) {
+        const size_t i = static_cast<size_t>(c * kRequestsPerClient + j);
+        auto reply = client->Call("PARTIAL " + FormatPartialSpec(specs[i]));
+        if (!reply.ok()) {
+          got[i] = reply.status().ToString();
+          continue;
+        }
+        auto partial = ParsePartial(*reply);
+        got[i] = partial.ok() ? canonical(*partial)
+                              : partial.status().ToString();
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "request " << i;
+  }
 }
 
 TEST_F(CoordinatorTcpTest, QueryCachesFullAnswersButNeverDegradedOnes) {
