@@ -11,9 +11,9 @@
 
 #include "bench_util.h"
 #include "common/string_util.h"
-#include "core/estimator.h"
 #include "sampling/samplers.h"
 #include "stats/descriptive.h"
+#include "synopsis/estimator.h"
 
 namespace aqpp {
 namespace bench {

@@ -14,11 +14,11 @@
 #include "bench_util.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "core/estimator.h"
 #include "core/identification.h"
 #include "core/precompute.h"
 #include "sampling/samplers.h"
 #include "stats/descriptive.h"
+#include "synopsis/estimator.h"
 #include "workload/query_gen.h"
 
 namespace aqpp {

@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/engine.h"
-#include "core/estimator.h"
 #include "core/identification.h"
 #include "core/precompute.h"
 #include "cube/extrema_grid.h"
@@ -20,6 +19,7 @@
 #include "exec/executor.h"
 #include "exec/hash_join.h"
 #include "sampling/samplers.h"
+#include "synopsis/estimator.h"
 #include "workload/tpcd_skew.h"
 
 namespace aqpp {

@@ -14,12 +14,12 @@
 #include <cstdio>
 
 #include "common/timer.h"
-#include "core/estimator.h"
 #include "core/identification.h"
 #include "core/maintenance.h"
 #include "core/precompute.h"
 #include "exec/executor.h"
 #include "sampling/samplers.h"
+#include "synopsis/estimator.h"
 #include "workload/tpcd_skew.h"
 
 int main() {

@@ -82,12 +82,39 @@ Status AqppEngine::EnsureSample() {
       break;
   }
   if (!sample.ok()) return sample.status();
-  sample_ = std::move(sample).value();
+  prepare_stats_.sample_seconds = timer.ElapsedSeconds();
+  return InstallSample(std::move(sample).value());
+}
+
+Status AqppEngine::InstallSample(Sample sample) {
+  sample_ = std::move(sample);
   has_sample_ = true;
   measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());
-  prepare_stats_.sample_seconds = timer.ElapsedSeconds();
   prepare_stats_.sample_bytes = sample_.MemoryUsage();
-  return Status::OK();
+  // An engine-aligned synopsis mirrors the sample row for row, so it must
+  // move to the new rows with it; other kinds summarize the table and are
+  // rebuilt (or, under ingest, absorbed) on their own.
+  std::shared_ptr<synopsis::Synopsis> syn = active_synopsis();
+  if (syn != nullptr && !syn->engine_aligned()) return Status::OK();
+  return BuildSynopsis(syn != nullptr ? syn->kind() : "");
+}
+
+void AqppEngine::InstallCube(std::shared_ptr<PrefixCube> cube) {
+  cube_ = std::move(cube);
+  if (cube_ == nullptr) {
+    identifier_.reset();
+    return;
+  }
+  prepare_stats_.cube_bytes = cube_->MemoryUsage();
+  prepare_stats_.cube_cells = cube_->NumCells();
+  prepare_stats_.shape.clear();
+  for (const auto& dim : cube_->scheme().dims()) {
+    prepare_stats_.shape.push_back(dim.num_cuts());
+  }
+  IdentificationOptions iopts = options_.identification;
+  iopts.confidence_level = options_.confidence_level;
+  identifier_ =
+      std::make_unique<AggregateIdentifier>(cube_.get(), &sample_, iopts, rng_);
 }
 
 Status AqppEngine::Prepare(const QueryTemplate& tmpl) {
@@ -97,9 +124,8 @@ Status AqppEngine::Prepare(const QueryTemplate& tmpl) {
   template_ = tmpl;
   AQPP_RETURN_NOT_OK(EnsureSample());
   if (!options_.enable_precompute) {
-    cube_.reset();
-    identifier_.reset();
-    return RefreshSynopsis();
+    InstallCube(nullptr);
+    return BuildSynopsis(options_.synopsis);
   }
 
   // Group-by attributes become exhaustive cube dimensions (Appendix C).
@@ -118,20 +144,9 @@ Status AqppEngine::Prepare(const QueryTemplate& tmpl) {
   AQPP_ASSIGN_OR_RETURN(auto pre,
                         precomputer.Precompute(all_columns,
                                                options_.cube_budget));
-  cube_ = pre.cube;
   prepare_stats_.stage1_seconds = pre.stage1_seconds;
   prepare_stats_.stage2_seconds = pre.stage2_seconds;
-  prepare_stats_.cube_bytes = cube_->MemoryUsage();
-  prepare_stats_.cube_cells = cube_->NumCells();
-  prepare_stats_.shape.clear();
-  for (const auto& dim : cube_->scheme().dims()) {
-    prepare_stats_.shape.push_back(dim.num_cuts());
-  }
-
-  IdentificationOptions iopts = options_.identification;
-  iopts.confidence_level = options_.confidence_level;
-  identifier_ = std::make_unique<AggregateIdentifier>(cube_.get(), &sample_,
-                                                      iopts, rng_);
+  InstallCube(pre.cube);
 
   if (options_.enable_extrema) {
     AQPP_ASSIGN_OR_RETURN(
@@ -141,19 +156,20 @@ Status AqppEngine::Prepare(const QueryTemplate& tmpl) {
   } else {
     extrema_.reset();
   }
-  return RefreshSynopsis();
+  return BuildSynopsis(options_.synopsis);
 }
 
 Status AqppEngine::SetSynopsis(const std::string& kind) {
-  if (kind.empty() || kind == "off") {
-    std::lock_guard<std::mutex> lock(synopsis_mu_);
-    synopsis_.reset();
-    return Status::OK();
-  }
-  if (!synopsis::IsSynopsisRegistered(kind)) {
+  if (!kind.empty() && kind != "off" && !synopsis::IsSynopsisRegistered(kind)) {
     return Status::NotFound("unknown synopsis kind '" + kind + "'");
   }
   AQPP_RETURN_NOT_OK(EnsureSample());
+  AQPP_RETURN_NOT_OK(BuildSynopsis(kind));
+  options_.synopsis = kind;
+  return Status::OK();
+}
+
+Status AqppEngine::BuildSynopsis(const std::string& kind) {
   synopsis::SynopsisOptions sopts;
   sopts.confidence_level = options_.confidence_level;
   sopts.bootstrap_resamples = options_.bootstrap_resamples;
@@ -167,28 +183,10 @@ Status AqppEngine::SetSynopsis(const std::string& kind) {
     sopts.key_columns = template_->condition_columns;
   }
   if (template_.has_value()) sopts.measure_column = template_->agg_column;
-  AQPP_ASSIGN_OR_RETURN(auto syn, synopsis::CreateSynopsis(kind, sopts));
-  // Adopt the engine's sample when the kind supports it (keeps the legacy
-  // draws bit-identical for "reservoir"); otherwise build from the table.
-  Status adopted = syn->BuildFromSample(sample_);
-  if (adopted.code() == StatusCode::kUnimplemented) {
-    AQPP_RETURN_NOT_OK(syn->BuildFromTable(*table_));
-  } else if (!adopted.ok()) {
-    return adopted;
-  }
-  std::lock_guard<std::mutex> lock(synopsis_mu_);
-  synopsis_ = std::move(syn);
+  AQPP_ASSIGN_OR_RETURN(
+      auto syn, synopsis::BuildSynopsisFor(kind, sopts, sample_, *table_));
+  AdoptSynopsis(std::move(syn));
   return Status::OK();
-}
-
-Status AqppEngine::RefreshSynopsis() {
-  std::string kind = options_.synopsis;
-  {
-    std::lock_guard<std::mutex> lock(synopsis_mu_);
-    if (synopsis_ != nullptr) kind = synopsis_->kind();
-  }
-  if (kind.empty()) return Status::OK();
-  return SetSynopsis(kind);
 }
 
 void AqppEngine::RecordQuery(const RangeQuery& query) {
@@ -266,149 +264,67 @@ Result<ApproximateResult> AqppEngine::Execute(const RangeQuery& query,
     return out;
   }
 
-  // Synopsis arm: when a synopsis is selected, it answers every scalar
-  // estimate (direct and difference). The snapshot keeps a concurrent
-  // SET SYNOPSIS from swapping the object mid-query.
-  std::shared_ptr<synopsis::Synopsis> syn;
-  {
-    std::lock_guard<std::mutex> lock(synopsis_mu_);
-    syn = synopsis_;
-  }
-  if (syn != nullptr) {
-    return ExecuteWithSynopsis(query, control, *syn, rng);
-  }
-
-  SampleEstimator estimator(
-      &sample_, {.confidence_level = options_.confidence_level,
-                 .bootstrap_resamples = options_.bootstrap_resamples});
-  if (measure_cache_ != nullptr) {
-    estimator.set_measure_cache(measure_cache_.get());
-  }
-  estimator.set_trace(control.trace);
-
-  if (cube_ == nullptr || identifier_ == nullptr) {
-    Timer timer;
-    obs::SpanTimer est_span(obs::Phase::kSampleEstimation, control.trace);
-    // EstimateDirect is exactly Mask + EstimateDirectMasked, so handing in a
-    // precomputed mask changes where the mask pass ran, never the bits.
-    if (control.query_mask != nullptr) {
-      AQPP_ASSIGN_OR_RETURN(
-          out.ci,
-          estimator.EstimateDirectMasked(query, *control.query_mask, rng));
-    } else {
-      AQPP_ASSIGN_OR_RETURN(out.ci, estimator.EstimateDirect(query, rng));
-    }
-    est_span.Stop();
-    out.estimation_seconds = timer.ElapsedSeconds();
-    return out;
-  }
-
-  Timer ident_timer;
-  obs::SpanTimer ident_span(obs::Phase::kIdentification, control.trace);
-  AQPP_ASSIGN_OR_RETURN(auto identified,
-                        identifier_->Identify(query, rng, control.trace));
-  ident_span.Stop();
-  out.identification_seconds = ident_timer.ElapsedSeconds();
-  out.candidates_considered = identified.num_candidates;
-  AQPP_RETURN_IF_STOPPED(control.cancel);
-
-  // Final estimation reuses precomputed masks: the query mask is evaluated
-  // once here, and the winning box's mask comes straight from the
-  // identifier's cached cell-id matrix (no predicate re-evaluation).
-  Timer est_timer;
-  obs::SpanTimer est_span(obs::Phase::kSampleEstimation, control.trace);
-  std::vector<uint8_t> q_mask_storage;
-  if (control.query_mask == nullptr) {
-    AQPP_ASSIGN_OR_RETURN(q_mask_storage, estimator.Mask(query.predicate));
-  }
-  const std::vector<uint8_t>& q_mask =
-      control.query_mask != nullptr ? *control.query_mask : q_mask_storage;
-  if (identified.pre.IsEmpty()) {
-    AQPP_ASSIGN_OR_RETURN(out.ci,
-                          estimator.EstimateDirectMasked(query, q_mask, rng));
-    out.used_pre = false;
-    out.pre_description = "phi";
-  } else {
-    std::vector<uint8_t> pre_mask =
-        identifier_->PreMaskOnSample(identified.pre);
-    AQPP_ASSIGN_OR_RETURN(
-        out.ci, estimator.EstimateWithPreMasked(query, q_mask, pre_mask,
-                                                identified.values, rng));
-    out.used_pre = true;
-    out.pre_description =
-        identified.pre.ToString(cube_->scheme(), table_->schema());
-  }
-  est_span.Stop();
-  out.estimation_seconds = est_timer.ElapsedSeconds();
-  return out;
+  return EstimateScalar(query, control, *active_synopsis(),
+                       identifier_.get(), table_->schema(), rng);
 }
 
-Result<ApproximateResult> AqppEngine::ExecuteWithSynopsis(
-    const RangeQuery& query, const ExecuteControl& control,
-    const synopsis::Synopsis& syn, Rng& rng) {
+Result<ApproximateResult> EstimateScalar(const RangeQuery& query,
+                                         const ExecuteControl& control,
+                                         const synopsis::Synopsis& syn,
+                                         const AggregateIdentifier* identifier,
+                                         const Schema& schema, Rng& rng) {
   ApproximateResult out;
-  if (cube_ == nullptr || identifier_ == nullptr) {
-    Timer timer;
-    obs::SpanTimer est_span(obs::Phase::kSampleEstimation, control.trace);
-    AQPP_ASSIGN_OR_RETURN(out.ci, syn.Estimate(query, control, rng));
-    est_span.Stop();
-    out.estimation_seconds = timer.ElapsedSeconds();
-    return out;
+  IdentifiedAggregate identified;
+  if (identifier != nullptr) {
+    Timer ident_timer;
+    obs::SpanTimer ident_span(obs::Phase::kIdentification, control.trace);
+    AQPP_ASSIGN_OR_RETURN(identified,
+                          identifier->Identify(query, rng, control.trace));
+    ident_span.Stop();
+    out.identification_seconds = ident_timer.ElapsedSeconds();
+    out.candidates_considered = identified.num_candidates;
+    out.pre_description = "phi";
+    AQPP_RETURN_IF_STOPPED(control.cancel);
   }
-
-  Timer ident_timer;
-  obs::SpanTimer ident_span(obs::Phase::kIdentification, control.trace);
-  AQPP_ASSIGN_OR_RETURN(auto identified,
-                        identifier_->Identify(query, rng, control.trace));
-  ident_span.Stop();
-  out.identification_seconds = ident_timer.ElapsedSeconds();
-  out.candidates_considered = identified.num_candidates;
-  AQPP_RETURN_IF_STOPPED(control.cancel);
 
   Timer est_timer;
   obs::SpanTimer est_span(obs::Phase::kSampleEstimation, control.trace);
-  if (identified.pre.IsEmpty()) {
-    AQPP_ASSIGN_OR_RETURN(out.ci, syn.Estimate(query, control, rng));
-    out.used_pre = false;
-    out.pre_description = "phi";
-  } else {
+  if (!identified.pre.IsEmpty()) {
+    const PrefixCube& cube = identifier->cube();
     Result<ConfidenceInterval> ci = Status::Internal("unset");
     if (syn.engine_aligned()) {
-      // The synopsis rows mirror the engine sample row-for-row, so the
-      // identifier's cached masks apply unchanged (no re-evaluation).
+      // The synopsis rows are the engine sample's rows, so the query mask
+      // and the identifier's cached pre mask apply unchanged.
       std::vector<uint8_t> q_mask_storage;
       if (control.query_mask == nullptr) {
-        SampleEstimator masker(
-            &sample_, {.confidence_level = options_.confidence_level,
-                       .bootstrap_resamples = options_.bootstrap_resamples});
-        AQPP_ASSIGN_OR_RETURN(q_mask_storage, masker.Mask(query.predicate));
+        AQPP_ASSIGN_OR_RETURN(
+            q_mask_storage,
+            query.predicate.EvaluateMask(*identifier->sample().rows));
       }
       const std::vector<uint8_t>& q_mask = control.query_mask != nullptr
                                                ? *control.query_mask
                                                : q_mask_storage;
-      std::vector<uint8_t> pre_mask =
-          identifier_->PreMaskOnSample(identified.pre);
-      ci = syn.EstimateWithPreMasked(query, q_mask, pre_mask,
-                                     identified.values, control, rng);
+      ci = syn.EstimateWithPreMasked(
+          query, q_mask, identifier->PreMaskOnSample(identified.pre),
+          identified.values, control, rng);
     } else {
-      ci = syn.EstimateWithPre(query,
-                               identified.pre.ToPredicate(cube_->scheme()),
+      ci = syn.EstimateWithPre(query, identified.pre.ToPredicate(cube.scheme()),
                                identified.values, control, rng);
     }
     if (ci.ok()) {
       out.ci = std::move(ci).value();
       out.used_pre = true;
-      out.pre_description =
-          identified.pre.ToString(cube_->scheme(), table_->schema());
+      out.pre_description = identified.pre.ToString(cube.scheme(), schema);
     } else if (ci.status().code() == StatusCode::kUnimplemented) {
       // Synopses without a difference path answer directly; the pre is
       // dropped, not mis-applied.
-      AQPP_ASSIGN_OR_RETURN(out.ci, syn.Estimate(query, control, rng));
-      out.used_pre = false;
       out.pre_description = "phi (synopsis)";
     } else {
       return ci.status();
     }
+  }
+  if (!out.used_pre) {
+    AQPP_ASSIGN_OR_RETURN(out.ci, syn.Estimate(query, control, rng));
   }
   est_span.Stop();
   out.estimation_seconds = est_timer.ElapsedSeconds();
@@ -496,29 +412,14 @@ Status AqppEngine::LoadState(const std::string& dir) {
     return Status::InvalidArgument(
         "saved sample schema does not match the engine's table");
   }
-  sample_ = std::move(sample);
-  has_sample_ = true;
-  measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());
-  prepare_stats_.sample_bytes = sample_.MemoryUsage();
-  template_ = tmpl;
-
+  std::shared_ptr<PrefixCube> cube;
   if (has_cube != 0) {
-    AQPP_ASSIGN_OR_RETURN(cube_, PrefixCube::ReadFrom(dir + "/cube.bin"));
-    prepare_stats_.cube_bytes = cube_->MemoryUsage();
-    prepare_stats_.cube_cells = cube_->NumCells();
-    prepare_stats_.shape.clear();
-    for (const auto& dim : cube_->scheme().dims()) {
-      prepare_stats_.shape.push_back(dim.num_cuts());
-    }
-    IdentificationOptions iopts = options_.identification;
-    iopts.confidence_level = options_.confidence_level;
-    identifier_ = std::make_unique<AggregateIdentifier>(cube_.get(), &sample_,
-                                                        iopts, rng_);
-  } else {
-    cube_.reset();
-    identifier_.reset();
+    AQPP_ASSIGN_OR_RETURN(cube, PrefixCube::ReadFrom(dir + "/cube.bin"));
   }
-  return RefreshSynopsis();
+  template_ = tmpl;
+  AQPP_RETURN_NOT_OK(InstallSample(std::move(sample)));
+  InstallCube(std::move(cube));
+  return BuildSynopsis(options_.synopsis);
 }
 
 Status AqppEngine::AdoptPrepared(const QueryTemplate& tmpl, Sample sample,
@@ -530,29 +431,10 @@ Status AqppEngine::AdoptPrepared(const QueryTemplate& tmpl, Sample sample,
     return Status::InvalidArgument(
         "adopted sample schema does not match the engine's table");
   }
-  sample_ = std::move(sample);
-  has_sample_ = true;
-  measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());
-  prepare_stats_.sample_bytes = sample_.MemoryUsage();
   template_ = tmpl;
-
-  if (cube != nullptr) {
-    cube_ = std::move(cube);
-    prepare_stats_.cube_bytes = cube_->MemoryUsage();
-    prepare_stats_.cube_cells = cube_->NumCells();
-    prepare_stats_.shape.clear();
-    for (const auto& dim : cube_->scheme().dims()) {
-      prepare_stats_.shape.push_back(dim.num_cuts());
-    }
-    IdentificationOptions iopts = options_.identification;
-    iopts.confidence_level = options_.confidence_level;
-    identifier_ = std::make_unique<AggregateIdentifier>(cube_.get(), &sample_,
-                                                        iopts, rng_);
-  } else {
-    cube_.reset();
-    identifier_.reset();
-  }
-  return RefreshSynopsis();
+  AQPP_RETURN_NOT_OK(InstallSample(std::move(sample)));
+  InstallCube(std::move(cube));
+  return BuildSynopsis(options_.synopsis);
 }
 
 Status AqppEngine::PublishMaintained(Sample sample,
@@ -564,23 +446,8 @@ Status AqppEngine::PublishMaintained(Sample sample,
     return Status::InvalidArgument(
         "published sample schema does not match the engine's table");
   }
-  sample_ = std::move(sample);
-  has_sample_ = true;
-  measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());
-  prepare_stats_.sample_bytes = sample_.MemoryUsage();
-
-  if (cube != nullptr) {
-    cube_ = std::move(cube);
-    prepare_stats_.cube_bytes = cube_->MemoryUsage();
-    prepare_stats_.cube_cells = cube_->NumCells();
-    IdentificationOptions iopts = options_.identification;
-    iopts.confidence_level = options_.confidence_level;
-    identifier_ = std::make_unique<AggregateIdentifier>(cube_.get(), &sample_,
-                                                        iopts, rng_);
-  } else {
-    cube_.reset();
-    identifier_.reset();
-  }
+  AQPP_RETURN_NOT_OK(InstallSample(std::move(sample)));
+  InstallCube(std::move(cube));
   return Status::OK();
 }
 

@@ -9,6 +9,11 @@
 //
 // With `enable_precompute = false` (or without Prepare) the engine degrades
 // to plain AQP — the `pre = phi` special case of Equation 4.
+//
+// Every scalar estimate goes through the engine's synopsis. By default that
+// is the engine-aligned "reservoir" over the engine's own sample: it shares
+// the sample rows, so identification's sample-row masks apply to it
+// unchanged.
 
 #ifndef AQPP_CORE_ENGINE_H_
 #define AQPP_CORE_ENGINE_H_
@@ -22,7 +27,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/cancellation.h"
-#include "core/estimator.h"
 #include "core/execute_control.h"
 #include "core/identification.h"
 #include "core/precompute.h"
@@ -33,6 +37,7 @@
 #include "sampling/sample.h"
 #include "sampling/samplers.h"
 #include "storage/table.h"
+#include "synopsis/estimator.h"
 #include "synopsis/synopsis.h"
 
 namespace aqpp {
@@ -81,10 +86,10 @@ struct EngineOptions {
   // accurate, costs one identification per group).
   bool per_group_identification = false;
 
-  // Pluggable synopsis kind for scalar estimation ("" = legacy path,
-  // bit-identical to the pre-synopsis engine; see synopsis/synopsis.h for
-  // the registered kinds). Non-empty values make Prepare build that synopsis
-  // and route Execute's estimates through it.
+  // Synopsis kind that answers scalar estimates ("" and "off" select the
+  // default engine-aligned "reservoir"; see synopsis/synopsis.h for the
+  // registered kinds). Prepare, LoadState and AdoptPrepared build it; before
+  // the first of those the default answers.
   std::string synopsis;
 
   uint64_t seed = 42;
@@ -191,17 +196,19 @@ class AqppEngine {
 
   // Publishes maintained state (the streaming-ingest absorber's commit): the
   // absorbed sample and cube replace the current ones, the measure cache and
-  // identifier are rebuilt, and the prepared template is kept. Unlike
-  // AdoptPrepared this never rebuilds the synopsis — the absorber publishes
-  // its own absorbed clone via AdoptSynopsis. NOT internally synchronized:
+  // identifier are rebuilt, an engine-aligned synopsis is re-adopted over
+  // the new sample, and the prepared template is kept. A synopsis that is
+  // not engine-aligned is left alone — the absorber publishes its own
+  // absorbed clone via AdoptSynopsis. NOT internally synchronized:
   // the caller serializes against concurrent Execute (IngestManager holds
   // its state mutex exclusively here while queries hold it shared).
   // Validation happens before any member is assigned, so a failed publish
   // leaves the engine untouched.
   Status PublishMaintained(Sample sample, std::shared_ptr<PrefixCube> cube);
 
-  // Swaps the live synopsis pointer (thread-safe, never rebuilds). The
-  // ingest absorber publishes its absorbed clone through this.
+  // Swaps the live synopsis pointer (thread-safe, never rebuilds; `s` must
+  // be non-null). The ingest absorber publishes its absorbed clone of a
+  // non-aligned synopsis through this.
   void AdoptSynopsis(std::shared_ptr<synopsis::Synopsis> s) {
     std::lock_guard<std::mutex> lock(synopsis_mu_);
     synopsis_ = std::move(s);
@@ -212,16 +219,17 @@ class AqppEngine {
   std::shared_ptr<PrefixCube> shared_cube() const { return cube_; }
   std::shared_ptr<Table> shared_table() const { return table_; }
 
-  // Selects the synopsis that answers scalar estimates: builds a registered
-  // kind over the engine's state ("" or "off" restores the legacy path).
-  // Sample-backed kinds adopt the engine's sample (a deep copy — the
-  // "reservoir" kind then reproduces the legacy estimator RNG-step-for-step);
-  // kinds that cannot fall back to a build over the full table.
+  // Selects the synopsis that answers scalar estimates and builds it over
+  // the engine's state ("" or "off" restores the default "reservoir").
+  // Sample-backed kinds adopt the engine's sample and stay engine-aligned;
+  // kinds that cannot fall back to a build over the full table. Later
+  // Prepare / LoadState / AdoptPrepared calls rebuild the selected kind.
   Status SetSynopsis(const std::string& kind);
 
-  // The live synopsis, or nullptr when the engine runs the legacy path.
-  // Shared ownership: SetSynopsis may swap the synopsis while a maintainer
-  // still holds the old one.
+  // The live synopsis; non-null once the engine holds a sample (after
+  // Prepare, LoadState, AdoptPrepared or the first Execute). Shared
+  // ownership: SetSynopsis may swap the synopsis while a maintainer still
+  // holds the old one.
   std::shared_ptr<synopsis::Synopsis> active_synopsis() const {
     std::lock_guard<std::mutex> lock(synopsis_mu_);
     return synopsis_;
@@ -231,6 +239,8 @@ class AqppEngine {
   const Sample& sample() const { return sample_; }
   bool has_cube() const { return cube_ != nullptr; }
   const PrefixCube* cube() const { return cube_.get(); }
+  // Identification over the prepared cube; nullptr in plain-AQP mode.
+  const AggregateIdentifier* identifier() const { return identifier_.get(); }
   const ExtremaGrid* extrema_grid() const { return extrema_.get(); }
   const PrepareStats& prepare_stats() const { return prepare_stats_; }
   const EngineOptions& options() const { return options_; }
@@ -245,15 +255,18 @@ class AqppEngine {
 
   Status EnsureSample();
 
-  // Re-builds the active synopsis (or options_.synopsis) after the sample /
-  // prepared state changed underneath it.
-  Status RefreshSynopsis();
+  // The one place a sample is installed: sets the sample, its measure cache
+  // and sample_bytes, then re-adopts an engine-aligned synopsis over the new
+  // rows (or creates the default one on the first install).
+  Status InstallSample(Sample sample);
 
-  // Synopsis-routed scalar estimation (Execute's non-legacy arm).
-  Result<ApproximateResult> ExecuteWithSynopsis(const RangeQuery& query,
-                                                const ExecuteControl& control,
-                                                const synopsis::Synopsis& syn,
-                                                Rng& rng);
+  // The one place a cube is installed: sets the cube, its prepare stats and
+  // the identifier over the current sample; a null cube leaves the engine
+  // in plain-AQP mode.
+  void InstallCube(std::shared_ptr<PrefixCube> cube);
+
+  // Builds `kind` over the engine's state and makes it the live synopsis.
+  Status BuildSynopsis(const std::string& kind);
 
   std::shared_ptr<Table> table_;
   EngineOptions options_;
@@ -269,9 +282,9 @@ class AqppEngine {
   std::shared_ptr<ExtremaGrid> extrema_;
   std::unique_ptr<AggregateIdentifier> identifier_;
   PrepareStats prepare_stats_;
-  // Active synopsis; nullptr = legacy estimator path, bit-identical to the
-  // pre-synopsis engine. Guarded: SET SYNOPSIS may arrive from a service
-  // admin connection while seeded Executes run on worker threads.
+  // Live synopsis (null only before the first sample). Guarded: SET
+  // SYNOPSIS may arrive from a service admin connection while seeded
+  // Executes run on worker threads.
   mutable std::mutex synopsis_mu_;
   std::shared_ptr<synopsis::Synopsis> synopsis_;
   // Bounded query-log ring, guarded: Execute may be called concurrently
@@ -282,6 +295,18 @@ class AqppEngine {
   // Appends to the bounded query log (thread-safe).
   void RecordQuery(const RangeQuery& query);
 };
+
+// The one scalar estimation path, shared by AqppEngine and
+// MultiTemplateEngine. With an identifier, aggregate identification
+// (Section 5) picks pre and `syn` answers the difference estimate
+// (Equation 4), or the direct one when phi wins or `syn` has no difference
+// path; without one, `syn` answers the direct estimate (plain AQP). An
+// engine-aligned `syn` reuses the identifier's sample-row masks.
+Result<ApproximateResult> EstimateScalar(const RangeQuery& query,
+                                         const ExecuteControl& control,
+                                         const synopsis::Synopsis& syn,
+                                         const AggregateIdentifier* identifier,
+                                         const Schema& schema, Rng& rng);
 
 }  // namespace aqpp
 

@@ -24,13 +24,13 @@
 #include "common/parallel.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "core/estimator.h"
 #include "core/scoring.h"
 #include "cube/partition.h"
 #include "cube/prefix_cube.h"
 #include "expr/query.h"
 #include "obs/trace.h"
 #include "sampling/sample.h"
+#include "synopsis/estimator.h"
 
 namespace aqpp {
 
@@ -116,6 +116,8 @@ class AggregateIdentifier {
   std::vector<uint8_t> PreMaskOnSample(const PreAggregate& pre) const;
 
   const Sample& scoring_sample() const { return scoring_sample_; }
+  const Sample& sample() const { return *sample_; }
+  const PrefixCube& cube() const { return *cube_; }
 
  private:
   // Memoized candidate scores within one query, keyed by (lo || hi).

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -337,19 +336,13 @@ Status IngestManager::AbsorbCycle() {
 
   // ---- Candidates, prepared outside any lock --------------------------------
 
-  // Reservoir continuation on a deep copy (the live sample table must not be
-  // touched: Algorithm R overwrites rows in place).
-  Sample sample_copy = engine_->sample();
-  if (sample_copy.rows == nullptr || sample_copy.size() == 0) {
+  // Reservoir continuation; the maintainer copies the live sample rows
+  // before Algorithm R overwrites any in place.
+  if (engine_->sample().size() == 0) {
     return Status::FailedPrecondition(
         "engine has no sample; prepare it before ingest");
   }
-  {
-    std::vector<size_t> all(sample_copy.size());
-    std::iota(all.begin(), all.end(), size_t{0});
-    AQPP_ASSIGN_OR_RETURN(sample_copy.rows, TakeRows(*sample_copy.rows, all));
-  }
-  ReservoirMaintainer reservoir(std::move(sample_copy),
+  ReservoirMaintainer reservoir(engine_->sample(),
                                 CycleSeed(options_.seed, rows_absorbed_before));
   AQPP_RETURN_NOT_OK(reservoir.Absorb(*batch));
 
@@ -364,9 +357,11 @@ Status IngestManager::AbsorbCycle() {
     AQPP_RETURN_NOT_OK(cube_maintainer.Compact());
   }
 
-  // Active synopsis: serialize → fresh instance → absorb the clone.
+  // A non-aligned synopsis summarizes the table, not the engine sample:
+  // serialize → fresh instance → absorb the clone. An engine-aligned one is
+  // re-adopted over the published sample by PublishMaintained.
   std::shared_ptr<synopsis::Synopsis> synopsis_candidate;
-  if (auto active = engine_->active_synopsis()) {
+  if (auto active = engine_->active_synopsis(); !active->engine_aligned()) {
     AQPP_ASSIGN_OR_RETURN(
         auto fresh, synopsis::CreateSynopsis(active->kind(), active->options()));
     std::string bytes;
@@ -386,14 +381,12 @@ Status IngestManager::AbsorbCycle() {
     }
     AQPP_RETURN_NOT_OK(
         engine_->PublishMaintained(reservoir.sample(), cube_candidate));
-    if (synopsis_candidate != nullptr) {
-      auto active = engine_->active_synopsis();
-      // A concurrent SET SYNOPSIS may have swapped kinds mid-cycle; never
-      // clobber the newer selection with a stale clone.
-      if (active != nullptr &&
-          std::string(active->kind()) == synopsis_candidate->kind()) {
-        engine_->AdoptSynopsis(std::move(synopsis_candidate));
-      }
+    // A concurrent SET SYNOPSIS may have swapped kinds mid-cycle; never
+    // clobber the newer selection with a stale clone.
+    if (synopsis_candidate != nullptr &&
+        std::string(engine_->active_synopsis()->kind()) ==
+            synopsis_candidate->kind()) {
+      engine_->AdoptSynopsis(std::move(synopsis_candidate));
     }
     {
       std::lock_guard<std::mutex> lock(delta_mu_);

@@ -16,9 +16,11 @@
 //  * The absorber. A background thread (or AbsorbNow in manual mode) takes a
 //    delta snapshot, prepares *candidate* state outside any lock — a cloned
 //    cube absorbed via CubeMaintainer, a deep-copied sample continued via
-//    ReservoirMaintainer (Vitter's algorithm R), a serialized-clone of the
-//    active synopsis absorbed via Synopsis::Absorb — and then publishes all
-//    of them under one exclusive acquisition of `state_mutex()`, truncating
+//    ReservoirMaintainer (Vitter's algorithm R), and, when the active
+//    synopsis is not engine-aligned, a serialized clone of it absorbed via
+//    Synopsis::Absorb — and then publishes all of them under one exclusive
+//    acquisition of `state_mutex()` (an engine-aligned synopsis is re-adopted
+//    over the published sample there), truncating
 //    the absorbed delta prefix in the same critical section. Query execution
 //    holds `state_mutex()` shared for its whole engine pass + delta fold, so
 //    readers never observe a half-swapped engine, and a row is counted in

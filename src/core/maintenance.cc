@@ -5,6 +5,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "synopsis/synopsis.h"
 
 namespace aqpp {
 
@@ -164,30 +165,6 @@ ReservoirMaintainer::ReservoirMaintainer(Sample sample, uint64_t seed)
       << "reservoir maintenance requires a uniform sample";
 }
 
-Status ReservoirMaintainer::OverwriteRow(size_t slot, const Table& batch,
-                                         size_t row) {
-  Table& rows = *sample_.rows;
-  for (size_t c = 0; c < rows.num_columns(); ++c) {
-    Column& dst = rows.mutable_column(c);
-    const Column& src = batch.column(c);
-    if (dst.type() == DataType::kDouble) {
-      dst.MutableDoubleData()[slot] = src.GetDouble(row);
-    } else if (dst.type() == DataType::kString) {
-      auto code = dst.LookupDictionary(src.GetString(row));
-      if (!code.ok()) {
-        return Status::InvalidArgument(
-            "appended value '" + src.GetString(row) +
-            "' is not in the sample dictionary of column '" +
-            rows.schema().column(c).name + "'");
-      }
-      dst.MutableInt64Data()[slot] = *code;
-    } else {
-      dst.MutableInt64Data()[slot] = src.GetInt64(row);
-    }
-  }
-  return Status::OK();
-}
-
 Status ReservoirMaintainer::Absorb(const Table& batch) {
   AQPP_RETURN_NOT_OK(SchemasMatch(sample_.rows->schema(), batch.schema()));
   AQPP_FAILPOINT_RETURN_STATUS("core/maintenance/reservoir_absorb");
@@ -195,28 +172,20 @@ Status ReservoirMaintainer::Absorb(const Table& batch) {
   AQPP_CHECK_GT(n, 0u);
   // Pre-validate every string value against the sample dictionaries so the
   // sampling loop below cannot fail: an unknown category used to surface
-  // mid-batch from OverwriteRow, leaving a half-overwritten sample row and
-  // rows_seen_ advanced past rows that were never absorbed.
-  const Table& rows = *sample_.rows;
-  for (size_t c = 0; c < rows.num_columns(); ++c) {
-    if (rows.column(c).type() != DataType::kString) continue;
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      if (!rows.column(c).LookupDictionary(batch.column(c).GetString(r)).ok()) {
-        return Status::InvalidArgument(
-            "appended value '" + batch.column(c).GetString(r) +
-            "' is not in the sample dictionary of column '" +
-            rows.schema().column(c).name +
-            "'; new categories require re-preparation");
-      }
-    }
-  }
+  // mid-batch, leaving a half-overwritten sample row and rows_seen_
+  // advanced past rows that were never absorbed.
+  AQPP_RETURN_NOT_OK(
+      synopsis::ValidateBatchDictionaries(*sample_.rows, batch));
+  // A sample handed in by copy still shares the engine's rows.
+  AQPP_RETURN_NOT_OK(synopsis::UnshareRows(&sample_));
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     ++rows_seen_;
     // Algorithm R: the new row replaces a uniformly random slot with
     // probability n / rows_seen.
     size_t j = static_cast<size_t>(rng_.NextBounded(rows_seen_));
     if (j < n) {
-      AQPP_RETURN_NOT_OK(OverwriteRow(j, batch, r));
+      AQPP_RETURN_NOT_OK(
+          synopsis::OverwriteSlot(sample_.rows.get(), j, batch, r));
     }
   }
   sample_.population_size = rows_seen_;

@@ -80,7 +80,8 @@ class CubeMaintainer {
 
 // Keeps a fixed-size uniform sample representative of base + appends.
 //
-// The maintained sample's rows table is rewritten in place; weights are
+// The maintained sample's rows table is rewritten in place (copied first
+// while it is still shared with the sample it was handed); weights are
 // N_seen / n after every batch. STRING columns are supported as long as
 // appended values already exist in the sample's dictionary (new categories
 // would invalidate the alphabetical ordinal coding used by cubes; the
@@ -104,8 +105,6 @@ class ReservoirMaintainer {
   }
 
  private:
-  Status OverwriteRow(size_t slot, const Table& batch, size_t row);
-
   Sample sample_;
   size_t rows_seen_;
   Rng rng_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/timer.h"
 #include "sampling/samplers.h"
 
 namespace aqpp {
@@ -37,11 +36,18 @@ Status MultiTemplateEngine::Prepare(
           "multi-template sessions currently cover scalar templates");
     }
   }
+  synopsis::SynopsisOptions sopts;
+  sopts.confidence_level = options_.confidence_level;
+  sopts.bootstrap_resamples = options_.bootstrap_resamples;
+  sopts.sample_rate = options_.sample_rate;
+  sopts.seed = options_.seed;
   if (!has_sample_) {
     AQPP_ASSIGN_OR_RETURN(
         sample_, CreateUniformSample(*table_, options_.sample_rate, rng_));
+    AQPP_ASSIGN_OR_RETURN(
+        default_view_,
+        synopsis::BuildSynopsisFor("", sopts, sample_, *table_));
     has_sample_ = true;
-    measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());
   }
 
   // Error-equalizing budget split (Appendix C).
@@ -74,28 +80,21 @@ Status MultiTemplateEngine::Prepare(
         prep.cube.get(), &sample_, iopts, rng_);
 
     // Per-template synopsis selection: the explicit override wins, else the
-    // session default; "" keeps the legacy estimator.
+    // session default; "" (or "off") shares the session's default view.
     std::string kind = options_.default_synopsis;
     if (t < options_.synopsis_per_template.size() &&
         !options_.synopsis_per_template[t].empty()) {
       kind = options_.synopsis_per_template[t];
     }
-    if (!kind.empty() && kind != "off") {
-      synopsis::SynopsisOptions sopts;
-      sopts.confidence_level = options_.confidence_level;
-      sopts.bootstrap_resamples = options_.bootstrap_resamples;
-      sopts.sample_rate = options_.sample_rate;
-      sopts.seed = options_.seed;
-      sopts.key_columns = templates[t].condition_columns;
-      sopts.measure_column = templates[t].agg_column;
-      AQPP_ASSIGN_OR_RETURN(auto syn, synopsis::CreateSynopsis(kind, sopts));
-      Status adopted = syn->BuildFromSample(sample_);
-      if (adopted.code() == StatusCode::kUnimplemented) {
-        AQPP_RETURN_NOT_OK(syn->BuildFromTable(*table_));
-      } else if (!adopted.ok()) {
-        return adopted;
-      }
-      prep.synopsis = std::move(syn);
+    if (kind.empty() || kind == "off") {
+      prep.synopsis = default_view_;
+    } else {
+      synopsis::SynopsisOptions tmpl_opts = sopts;
+      tmpl_opts.key_columns = templates[t].condition_columns;
+      tmpl_opts.measure_column = templates[t].agg_column;
+      AQPP_ASSIGN_OR_RETURN(
+          prep.synopsis,
+          synopsis::BuildSynopsisFor(kind, tmpl_opts, sample_, *table_));
     }
     prepared_.push_back(std::move(prep));
   }
@@ -158,85 +157,14 @@ Result<ApproximateResult> MultiTemplateEngine::Execute(
   AQPP_RETURN_IF_STOPPED(control.cancel);
   Rng local_rng(control.seed.value_or(0));
   Rng& rng = control.seed.has_value() ? local_rng : rng_;
-  SampleEstimator estimator(
-      &sample_, {.confidence_level = options_.confidence_level,
-                 .bootstrap_resamples = options_.bootstrap_resamples});
-  if (measure_cache_ != nullptr) {
-    estimator.set_measure_cache(measure_cache_.get());
-  }
-  estimator.set_trace(control.trace);
-  ApproximateResult out;
   int route = RouteFor(query);
   if (route < 0) {
-    Timer timer;
-    obs::SpanTimer est_span(obs::Phase::kSampleEstimation, control.trace);
-    AQPP_ASSIGN_OR_RETURN(out.ci, estimator.EstimateDirect(query, rng));
-    est_span.Stop();
-    out.estimation_seconds = timer.ElapsedSeconds();
-    return out;
+    return EstimateScalar(query, control, *default_view_, nullptr,
+                          table_->schema(), rng);
   }
-  PreparedTemplate& prep = prepared_[static_cast<size_t>(route)];
-  Timer ident_timer;
-  obs::SpanTimer ident_span(obs::Phase::kIdentification, control.trace);
-  AQPP_ASSIGN_OR_RETURN(auto identified,
-                        prep.identifier->Identify(query, rng, control.trace));
-  ident_span.Stop();
-  out.identification_seconds = ident_timer.ElapsedSeconds();
-  out.candidates_considered = identified.num_candidates;
-  AQPP_RETURN_IF_STOPPED(control.cancel);
-
-  // Mask reuse as in AqppEngine::Execute: one query-mask evaluation, pre
-  // mask from the identifier's cell-id matrix.
-  Timer est_timer;
-  obs::SpanTimer est_span(obs::Phase::kSampleEstimation, control.trace);
-  AQPP_ASSIGN_OR_RETURN(auto q_mask, estimator.Mask(query.predicate));
-  if (prep.synopsis != nullptr) {
-    // Synopsis arm: the template's synopsis answers both the direct and the
-    // difference estimate (mirrors AqppEngine::ExecuteWithSynopsis).
-    const synopsis::Synopsis& syn = *prep.synopsis;
-    if (identified.pre.IsEmpty()) {
-      AQPP_ASSIGN_OR_RETURN(out.ci, syn.Estimate(query, control, rng));
-      out.pre_description = "phi";
-    } else {
-      Result<ConfidenceInterval> ci = Status::Internal("unset");
-      if (syn.engine_aligned()) {
-        std::vector<uint8_t> pre_mask =
-            prep.identifier->PreMaskOnSample(identified.pre);
-        ci = syn.EstimateWithPreMasked(query, q_mask, pre_mask,
-                                       identified.values, control, rng);
-      } else {
-        ci = syn.EstimateWithPre(query,
-                                 identified.pre.ToPredicate(prep.cube->scheme()),
-                                 identified.values, control, rng);
-      }
-      if (ci.ok()) {
-        out.ci = std::move(ci).value();
-        out.used_pre = true;
-        out.pre_description =
-            identified.pre.ToString(prep.cube->scheme(), table_->schema());
-      } else if (ci.status().code() == StatusCode::kUnimplemented) {
-        AQPP_ASSIGN_OR_RETURN(out.ci, syn.Estimate(query, control, rng));
-        out.pre_description = "phi (synopsis)";
-      } else {
-        return ci.status();
-      }
-    }
-  } else if (identified.pre.IsEmpty()) {
-    AQPP_ASSIGN_OR_RETURN(out.ci,
-                          estimator.EstimateDirectMasked(query, q_mask, rng));
-  } else {
-    std::vector<uint8_t> pre_mask =
-        prep.identifier->PreMaskOnSample(identified.pre);
-    AQPP_ASSIGN_OR_RETURN(
-        out.ci, estimator.EstimateWithPreMasked(query, q_mask, pre_mask,
-                                                identified.values, rng));
-    out.used_pre = true;
-    out.pre_description =
-        identified.pre.ToString(prep.cube->scheme(), table_->schema());
-  }
-  est_span.Stop();
-  out.estimation_seconds = est_timer.ElapsedSeconds();
-  return out;
+  const PreparedTemplate& prep = prepared_[static_cast<size_t>(route)];
+  return EstimateScalar(query, control, *prep.synopsis, prep.identifier.get(),
+                        table_->schema(), rng);
 }
 
 }  // namespace aqpp

@@ -5,6 +5,10 @@
 // the error-equalizing allocator, precomputes one BP-Cube per template, and
 // routes each incoming query to the best-matching cube (fully covering
 // templates first, then maximal overlap; plain AQP when nothing fits).
+// Estimates go through EstimateScalar, the path AqppEngine runs: each
+// template answers through its synopsis, unrouted queries through the
+// session's default view (the engine-aligned "reservoir" over the shared
+// sample).
 
 #ifndef AQPP_CORE_MULTI_ENGINE_H_
 #define AQPP_CORE_MULTI_ENGINE_H_
@@ -18,7 +22,6 @@
 #include "common/status.h"
 #include "core/allocation.h"
 #include "core/engine.h"
-#include "core/estimator.h"
 #include "core/identification.h"
 #include "core/precompute.h"
 
@@ -33,8 +36,8 @@ struct MultiEngineOptions {
   ShapeOptions shape;
   size_t bootstrap_resamples = 120;
   uint64_t seed = 42;
-  // Synopsis kind routed queries estimate with ("" = legacy estimator,
-  // bit-identical to the pre-synopsis engine). Overridable per template.
+  // Synopsis kind routed queries estimate with ("" or "off" = the session's
+  // default view). Overridable per template.
   std::string default_synopsis;
   // Per-template override of default_synopsis, indexed like the Prepare()
   // template list; "" entries (or a short vector) fall back to the default.
@@ -71,7 +74,7 @@ class MultiTemplateEngine {
   // Budget actually allocated to template t.
   size_t budget_of(size_t t) const { return prepared_[t].budget; }
   const PrefixCube& cube_of(size_t t) const { return *prepared_[t].cube; }
-  // Template t's synopsis, or nullptr when it runs the legacy estimator.
+  // Template t's synopsis (the default view unless one was selected).
   const synopsis::Synopsis* synopsis_of(size_t t) const {
     return prepared_[t].synopsis.get();
   }
@@ -87,7 +90,7 @@ class MultiTemplateEngine {
     std::shared_ptr<PrefixCube> cube;
     std::unique_ptr<AggregateIdentifier> identifier;
     // Per-template synopsis (MultiEngineOptions::default_synopsis /
-    // synopsis_per_template); nullptr = legacy estimator.
+    // synopsis_per_template); never null.
     std::shared_ptr<synopsis::Synopsis> synopsis;
   };
 
@@ -96,8 +99,9 @@ class MultiTemplateEngine {
   Rng rng_;
   Sample sample_;
   bool has_sample_ = false;
-  // Shared double-materialized measure columns over the session sample.
-  std::unique_ptr<MeasureCache> measure_cache_;
+  // Engine-aligned "reservoir" over the session sample: answers unrouted
+  // queries and every template without its own synopsis.
+  std::shared_ptr<synopsis::Synopsis> default_view_;
   std::vector<PreparedTemplate> prepared_;
 };
 

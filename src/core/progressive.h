@@ -18,11 +18,11 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/cancellation.h"
-#include "core/estimator.h"
 #include "core/identification.h"
 #include "cube/prefix_cube.h"
 #include "expr/query.h"
 #include "sampling/sample.h"
+#include "synopsis/estimator.h"
 
 namespace aqpp {
 

@@ -40,10 +40,10 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "core/estimator.h"
 #include "cube/partition.h"
 #include "expr/query.h"
 #include "sampling/sample.h"
+#include "synopsis/estimator.h"
 
 namespace aqpp {
 

@@ -116,7 +116,7 @@ class ServiceClient {
   Result<uint64_t> Hello(const std::string& name = "");
   Status Ping();
   Status SetTimeoutMs(int64_t ms);
-  // SET SYNOPSIS <kind>; "off" (or "") restores the legacy estimator.
+  // SET SYNOPSIS <kind>; "off" (or "") restores the default "reservoir".
   Status SetSynopsis(const std::string& kind);
 
   // QUERY <sql>; server-side errors come back as the matching Status code.

@@ -6,7 +6,7 @@
 //   PING                    liveness                 -> OK pong=1
 //   SET TIMEOUT_MS <n>      session default deadline -> OK timeout_ms=<n>
 //   SET SYNOPSIS <kind>     service-wide estimator   -> OK synopsis=<kind>
-//                           ("off" restores the legacy estimator path)
+//                           ("off" restores the default "reservoir")
 //   SET MODE <m>            answer mode for QUERY: "oneshot" (default) or
 //                           "online" (progressive PROGRESS lines, then the
 //                           final OK line)       -> OK mode=<m>

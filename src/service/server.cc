@@ -107,7 +107,7 @@ std::string ServiceConnection::HandleLine(const std::string& line,
       return FormatResponse(resp);
     case RequestType::kSet: {
       if (req->set_key == "synopsis") {
-        // Service-wide estimator selection; "off" restores the legacy path.
+        // Service-wide estimator selection; "off" restores the default.
         std::string kind = ToLowerAscii(req->set_value);
         Status set = service_->SetSynopsis(kind == "off" ? "" : kind);
         if (!set.ok()) return ErrorReply(set);

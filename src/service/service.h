@@ -75,7 +75,7 @@ class EngineRef {
   // COUNT(*) — EnsureSample is not safe to race from workers.
   void Warmup() const;
   // Live synopsis selection on a single engine ("" / "off" restores the
-  // legacy path). MultiTemplateEngine selects per template at Prepare time
+  // default). MultiTemplateEngine selects per template at Prepare time
   // and reports Unimplemented here.
   Status SetSynopsis(const std::string& kind) const;
 

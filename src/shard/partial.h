@@ -123,8 +123,8 @@ struct PartialSpec {
   RangeQuery query;
   PartialWants wants;
   uint64_t seed = 0;
-  // Synopsis kind the worker's engine should estimate with ("" = the
-  // worker's default / legacy estimator). Carried on the wire only when
+  // Synopsis kind the worker's engine should estimate with ("" = whatever
+  // the worker runs, by default "reservoir"). Carried on the wire only when
   // non-empty, so old coordinators and workers interoperate unchanged.
   std::string synopsis_kind;
 };

@@ -45,7 +45,8 @@ struct ShardWorkerOptions {
   // Base seed; the shard's sample RNG is seeded with
   // ShardSeed(base_seed, shard_index).
   uint64_t base_seed = 42;
-  // Synopsis kind the shard engine estimates with ("" = legacy estimator).
+  // Synopsis kind the shard engine estimates with ("" = the default
+  // "reservoir").
   // PARTIAL requests carrying a different kind are rejected, so coordinator
   // and workers can never silently disagree on the estimator.
   std::string synopsis;

@@ -161,13 +161,12 @@ std::string WorkerServer::HandleLine(const std::string& line, bool* quit) {
       if (!spec->synopsis_kind.empty()) {
         // Estimator agreement check: a coordinator that wants synopsis
         // answers must talk to workers built with that synopsis.
-        auto active = worker_->engine().active_synopsis();
-        std::string have = active != nullptr ? active->kind() : "";
+        std::string have = worker_->engine().active_synopsis()->kind();
         if (spec->synopsis_kind != have) {
           metrics.partial_errors->Increment();
           return ErrorReply(Status::FailedPrecondition(
               "synopsis mismatch: request wants '" + spec->synopsis_kind +
-              "', worker has '" + (have.empty() ? "off" : have) + "'"));
+              "', worker has '" + have + "'"));
         }
       }
       auto partial = batcher_->Submit({spec->query, spec->wants, spec->seed});

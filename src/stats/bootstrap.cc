@@ -1,6 +1,7 @@
 #include "stats/bootstrap.h"
 
 #include <algorithm>
+#include <mutex>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -17,14 +18,28 @@ obs::Histogram* SupportRowsHistogram() {
   return h;
 }
 
+std::mutex& LgammaMutex() {
+  static std::mutex mu;
+  return mu;
+}
+
+std::binomial_distribution<uint64_t> MakeHits(size_t n, size_t k) {
+  std::lock_guard<std::mutex> lock(LgammaMutex());
+  return std::binomial_distribution<uint64_t>(
+      n, n == 0 ? 0.0 : static_cast<double>(k) / static_cast<double>(n));
+}
+
 }  // namespace
 
 SupportResampler::SupportResampler(size_t n, size_t k)
-    : k_(k),
-      hits_(n, n == 0 ? 0.0
-                      : static_cast<double>(k) / static_cast<double>(n)) {
+    : k_(k), hits_(MakeHits(n, k)) {
   AQPP_CHECK_LE(k, n);
   SupportRowsHistogram()->Observe(static_cast<double>(k));
+}
+
+uint64_t SupportResampler::DrawHits(Rng& rng) {
+  std::lock_guard<std::mutex> lock(LgammaMutex());
+  return hits_(rng);
 }
 
 double PercentileHalfWidth(std::vector<double> estimates, double level) {

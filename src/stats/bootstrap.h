@@ -41,13 +41,19 @@ class SupportResampler {
   template <typename Pick>
   void Draw(Rng& rng, Pick&& pick) {
     if (k_ == 0) return;
-    const uint64_t hits = hits_(rng);
+    const uint64_t hits = DrawHits(rng);
     for (uint64_t d = 0; d < hits; ++d) {
       pick(static_cast<size_t>(rng.NextBounded(k_)));
     }
   }
 
  private:
+  // libstdc++'s binomial sampler calls lgamma, which writes the global
+  // `signgam`, both when the distribution is built and inside a draw.
+  // Construction and every draw therefore run under one process-wide mutex;
+  // the draws themselves are unchanged.
+  uint64_t DrawHits(Rng& rng);
+
   size_t k_;
   std::binomial_distribution<uint64_t> hits_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -40,27 +39,21 @@ Status ReservoirSynopsis::BuildFromTable(const Table& table) {
 }
 
 Status ReservoirSynopsis::BuildFromSample(const Sample& sample) {
-  if (sample.method != SamplingMethod::kUniform) {
+  // The bootstrap kind runs the engine's own weighted estimator, so it adopts
+  // any sample; the closed-form intervals assume a uniform draw.
+  if (closed_form() && sample.method != SamplingMethod::kUniform) {
     return Status::Unimplemented(
-        "reservoir synopsis adopts uniform samples only");
+        "reservoir_closed synopsis adopts uniform samples only");
   }
-  if (sample.size() == 0) {
-    return Status::FailedPrecondition("cannot adopt an empty sample");
+  if (sample.rows == nullptr) {
+    return Status::FailedPrecondition("cannot adopt a sample without rows");
   }
-  // Deep copy in row order: the adopted rows are a row-for-row image of the
-  // engine's sample, which is what keeps engine-computed masks valid
-  // (engine_aligned) and the estimates bit-identical to the legacy path.
-  std::vector<size_t> all(sample.size());
-  std::iota(all.begin(), all.end(), 0u);
-  Sample copy;
-  AQPP_ASSIGN_OR_RETURN(copy.rows, TakeRows(*sample.rows, all));
-  copy.weights = sample.weights;
-  copy.strata = sample.strata;
-  copy.stratum_info = sample.stratum_info;
-  copy.population_size = sample.population_size;
-  copy.sampling_fraction = sample.sampling_fraction;
-  copy.method = sample.method;
-  sample_ = std::move(copy);
+  // Shares the engine's rows: the adopted synopsis is a row-for-row view of
+  // the engine sample, which keeps engine-computed masks valid
+  // (engine_aligned) and the estimates bit-identical to SampleEstimator over
+  // that sample (an empty one included). Absorb copies the rows before it
+  // overwrites any.
+  sample_ = sample;
   rows_seen_ = sample_.population_size;
   absorb_rng_ = Rng(options_.seed);
   measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());
@@ -70,9 +63,17 @@ Status ReservoirSynopsis::BuildFromSample(const Sample& sample) {
   return Status::OK();
 }
 
+SampleEstimator ReservoirSynopsis::Estimator(obs::QueryTrace* trace) const {
+  SampleEstimator est(&sample_,
+                      {options_.confidence_level, options_.bootstrap_resamples});
+  est.set_measure_cache(measure_cache_.get());
+  est.set_trace(trace);
+  return est;
+}
+
 ConfidenceInterval ReservoirSynopsis::Inflate(ConfidenceInterval ci) const {
   // Skipped entirely at 1.0 so the un-degraded reservoir path stays
-  // bit-identical to the legacy estimator (no spurious rounding).
+  // bit-identical to SampleEstimator (no spurious rounding).
   if (ci_inflation_ != 1.0) ci.half_width *= ci_inflation_;
   return ci;
 }
@@ -83,10 +84,7 @@ Result<ConfidenceInterval> ReservoirSynopsis::Estimate(
   if (!query.group_by.empty()) {
     return Status::InvalidArgument("synopsis estimates are scalar");
   }
-  SampleEstimator est(&sample_,
-                      {options_.confidence_level, options_.bootstrap_resamples});
-  est.set_measure_cache(measure_cache_.get());
-  est.set_trace(control.trace);
+  SampleEstimator est = Estimator(control.trace);
   const std::vector<uint8_t>* mask = nullptr;
   std::vector<uint8_t> local_mask;
   if (control.query_mask != nullptr && engine_aligned_ &&
@@ -131,10 +129,7 @@ Result<ConfidenceInterval> ReservoirSynopsis::EstimateWithPreMasked(
                           ClosedFormMasked(query, q_mask, &pre_mask, pre));
     return Inflate(ci);
   }
-  SampleEstimator est(&sample_,
-                      {options_.confidence_level, options_.bootstrap_resamples});
-  est.set_measure_cache(measure_cache_.get());
-  est.set_trace(control.trace);
+  SampleEstimator est = Estimator(control.trace);
   AQPP_ASSIGN_OR_RETURN(auto ci,
                         est.EstimateWithPreMasked(query, q_mask, pre_mask,
                                                   pre, rng));
@@ -153,9 +148,7 @@ Result<ConfidenceInterval> ReservoirSynopsis::ClosedFormMasked(
     if (pre_mask != nullptr && (*pre_mask)[i]) d -= 1.0;
     return d;
   };
-  SampleEstimator est(&sample_,
-                      {options_.confidence_level, options_.bootstrap_resamples});
-  est.set_measure_cache(measure_cache_.get());
+  SampleEstimator est = Estimator(nullptr);
 
   switch (query.func) {
     case AggregateFunction::kSum:
@@ -214,27 +207,20 @@ Status ReservoirSynopsis::Absorb(const Table& batch) {
   // the failpoint: a torn absorb (chaos lane) observes either the old
   // synopsis or the new one, never a half-overwritten reservoir.
   AQPP_RETURN_NOT_OK(ValidateBatchDictionaries(*sample_.rows, batch));
+  if (sample_.method != SamplingMethod::kUniform) {
+    return Status::FailedPrecondition(
+        "Algorithm R continues uniform reservoirs only");
+  }
   AQPP_FAILPOINT_RETURN_STATUS("synopsis/absorb");
+  AQPP_RETURN_NOT_OK(UnshareRows(&sample_));
   const size_t n = sample_.size();
-  Table& rows = *sample_.rows;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     ++rows_seen_;
     // Algorithm R continuation: the new row replaces a uniformly random
     // slot with probability n / rows_seen.
     size_t j = static_cast<size_t>(absorb_rng_.NextBounded(rows_seen_));
-    if (j >= n) continue;
-    for (size_t c = 0; c < rows.num_columns(); ++c) {
-      Column& dst = rows.mutable_column(c);
-      const Column& src = batch.column(c);
-      if (dst.type() == DataType::kDouble) {
-        dst.MutableDoubleData()[j] = src.GetDouble(r);
-      } else if (dst.type() == DataType::kString) {
-        AQPP_ASSIGN_OR_RETURN(int64_t code,
-                              dst.LookupDictionary(src.GetString(r)));
-        dst.MutableInt64Data()[j] = code;
-      } else {
-        dst.MutableInt64Data()[j] = src.GetInt64(r);
-      }
+    if (j < n) {
+      AQPP_RETURN_NOT_OK(OverwriteSlot(sample_.rows.get(), j, batch, r));
     }
   }
   sample_.population_size = rows_seen_;

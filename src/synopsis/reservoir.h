@@ -1,11 +1,11 @@
-// ReservoirSynopsis: the legacy uniform-reservoir estimator behind the
-// Synopsis interface.
+// ReservoirSynopsis: the sample-backed estimator behind the Synopsis
+// interface.
 //
-// "reservoir" is the bit-preserving refactor of the engine's historical
-// sample/estimator coupling: it answers through the very same
-// SampleEstimator code paths, so an engine-aligned reservoir synopsis
-// (BuildFromSample over the engine's sample) reproduces the legacy
-// estimator's answers — including every bootstrap draw — RNG-step-for-step.
+// "reservoir" is the engines' default: BuildFromSample adopts the engine's
+// own sample (any sampling method) by sharing its rows, and every estimate
+// runs through SampleEstimator over those rows, so the synopsis answers
+// exactly what SampleEstimator answers over the engine sample — including
+// every bootstrap draw, RNG-step-for-step.
 //
 // "reservoir_closed" shares the sample but swaps interval construction to
 // the closed-form skew-adjusted delta method (synopsis/closed_form.h):
@@ -31,7 +31,9 @@ class ReservoirSynopsis : public Synopsis {
   const char* kind() const override { return kind_.c_str(); }
 
   Status BuildFromTable(const Table& table) override;
-  // Accepts uniform samples (deep copy; the source sample is not mutated).
+  // Shares the sample's rows ("reservoir" accepts any sampling method,
+  // "reservoir_closed" uniform ones). Absorb copies them before its first
+  // overwrite, so the source sample is never mutated.
   Status BuildFromSample(const Sample& sample) override;
 
   Result<ConfidenceInterval> Estimate(const RangeQuery& query,
@@ -62,8 +64,10 @@ class ReservoirSynopsis : public Synopsis {
   bool closed_form() const {
     return options_.ci_method == SynopsisOptions::CiMethod::kClosedForm;
   }
+  // SampleEstimator over the rows, sharing the measure cache.
+  SampleEstimator Estimator(obs::QueryTrace* trace) const;
   // Widens `ci` by the accumulated Degrade inflation (identity untouched
-  // when no Degrade happened, preserving bit-parity with the legacy path).
+  // when no Degrade happened, preserving bit-parity with SampleEstimator).
   ConfidenceInterval Inflate(ConfidenceInterval ci) const;
   // Closed-form replacements for the estimator's per-aggregate paths.
   Result<ConfidenceInterval> ClosedFormMasked(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -75,17 +74,8 @@ Status StratifiedSynopsis::BuildFromSample(const Sample& sample) {
   if (sample.size() == 0) {
     return Status::FailedPrecondition("cannot adopt an empty sample");
   }
-  std::vector<size_t> all(sample.size());
-  std::iota(all.begin(), all.end(), 0u);
-  Sample copy;
-  AQPP_ASSIGN_OR_RETURN(copy.rows, TakeRows(*sample.rows, all));
-  copy.weights = sample.weights;
-  copy.strata = sample.strata;
-  copy.stratum_info = sample.stratum_info;
-  copy.population_size = sample.population_size;
-  copy.sampling_fraction = sample.sampling_fraction;
-  copy.method = sample.method;
-  sample_ = std::move(copy);
+  // Shares the rows (engine-aligned); Absorb copies them before overwriting.
+  sample_ = sample;
   absorb_rng_ = Rng(options_.seed);
   RebuildStratumIndex();
   built_ = true;
@@ -217,8 +207,8 @@ Status StratifiedSynopsis::Absorb(const Table& batch) {
     row_stratum[r] = it->second;
   }
   AQPP_FAILPOINT_RETURN_STATUS("synopsis/absorb");
+  AQPP_RETURN_NOT_OK(UnshareRows(&sample_));
   // Commit: Algorithm R per stratum, capacity n_h fixed at build time.
-  Table& rows = *sample_.rows;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     const size_t h = static_cast<size_t>(row_stratum[r]);
     StratumInfo& info = sample_.stratum_info[h];
@@ -228,20 +218,8 @@ Status StratifiedSynopsis::Absorb(const Table& batch) {
     const size_t j =
         static_cast<size_t>(absorb_rng_.NextBounded(info.population_rows));
     if (j >= n_h) continue;
-    const size_t slot = stratum_slots_[h][j];
-    for (size_t c = 0; c < rows.num_columns(); ++c) {
-      Column& dst = rows.mutable_column(c);
-      const Column& src = batch.column(c);
-      if (dst.type() == DataType::kDouble) {
-        dst.MutableDoubleData()[slot] = src.GetDouble(r);
-      } else if (dst.type() == DataType::kString) {
-        AQPP_ASSIGN_OR_RETURN(int64_t code,
-                              dst.LookupDictionary(src.GetString(r)));
-        dst.MutableInt64Data()[slot] = code;
-      } else {
-        dst.MutableInt64Data()[slot] = src.GetInt64(r);
-      }
-    }
+    AQPP_RETURN_NOT_OK(
+        OverwriteSlot(sample_.rows.get(), stratum_slots_[h][j], batch, r));
   }
   size_t population = 0;
   for (const StratumInfo& info : sample_.stratum_info) {

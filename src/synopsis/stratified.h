@@ -36,7 +36,7 @@ class StratifiedSynopsis : public Synopsis {
   const char* kind() const override { return "stratified"; }
 
   Status BuildFromTable(const Table& table) override;
-  // Accepts stratified samples (deep copy).
+  // Accepts stratified samples, sharing their rows (Absorb copies first).
   Status BuildFromSample(const Sample& sample) override;
 
   Result<ConfidenceInterval> Estimate(const RangeQuery& query,

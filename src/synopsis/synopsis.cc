@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -144,6 +145,23 @@ Result<std::unique_ptr<Synopsis>> CreateSynopsis(const std::string& kind,
   return factory(opts);
 }
 
+Result<std::shared_ptr<Synopsis>> BuildSynopsisFor(const std::string& kind,
+                                                   const SynopsisOptions& opts,
+                                                   const Sample& sample,
+                                                   const Table& table) {
+  const bool by_default = kind.empty() || kind == "off";
+  AQPP_ASSIGN_OR_RETURN(
+      std::shared_ptr<Synopsis> syn,
+      CreateSynopsis(by_default ? kDefaultSynopsis : kind, opts));
+  Status adopted = syn->BuildFromSample(sample);
+  if (adopted.code() == StatusCode::kUnimplemented) {
+    AQPP_RETURN_NOT_OK(syn->BuildFromTable(table));
+  } else if (!adopted.ok()) {
+    return adopted;
+  }
+  return syn;
+}
+
 void RegisterSynopsis(const std::string& kind, SynopsisFactory factory) {
   std::lock_guard<std::mutex> lock(RegistryMutex());
   Registry()[kind] = std::move(factory);
@@ -195,10 +213,36 @@ Status ValidateBatchDictionaries(const Table& rows, const Table& batch) {
                .ok()) {
         return Status::InvalidArgument(
             "appended value '" + batch.column(c).GetString(r) +
-            "' is not in the synopsis dictionary of column '" +
+            "' is not in the dictionary of column '" +
             rows.schema().column(c).name +
             "'; new categories require a rebuild");
       }
+    }
+  }
+  return Status::OK();
+}
+
+Status UnshareRows(Sample* sample) {
+  if (sample->rows.use_count() <= 1) return Status::OK();
+  std::vector<size_t> all(sample->size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  AQPP_ASSIGN_OR_RETURN(sample->rows, TakeRows(*sample->rows, all));
+  return Status::OK();
+}
+
+Status OverwriteSlot(Table* rows, size_t slot, const Table& batch,
+                     size_t row) {
+  for (size_t c = 0; c < rows->num_columns(); ++c) {
+    Column& dst = rows->mutable_column(c);
+    const Column& src = batch.column(c);
+    if (dst.type() == DataType::kDouble) {
+      dst.MutableDoubleData()[slot] = src.GetDouble(row);
+    } else if (dst.type() == DataType::kString) {
+      AQPP_ASSIGN_OR_RETURN(int64_t code,
+                            dst.LookupDictionary(src.GetString(row)));
+      dst.MutableInt64Data()[slot] = code;
+    } else {
+      dst.MutableInt64Data()[slot] = src.GetInt64(row);
     }
   }
   return Status::OK();

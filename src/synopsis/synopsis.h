@@ -2,9 +2,9 @@
 // data do we keep" and "how does the engine use it".
 //
 // AQP++'s accuracy rests on the sample-side estimator that corrects the
-// precomputed aggregate (Equation 4). Historically that estimator was one
-// hard-wired choice — uniform reservoir + bootstrap CIs — baked into the
-// engine. A Synopsis abstracts it: Build summarizes a data source, Estimate
+// precomputed aggregate (Equation 4). Engines compute every scalar estimate
+// through a Synopsis — by default the "reservoir" kind over the engine's own
+// sample. The interface: Build summarizes a data source, Estimate
 // answers a canonical scalar query with a point + confidence interval,
 // Absorb keeps the summary fresh under appends, and Serialize/Deserialize
 // plug into the warm-handoff seam so prepared state can move between
@@ -13,10 +13,10 @@
 // shard PARTIAL wire carries the kind so coordinator and workers agree.
 //
 // Registered kinds (see docs/synopses.md for selection guidance):
-//   "reservoir"        the legacy uniform reservoir + bootstrap CIs,
-//                      refactored behind the interface bit-preserving: when
-//                      it adopts an engine's sample, every estimate
-//                      reproduces the legacy estimator's draws
+//   "reservoir"        the default (kDefaultSynopsis): sample + bootstrap
+//                      CIs through SampleEstimator. It adopts an engine's
+//                      sample of any sampling method by sharing its rows, so
+//                      every estimate is SampleEstimator's over that sample,
 //                      RNG-step-for-step.
 //   "reservoir_closed" same sample, but AVG/VAR intervals come from the
 //                      closed-form skew-adjusted delta method
@@ -77,7 +77,7 @@ struct SynopsisOptions {
   // template's aggregation attribute).
   size_t measure_column = 0;
   // AVG/VAR interval construction for the reservoir kinds: percentile
-  // bootstrap (the legacy estimator's method) or the closed-form
+  // bootstrap (SampleEstimator's method) or the closed-form
   // skew-adjusted delta method. "reservoir_closed" is sugar for
   // kind=reservoir + kClosedForm.
   enum class CiMethod { kBootstrap, kClosedForm };
@@ -105,26 +105,27 @@ class Synopsis {
 
   // Adopts an engine's already-drawn sample instead of re-sampling.
   // Unimplemented unless the synopsis is sample-backed and the sample's
-  // method is compatible; the reservoir kinds accept uniform samples (deep
-  // copy — the engine's sample is never mutated) and this is what makes the
-  // "reservoir" kind reproduce the legacy estimator bit-for-bit.
+  // method is compatible ("reservoir" accepts every method and shares the
+  // rows; "reservoir_closed" uniform and "stratified" stratified samples).
+  // The engine's sample is never mutated.
   virtual Status BuildFromSample(const Sample& sample);
 
   // True once Build/BuildFromTable/BuildFromSample/DeserializeFrom
   // succeeded.
   bool built() const { return built_; }
 
-  // True while the synopsis's rows are a row-for-row copy of the engine
+  // True while the synopsis's rows are a row-for-row image of the engine
   // sample it adopted (BuildFromSample), so engine-computed sample-row masks
-  // are valid against it. Cleared by Absorb/Degrade/DeserializeFrom.
+  // are valid against it. Cleared by Absorb/Degrade/DeserializeFrom. Engines
+  // re-adopt an aligned synopsis whenever their sample changes.
   bool engine_aligned() const { return engine_aligned_; }
 
   // ---- Estimation ----------------------------------------------------------
 
   // Point + CI for a canonical scalar query — a pure function of (built
   // state, query, rng state). The Rng-threading overload is what engines
-  // call, so a synopsis estimate consumes the caller's stream exactly like
-  // the legacy estimator did (bit-identity with the pre-refactor engine).
+  // call, so a synopsis estimate consumes the caller's stream (identification
+  // and estimation draw from one seeded stream per query).
   virtual Result<ConfidenceInterval> Estimate(const RangeQuery& query,
                                               const ExecuteControl& control,
                                               Rng& rng) const = 0;
@@ -191,6 +192,18 @@ using SynopsisFactory =
 Result<std::unique_ptr<Synopsis>> CreateSynopsis(const std::string& kind,
                                                  const SynopsisOptions& opts);
 
+// The kind engines answer through when none is selected ("" or "off"): the
+// engine-aligned reservoir over the engine's own sample.
+inline constexpr char kDefaultSynopsis[] = "reservoir";
+
+// Creates `kind` ("" and "off" select kDefaultSynopsis) and builds it over an
+// engine's `sample` when the kind can adopt it (engine-aligned), else over
+// `table`.
+Result<std::shared_ptr<Synopsis>> BuildSynopsisFor(const std::string& kind,
+                                                   const SynopsisOptions& opts,
+                                                   const Sample& sample,
+                                                   const Table& table);
+
 // Registers an external kind (tests / experiments). Replaces on collision.
 void RegisterSynopsis(const std::string& kind, SynopsisFactory factory);
 
@@ -233,6 +246,15 @@ Status CheckSameSchema(const Schema& expected, const Schema& actual);
 // Absorb implementations (new categories would invalidate the alphabetical
 // ordinal coding; callers must re-build instead).
 Status ValidateBatchDictionaries(const Table& rows, const Table& batch);
+
+// Gives `sample` rows of its own when they are shared (an adopted engine
+// sample), so an in-place Algorithm-R overwrite never reaches the source.
+Status UnshareRows(Sample* sample);
+
+// Algorithm R's replacement: overwrites slot `slot` of `rows` with row `row`
+// of `batch`, re-coding strings into `rows`' dictionaries (which
+// ValidateBatchDictionaries has checked).
+Status OverwriteSlot(Table* rows, size_t slot, const Table& batch, size_t row);
 
 }  // namespace synopsis
 }  // namespace aqpp

@@ -124,7 +124,9 @@ ChaosSchedule ChaosRunner::BuildSchedule() const {
 
   // Candidate faults: each makes the service fail in a distinct, recoverable
   // way. Probabilities are low enough that most requests in a phase still
-  // survive to be baseline-checked.
+  // survive to be baseline-checked. The I/O drops end the request they hit;
+  // the admission reject is retried away, and the latency faults end a
+  // request only under a tight session deadline.
   std::vector<FaultSpec> catalog;
   {
     FaultSpec f;
@@ -192,9 +194,33 @@ ChaosSchedule ChaosRunner::BuildSchedule() const {
     // Roughly every third phase also runs under a tight session deadline so
     // the worker-latency fault pushes queries into the progressive fallback.
     if (rng.NextBernoulli(0.35)) plan.timeout_ms = 40;
+    schedule.phases.push_back(std::move(plan));
+  }
+  // Every run must hurt some request: if the draw armed no request-ending
+  // fault anywhere, the first phase also drops every 8th received line.
+  auto ends_request = [](const PhasePlan& plan) {
+    for (const FaultSpec& f : plan.faults) {
+      if (f.point == "service/server/send" ||
+          f.point == "service/server/recv" ||
+          (f.point == "service/admission/worker" && plan.timeout_ms > 0)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  if (std::none_of(schedule.phases.begin(), schedule.phases.end(),
+                   ends_request)) {
+    FaultSpec f;
+    f.point = "service/server/recv";
+    f.trigger = fail::Trigger::EveryNth(8);
+    f.action.kind = fail::ActionKind::kReturnError;
+    f.action.message = "injected recv drop";
+    schedule.phases.front().faults.push_back(f);
+  }
+  for (size_t p = 0; p < schedule.phases.size(); ++p) {
+    PhasePlan& plan = schedule.phases[p];
     plan.description = StrFormat("phase %zu: %zu faults, timeout_ms=%d", p,
                                  plan.faults.size(), plan.timeout_ms);
-    schedule.phases.push_back(std::move(plan));
   }
   PhasePlan recovery;
   recovery.description = "recovery: no faults";
@@ -267,6 +293,9 @@ ChaosReport ChaosRunner::Run() {
   for (size_t phase = 0; phase < schedule.phases.size(); ++phase) {
     const PhasePlan& plan = schedule.phases[phase];
     const bool is_recovery = phase + 1 == schedule.phases.size();
+    // Each phase starts cold: answers cached by an earlier phase would let
+    // every request skip admission, and the armed faults with it.
+    service.InvalidateCache();
     fail::Registry::Global().DisableAll();
     fail::Registry::Global().SetSeed(Mix(options_.seed ^ (phase + 1)));
     for (const FaultSpec& f : plan.faults) {
@@ -411,7 +440,16 @@ ChaosReport ChaosRunner::Run() {
         }
       }
     }
-    if (!is_recovery) report.trip_log = fail::Registry::Global().TripLog();
+    if (!is_recovery) {
+      report.trip_log += StrFormat("phase %zu\n", phase);
+      for (const std::string& point : fail::Registry::Global().active()) {
+        fail::PointStats st = fail::Registry::Global().stats(point);
+        report.trip_log += StrFormat(
+            "  %s evaluations=%llu fires=%llu\n", point.c_str(),
+            static_cast<unsigned long long>(st.evaluations),
+            static_cast<unsigned long long>(st.fires));
+      }
+    }
   }
 
   fail::Registry::Global().DisableAll();

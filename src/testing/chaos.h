@@ -97,7 +97,7 @@ struct ChaosReport {
   // Final-phase answers per query index, "%.17g"-exact: the cross-run /
   // cross-worker-count bit-identity witness.
   std::vector<std::string> final_answers;
-  // Failpoint evaluation/fire counts after the last faulty phase.
+  // Failpoint evaluation/fire counts of every faulty phase, phase by phase.
   std::string trip_log;
 };
 

@@ -317,6 +317,9 @@ TEST(BatchAdmissionTest, QueuedSameKeyJobsFormOneBatch) {
   EXPECT_EQ(batch_calls.load(), 1);
   EXPECT_EQ(batch_jobs.load(), 3u);
   EXPECT_EQ(members_run.load(), 3);
+  // The worker counts a job completed after its run returns, which is
+  // after the job's promise fired: wait for the count instead of racing it.
+  EXPECT_TRUE(WaitFor([&] { return ctrl.stats().completed == 4; }));
   AdmissionStats stats = ctrl.stats();
   EXPECT_EQ(stats.batches_formed, 1u);
   EXPECT_EQ(stats.batch_members, 3u);

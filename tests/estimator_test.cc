@@ -4,12 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/estimator.h"
 #include "core/identification.h"
 #include "cube/prefix_cube.h"
 #include "dense_bootstrap_oracle.h"
 #include "exec/executor.h"
 #include "sampling/samplers.h"
+#include "synopsis/estimator.h"
 #include "test_util.h"
 
 namespace aqpp {

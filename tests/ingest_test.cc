@@ -12,6 +12,8 @@
 //     bit-identically.
 //   * Equal ingest/absorb schedules produce bit-equal answers (the soak
 //     fingerprint invariant).
+//   * An engine-aligned synopsis follows every published sample (shared
+//     rows, oracle-equal answers) and is never serialized by the absorber.
 //   * Online mode streams monotone PROGRESS rounds whose final OK line is
 //     bit-identical to the one-shot answer; CANCEL abandons the stream
 //     without poisoning the connection.
@@ -39,6 +41,7 @@
 #include "common/failpoint.h"
 #include "core/engine.h"
 #include "core/ingest.h"
+#include "engine_oracle.h"
 #include "exec/executor.h"
 #include "expr/query.h"
 #include "kernels/kernels.h"
@@ -52,6 +55,7 @@
 #include "shard/worker.h"
 #include "shard/worker_server.h"
 #include "storage/table.h"
+#include "synopsis/reservoir.h"
 #include "test_util.h"
 
 namespace aqpp {
@@ -295,6 +299,96 @@ TEST_F(IngestManagerTest, AbsorbMovesDeltaIntoPublishedState) {
   // An empty absorb is OK and publishes nothing new.
   ASSERT_TRUE(mgr.AbsorbNow().ok());
   EXPECT_EQ(mgr.snapshot().absorbed_generation, 1u);
+}
+
+// Asserts the engine's synopsis is engine-aligned over the current sample
+// (pointer-equal rows) and answers bit-equal to the hand-wired oracle.
+void ExpectAlignedAndOracleEqual(AqppEngine& engine, uint64_t seed) {
+  auto syn = engine.active_synopsis();
+  ASSERT_NE(syn, nullptr);
+  EXPECT_TRUE(syn->engine_aligned());
+  EXPECT_EQ(
+      static_cast<const synopsis::ReservoirSynopsis&>(*syn).sample().rows.get(),
+      engine.sample().rows.get());
+  for (const RangeQuery& q :
+       {MakeQuery(AggregateFunction::kSum, 10, 60),
+        MakeQuery(AggregateFunction::kCount, 20, 90, 5, 40),
+        MakeQuery(AggregateFunction::kAvg, 5, 95),
+        MakeQuery(AggregateFunction::kVar, 30, 70, 1, 25)}) {
+    ExecuteControl control;
+    control.seed = seed++;
+    control.record = false;
+    auto got = engine.Execute(q, control);
+    auto want = testutil::OracleEstimate(engine, q, *control.seed);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_TRUE(SameBits(got->ci.estimate, want->ci.estimate));
+    EXPECT_TRUE(SameBits(got->ci.half_width, want->ci.half_width));
+    EXPECT_EQ(got->used_pre, want->used_pre);
+  }
+}
+
+TEST_F(IngestManagerTest, DefaultSynopsisFollowsEveryPublishedSample) {
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager mgr(engine_.get(), opts);
+  ExpectAlignedAndOracleEqual(*engine_, testutil::TestSeed(700));
+  for (uint64_t cycle = 1; cycle <= 3; ++cycle) {
+    // Held, so the next sample cannot reuse the address.
+    std::shared_ptr<Table> before = engine_->sample().rows;
+    ASSERT_TRUE(
+        mgr.Append(*MakeBatch(400, testutil::TestSeed(700 + cycle))).ok());
+    ASSERT_TRUE(mgr.AbsorbNow().ok());
+    ASSERT_EQ(mgr.snapshot().absorbed_generation, cycle);
+    EXPECT_NE(engine_->sample().rows, before)
+        << "the absorb published no new sample";
+    ExpectAlignedAndOracleEqual(*engine_, testutil::TestSeed(710 + cycle));
+  }
+}
+
+// A reservoir that counts SerializeTo calls: the absorber must clone only
+// synopses that are not engine-aligned.
+class CountingReservoir : public synopsis::ReservoirSynopsis {
+ public:
+  explicit CountingReservoir(const synopsis::SynopsisOptions& opts)
+      : ReservoirSynopsis("counting_reservoir", opts) {}
+  Status SerializeTo(std::string* out) const override {
+    ++serialized;
+    return ReservoirSynopsis::SerializeTo(out);
+  }
+  static inline std::atomic<int> serialized{0};
+};
+
+TEST_F(IngestManagerTest, AbsorbSerializesOnlyNonAlignedSynopses) {
+  synopsis::RegisterSynopsis(
+      "counting_reservoir", [](const synopsis::SynopsisOptions& o) {
+        return std::make_unique<CountingReservoir>(o);
+      });
+  ASSERT_TRUE(engine_->SetSynopsis("counting_reservoir").ok());
+  CountingReservoir::serialized = 0;
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager mgr(engine_.get(), opts);
+  for (uint64_t cycle = 1; cycle <= 2; ++cycle) {
+    ASSERT_TRUE(
+        mgr.Append(*MakeBatch(300, testutil::TestSeed(720 + cycle))).ok());
+    ASSERT_TRUE(mgr.AbsorbNow().ok());
+    auto syn = engine_->active_synopsis();
+    EXPECT_STREQ(syn->kind(), "counting_reservoir");
+    EXPECT_TRUE(syn->engine_aligned());
+  }
+  EXPECT_EQ(CountingReservoir::serialized.load(), 0);
+
+  // Degrade leaves the synopsis its own rows: from then on it is absorbed as
+  // a clone, which means one serialization per cycle.
+  Rng rng(testutil::TestSeed(730));
+  ASSERT_TRUE(engine_->active_synopsis()->Degrade(0.5, rng).ok());
+  ASSERT_FALSE(engine_->active_synopsis()->engine_aligned());
+  ASSERT_TRUE(mgr.Append(*MakeBatch(300, testutil::TestSeed(731))).ok());
+  ASSERT_TRUE(mgr.AbsorbNow().ok());
+  EXPECT_EQ(CountingReservoir::serialized.load(), 1);
+  EXPECT_STREQ(engine_->active_synopsis()->kind(), "counting_reservoir");
+  EXPECT_FALSE(engine_->active_synopsis()->engine_aligned());
 }
 
 TEST_F(IngestManagerTest, EqualSchedulesProduceEqualBits) {

@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/estimator.h"
 #include "core/identification.h"
 #include "core/maintenance.h"
 #include "core/precompute.h"
@@ -21,6 +20,7 @@
 #include "sampling/samplers.h"
 #include "sampling/workload_sampler.h"
 #include "sql/binder.h"
+#include "synopsis/estimator.h"
 #include "test_util.h"
 
 namespace aqpp {

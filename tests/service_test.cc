@@ -260,11 +260,15 @@ TEST(ServiceServerTest, SetSynopsisVerbSwitchesEstimatorAndDropsCache) {
   EXPECT_EQ(bad->Find("code").value(), "NotFound");
   EXPECT_STREQ(ts.engine->active_synopsis()->kind(), "reservoir_closed");
 
-  // "off" restores the legacy path (and the verb lowercases its value).
+  // "off" restores the default reservoir (and the verb lowercases its
+  // value); the reply still names "off".
   auto off = client->Call("SET SYNOPSIS OFF");
   ASSERT_TRUE(off.ok());
   EXPECT_TRUE(off->ok);
-  EXPECT_EQ(ts.engine->active_synopsis(), nullptr);
+  EXPECT_EQ(off->Find("synopsis").value(), "off");
+  ASSERT_NE(ts.engine->active_synopsis(), nullptr);
+  EXPECT_STREQ(ts.engine->active_synopsis()->kind(), "reservoir");
+  EXPECT_TRUE(ts.engine->active_synopsis()->engine_aligned());
   auto back = client->Query(sql);
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back->cache_hit);

@@ -12,14 +12,16 @@
 //     failpoint a torn absorb leaves the serialized state byte-identical
 //     (chaos label; needs -DAQPP_ENABLE_FAILPOINTS=ON), while a successful
 //     absorb tracks the grown population exactly like a rebuild;
-//   * the "reservoir" kind reproduces the legacy engine estimator
-//     RNG-step-for-step — with EngineOptions::synopsis unset and set to
-//     "reservoir", the same seeds give bit-identical answers.
+//   * the engine's default synopsis (an engine-aligned "reservoir" sharing
+//     the engine's sample) reproduces the hand-wired identification +
+//     SampleEstimator path RNG-step-for-step for every sampling method, and
+//     Absorb on it copies the shared rows before overwriting any.
 //
 // Seeds route through testutil::TestSeed, so AQPP_TEST_SEED alone
 // reproduces any failure.
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,9 +32,11 @@
 #include "common/failpoint.h"
 #include "common/random.h"
 #include "core/engine.h"
+#include "engine_oracle.h"
 #include "expr/query.h"
 #include "stats/confidence.h"
 #include "storage/table.h"
+#include "synopsis/reservoir.h"
 #include "synopsis/synopsis.h"
 #include "test_util.h"
 
@@ -364,117 +368,207 @@ TEST(SynopsisMaintainerTest, ObserverFiresOnSuccessNotOnFailure) {
 
 // ---- Sample adoption gates --------------------------------------------------
 
-TEST(SynopsisAdoptionTest, ReservoirAdoptsUniformSamplesOnly) {
+std::unique_ptr<AqppEngine> PreparedEngine(std::shared_ptr<Table> table,
+                                           EngineOptions opts) {
+  auto engine = std::move(AqppEngine::Create(std::move(table), opts)).value();
+  QueryTemplate tmpl;
+  tmpl.func = AggregateFunction::kSum;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0, 1};
+  EXPECT_TRUE(engine->Prepare(tmpl).ok());
+  return engine;
+}
+
+TEST(SynopsisAdoptionTest, ReservoirSharesAnyEngineSample) {
   auto table = MakeSynthetic({.rows = 2000, .seed = testutil::TestSeed(9114)});
   EngineOptions opts;
   opts.sample_rate = 0.1;
   opts.enable_precompute = false;
   opts.seed = testutil::TestSeed(9115);
-  auto engine = std::move(AqppEngine::Create(table, opts)).value();
-  QueryTemplate tmpl;
-  tmpl.func = AggregateFunction::kSum;
-  tmpl.agg_column = 2;
-  tmpl.condition_columns = {0};
-  ASSERT_TRUE(engine->Prepare(tmpl).ok());
+  auto uniform = PreparedEngine(table, opts);
+  opts.sampling = SamplingMethod::kStratified;
+  opts.stratify_columns = {1};
+  auto stratified_engine = PreparedEngine(table, opts);
 
-  // The reservoir kinds deep-copy a uniform engine sample and become
-  // engine-aligned; the stratified kind declines it (method mismatch).
-  auto reservoir = std::move(synopsis::CreateSynopsis(
-                                 "reservoir", MakeOptions(1)))
-                       .value();
-  ASSERT_TRUE(reservoir->BuildFromSample(engine->sample()).ok());
-  EXPECT_TRUE(reservoir->built());
-  EXPECT_TRUE(reservoir->engine_aligned());
+  // "reservoir" adopts uniform and stratified samples alike, sharing the
+  // rows (no copy) and becoming engine-aligned.
+  for (const AqppEngine* engine : {uniform.get(), stratified_engine.get()}) {
+    auto reservoir = std::move(synopsis::CreateSynopsis(
+                                   "reservoir", MakeOptions(1)))
+                         .value();
+    ASSERT_TRUE(reservoir->BuildFromSample(engine->sample()).ok());
+    EXPECT_TRUE(reservoir->engine_aligned());
+    EXPECT_EQ(static_cast<const synopsis::ReservoirSynopsis&>(*reservoir)
+                  .sample()
+                  .rows.get(),
+              engine->sample().rows.get());
+  }
 
+  // The closed-form intervals assume a uniform draw; the stratified kind
+  // wants stratified samples.
+  auto closed = std::move(synopsis::CreateSynopsis("reservoir_closed",
+                                                   MakeOptions(1)))
+                    .value();
+  EXPECT_EQ(closed->BuildFromSample(stratified_engine->sample()).code(),
+            StatusCode::kUnimplemented);
+  EXPECT_FALSE(closed->built());
   auto stratified = std::move(synopsis::CreateSynopsis(
                                   "stratified", MakeOptions(1)))
                         .value();
-  Status declined = stratified->BuildFromSample(engine->sample());
+  Status declined = stratified->BuildFromSample(uniform->sample());
   EXPECT_EQ(declined.code(), StatusCode::kUnimplemented);
   EXPECT_FALSE(stratified->built());
 }
 
-// ---- Engine bit-parity (the refactor's acceptance criterion) ----------------
+TEST(SynopsisAdoptionTest, AbsorbCopiesSharedRowsBeforeOverwriting) {
+  auto table = MakeSynthetic({.rows = 2000, .seed = testutil::TestSeed(9120)});
+  EngineOptions opts;
+  opts.sample_rate = 0.1;
+  opts.enable_precompute = false;
+  opts.seed = testutil::TestSeed(9121);
+  auto engine = PreparedEngine(table, opts);
+  const Sample& source = engine->sample();
+  std::vector<std::vector<int64_t>> ints;
+  for (size_t c = 0; c < 2; ++c) ints.push_back(source.rows->column(c).Int64Data());
+  const std::vector<double> measure = source.rows->column(2).DoubleData();
 
-TEST(SynopsisEngineParityTest, ReservoirSynopsisReproducesLegacyEngineBits) {
-  // With EngineOptions::synopsis unset the engine runs the legacy estimator;
-  // with "reservoir" it routes through the synopsis layer, which adopted the
-  // engine's own sample. Same seeds => the same RNG draws in the same order
-  // => bit-identical answers, including the AQP++ difference path.
-  auto table = MakeSynthetic({.rows = 2500,
+  synopsis::ReservoirSynopsis reservoir("reservoir", MakeOptions(9122));
+  ASSERT_TRUE(reservoir.BuildFromSample(source).ok());
+  ASSERT_EQ(reservoir.sample().rows.get(), source.rows.get());
+  // A batch as large as the population overwrites many reservoir slots.
+  auto batch = MakeSynthetic({.rows = 2000, .seed = testutil::TestSeed(9123)});
+  ASSERT_TRUE(reservoir.Absorb(*batch).ok());
+
+  EXPECT_NE(reservoir.sample().rows.get(), source.rows.get());
+  EXPECT_FALSE(reservoir.engine_aligned());
+  EXPECT_EQ(source.rows->column(0).Int64Data(), ints[0]);
+  EXPECT_EQ(source.rows->column(1).Int64Data(), ints[1]);
+  const std::vector<double>& after = source.rows->column(2).DoubleData();
+  ASSERT_EQ(after.size(), measure.size());
+  EXPECT_EQ(std::memcmp(after.data(), measure.data(),
+                        measure.size() * sizeof(double)),
+            0)
+      << "Absorb wrote through to the adopted engine sample";
+  // And the absorb really moved the reservoir off the source rows.
+  EXPECT_NE(reservoir.sample().rows->column(2).DoubleData(), measure);
+}
+
+// ---- Engine bit-parity (the one-estimator-path acceptance criterion) --------
+
+TEST(SynopsisEngineParityTest, DefaultSynopsisMatchesHandWiredOracle) {
+  // The default engine answers through its synopsis; the oracle runs
+  // identification and SampleEstimator over engine.sample() by hand on the
+  // same seed. Every sampling method, every sample-estimable aggregate, both
+  // the phi and the pre branch.
+  auto table = MakeSynthetic({.rows = 4000,
                               .dom1 = 100,
                               .dom2 = 50,
-                              .correlated = true,
                               .seed = testutil::TestSeed(9116)});
-  QueryTemplate tmpl;
-  tmpl.func = AggregateFunction::kSum;
-  tmpl.agg_column = 2;
-  tmpl.condition_columns = {0, 1};
-
-  EngineOptions legacy_opts;
-  legacy_opts.sample_rate = 0.1;
-  legacy_opts.cube_budget = 512;
-  legacy_opts.confidence_level = 0.95;
-  legacy_opts.seed = testutil::TestSeed(9117);
-  auto legacy = std::move(AqppEngine::Create(table, legacy_opts)).value();
-  ASSERT_TRUE(legacy->Prepare(tmpl).ok());
-
-  EngineOptions syn_opts = legacy_opts;
-  syn_opts.synopsis = "reservoir";
-  auto routed = std::move(AqppEngine::Create(table, syn_opts)).value();
-  ASSERT_TRUE(routed->Prepare(tmpl).ok());
-  ASSERT_NE(routed->active_synopsis(), nullptr);
-  EXPECT_STREQ(routed->active_synopsis()->kind(), "reservoir");
-
-  // A third engine switches the synopsis on after the fact — SetSynopsis on
-  // a prepared legacy engine must land in the same place.
-  auto switched = std::move(AqppEngine::Create(table, legacy_opts)).value();
-  ASSERT_TRUE(switched->Prepare(tmpl).ok());
-  ASSERT_TRUE(switched->SetSynopsis("reservoir").ok());
+  std::vector<RangeQuery> history;
+  for (int64_t lo : {10, 30, 50}) {
+    RangeQuery h;
+    h.func = AggregateFunction::kSum;
+    h.agg_column = 2;
+    h.predicate = RangePredicate({{0, lo, lo + 20}});
+    history.push_back(h);
+  }
+  std::vector<RangeQuery> queries;
+  for (AggregateFunction f :
+       {AggregateFunction::kSum, AggregateFunction::kCount,
+        AggregateFunction::kAvg, AggregateFunction::kVar}) {
+    RangeQuery q;
+    q.func = f;
+    q.agg_column = 2;
+    // Wide boxes: a cube box covers most of the query, so pre wins.
+    q.predicate = RangePredicate({{0, 5, 95}});
+    queries.push_back(q);
+    q.predicate = RangePredicate({{0, 3, 90}, {1, 2, 48}});
+    queries.push_back(q);
+    // One-value boxes inside a single cell: nothing to bracket, phi wins.
+    q.predicate = RangePredicate({{0, 41, 41}, {1, 17, 17}});
+    queries.push_back(q);
+    q.predicate = RangePredicate({{0, 63, 63}});
+    queries.push_back(q);
+  }
 
   Rng seeder = testutil::MakeTestRng(9118);
-  int compared = 0;
-  for (const RangeQuery& base : ProbeQueries()) {
-    for (int rep = 0; rep < 3; ++rep) {
-      RangeQuery q = base;
-      ExecuteControl control;
-      control.seed = seeder.Next();
-      control.record = false;
-      auto want = legacy->Execute(q, control);
-      auto got = routed->Execute(q, control);
-      auto alt = switched->Execute(q, control);
-      ASSERT_TRUE(want.ok()) << want.status();
-      ASSERT_TRUE(got.ok()) << got.status();
-      ASSERT_TRUE(alt.ok()) << alt.status();
-      EXPECT_EQ(want->ci.estimate, got->ci.estimate)
-          << AggregateFunctionToString(q.func) << " rep=" << rep;
-      EXPECT_EQ(want->ci.half_width, got->ci.half_width)
-          << AggregateFunctionToString(q.func) << " rep=" << rep;
-      EXPECT_EQ(want->used_pre, got->used_pre);
-      EXPECT_EQ(want->pre_description, got->pre_description);
-      EXPECT_EQ(want->ci.estimate, alt->ci.estimate);
-      EXPECT_EQ(want->ci.half_width, alt->ci.half_width);
-      EXPECT_EQ(want->used_pre, alt->used_pre);
-      ++compared;
+  for (SamplingMethod method :
+       {SamplingMethod::kUniform, SamplingMethod::kBernoulli,
+        SamplingMethod::kStratified, SamplingMethod::kMeasureBiased,
+        SamplingMethod::kWorkloadAware}) {
+    SCOPED_TRACE(SamplingMethodToString(method));
+    EngineOptions opts;
+    opts.sample_rate = 0.1;
+    opts.cube_budget = 256;
+    opts.sampling = method;
+    opts.stratify_columns = {1};
+    opts.workload_history = history;
+    opts.seed = testutil::TestSeed(9117);
+    auto engine = PreparedEngine(table, opts);
+    ASSERT_NE(engine->identifier(), nullptr);
+    auto syn = engine->active_synopsis();
+    ASSERT_NE(syn, nullptr);
+    EXPECT_STREQ(syn->kind(), "reservoir");
+    EXPECT_TRUE(syn->engine_aligned());
+
+    size_t with_pre = 0, with_phi = 0;
+    for (const RangeQuery& q : queries) {
+      for (int rep = 0; rep < 2; ++rep) {
+        ExecuteControl control;
+        control.seed = seeder.Next();
+        control.record = false;
+        auto got = engine->Execute(q, control);
+        auto want = testutil::OracleEstimate(*engine, q, *control.seed);
+        ASSERT_TRUE(got.ok()) << got.status();
+        ASSERT_TRUE(want.ok()) << want.status();
+        EXPECT_EQ(got->ci.estimate, want->ci.estimate)
+            << AggregateFunctionToString(q.func) << " rep=" << rep;
+        EXPECT_EQ(got->ci.half_width, want->ci.half_width)
+            << AggregateFunctionToString(q.func) << " rep=" << rep;
+        EXPECT_EQ(got->used_pre, want->used_pre);
+        (want->used_pre ? with_pre : with_phi) += 1;
+      }
     }
+    EXPECT_GT(with_pre, 0u) << "no query took the difference branch";
+    EXPECT_GT(with_phi, 0u) << "no query took the phi branch";
   }
-  ASSERT_GE(compared, 18);
+}
 
-  // SET SYNOPSIS off restores the legacy path bit-for-bit.
-  ASSERT_TRUE(switched->SetSynopsis("").ok());
-  EXPECT_EQ(switched->active_synopsis(), nullptr);
-  ExecuteControl control;
-  control.seed = testutil::TestSeed(9119);
-  control.record = false;
-  RangeQuery q = ProbeQueries()[0];
-  auto want = legacy->Execute(q, control);
-  auto got = switched->Execute(q, control);
-  ASSERT_TRUE(want.ok() && got.ok());
-  EXPECT_EQ(want->ci.estimate, got->ci.estimate);
-  EXPECT_EQ(want->ci.half_width, got->ci.half_width);
+TEST(SynopsisEngineParityTest, OffSelectsTheDefaultReservoir) {
+  auto table = MakeSynthetic({.rows = 2500, .seed = testutil::TestSeed(9124)});
+  EngineOptions opts;
+  opts.sample_rate = 0.1;
+  opts.cube_budget = 256;
+  opts.seed = testutil::TestSeed(9125);
+  auto engine = PreparedEngine(table, opts);
 
-  EXPECT_EQ(switched->SetSynopsis("no_such_kind").code(),
-            StatusCode::kNotFound);
+  ASSERT_TRUE(engine->SetSynopsis("reservoir_closed").ok());
+  EXPECT_STREQ(engine->active_synopsis()->kind(), "reservoir_closed");
+  // The selection survives a re-prepare.
+  QueryTemplate tmpl = *engine->prepared_template();
+  ASSERT_TRUE(engine->Prepare(tmpl).ok());
+  EXPECT_STREQ(engine->active_synopsis()->kind(), "reservoir_closed");
+
+  for (const std::string off : {"off", ""}) {
+    ASSERT_TRUE(engine->SetSynopsis("reservoir_closed").ok());
+    ASSERT_TRUE(engine->SetSynopsis(off).ok());
+    auto syn = engine->active_synopsis();
+    ASSERT_NE(syn, nullptr);
+    EXPECT_STREQ(syn->kind(), "reservoir");
+    EXPECT_TRUE(syn->engine_aligned());
+    ExecuteControl control;
+    control.seed = testutil::TestSeed(9119);
+    control.record = false;
+    RangeQuery q = ProbeQueries()[1];
+    auto got = engine->Execute(q, control);
+    auto want = testutil::OracleEstimate(*engine, q, *control.seed);
+    ASSERT_TRUE(got.ok() && want.ok());
+    EXPECT_EQ(got->ci.estimate, want->ci.estimate);
+    EXPECT_EQ(got->ci.half_width, want->ci.half_width);
+  }
+
+  EXPECT_EQ(engine->SetSynopsis("no_such_kind").code(), StatusCode::kNotFound);
+  EXPECT_STREQ(engine->active_synopsis()->kind(), "reservoir");
 }
 
 INSTANTIATE_TEST_SUITE_P(

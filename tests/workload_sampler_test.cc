@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
-#include "core/estimator.h"
 #include "exec/executor.h"
 #include "sampling/workload_sampler.h"
+#include "synopsis/estimator.h"
 #include "test_util.h"
 
 namespace aqpp {
