@@ -5,8 +5,8 @@
 // Produces BENCH_kernels.json (the PR's perf acceptance artifact): rows/sec
 // for the fused filter+SUM path plus the COUNT / moments / min-max kernel
 // profiles, at selectivities {0.001, 0.01, 0.1, 0.5, 1.0} and 1/4/8
-// threads, against the identical query on the scalar baseline
-// (ExecutorOptions::use_kernels = false). The bootstrap section times one
+// threads, against the identical query on the row-at-a-time scalar
+// baseline (tests/exact_scan_oracle.h). The bootstrap section times one
 // AVG difference CI (n = 25k sample rows, R = 120 resamples) at support
 // fractions {0.5%, 5%, 50%, 100%}, sparse against dense.
 //
@@ -32,6 +32,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "dense_bootstrap_oracle.h"
+#include "exact_scan_oracle.h"
 #include "exec/executor.h"
 #include "stats/bootstrap.h"
 #include "storage/table.h"
@@ -68,19 +69,21 @@ RangeQuery SumQuery(double selectivity) {
   return q;
 }
 
-// Best-of-repetitions wall time for one Execute call. The minimum is robust
-// against external load (interference only ever adds time); shared runners
-// show multi-x throughput swings that make means/medians unusable.
-double TimeExecute(const ExactExecutor& ex, const RangeQuery& q,
+// Best-of-repetitions wall time for one scan of `q` by `execute`
+// (RangeQuery -> Result<double>). The minimum is robust against external
+// load (interference only ever adds time); shared runners show multi-x
+// throughput swings that make means/medians unusable.
+template <typename Execute>
+double TimeExecute(const Execute& execute, const RangeQuery& q,
                    double min_seconds) {
-  (void)*ex.Execute(q);  // warm
+  (void)*execute(q);  // warm
   double best = std::numeric_limits<double>::infinity();
   size_t reps = 0;
   Timer total;
   while (reps < 5 ||
          (total.ElapsedSeconds() < min_seconds && reps < 400)) {
     Timer t;
-    volatile double sink = *ex.Execute(q);
+    volatile double sink = *execute(q);
     (void)sink;
     best = std::min(best, t.ElapsedSeconds());
     ++reps;
@@ -218,18 +221,20 @@ int main(int argc, char** argv) {
       ThreadPool pool(threads);
       ExecutorOptions kopts;
       kopts.pool = &pool;
-      ExactExecutor kernel_ex(table.get(), kopts);
-      ExecutorOptions sopts;
-      sopts.use_kernels = false;
-      sopts.pool = &pool;
-      ExactExecutor scalar_ex(table.get(), sopts);
+      ExactExecutor executor(table.get(), kopts);
+      auto kernel_ex = [&](const RangeQuery& query) {
+        return executor.Execute(query);
+      };
+      auto scalar_ex = [&](const RangeQuery& query) {
+        return oracle::ExactScan(*table, query, &pool);
+      };
 
       CaseResult r;
       r.selectivity = sel;
       r.threads = threads;
 
-      const double kernel_answer = *kernel_ex.Execute(q);
-      const double scalar_answer = *scalar_ex.Execute(q);
+      const double kernel_answer = *kernel_ex(q);
+      const double scalar_answer = *scalar_ex(q);
       r.answers_match = std::abs(kernel_answer - scalar_answer) <=
                         1e-9 * (1.0 + std::abs(scalar_answer));
       const uint64_t bits = std::bit_cast<uint64_t>(kernel_answer);
@@ -302,7 +307,7 @@ int main(int argc, char** argv) {
   out << StrFormat("  \"rows\": %zu,\n", rows);
   out << "  \"workload\": \"SELECT f(a) WHERE 0 <= c < sel*domain; uniform "
          "int64 condition column, gaussian double measure\",\n";
-  out << "  \"baseline\": \"ExecutorOptions::use_kernels=false (row-at-a-"
+  out << "  \"baseline\": \"tests/exact_scan_oracle.h ExactScan (row-at-a-"
          "time accessor scan, Welford moments)\",\n";
   out << StrFormat("  \"gate_speedup_sum_sel0.1_1thread\": %.3f,\n",
                    gate_speedup);

@@ -18,6 +18,7 @@
 #include "cube/prefix_cube.h"
 #include "exec/executor.h"
 #include "exec/hash_join.h"
+#include "identification_oracle.h"
 #include "sampling/samplers.h"
 #include "synopsis/estimator.h"
 #include "workload/tpcd_skew.h"
@@ -160,22 +161,27 @@ const IdentSetup& IdentSetupFor(size_t d) {
   return cache.emplace(d, std::move(setup)).first->second;
 }
 
-// Args: (d, use_batched_scorer). Items processed = scoring-sample rows swept
-// per query (candidates * subsample size), so the counter reads as rows/sec
-// of candidate-scoring throughput; per-query latency is the iteration time.
+// Args: (d, batched). batched = 0 scores through the per-candidate oracle
+// (tests/identification_oracle.h). Items processed = scoring-sample rows
+// swept per query (candidates * subsample size), so the counter reads as
+// rows/sec of candidate-scoring throughput; per-query latency is the
+// iteration time.
 void BM_IdentificationScoring(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const bool batched = state.range(1) != 0;
   const IdentSetup& setup = IdentSetupFor(d);
-  IdentificationOptions opts;
-  opts.use_batched_scorer = batched;
+  const IdentificationOptions opts;
   Rng crng(40);
   AggregateIdentifier ident(setup.cube.get(), &MicroSample(), opts, crng);
+  auto identify = [&](Rng& rng) {
+    return batched ? ident.Identify(setup.query, rng)
+                   : oracle::Identify(ident, opts, setup.query, rng);
+  };
   Rng rng(41);
-  auto first = ident.Identify(setup.query, rng);
+  auto first = identify(rng);
   const size_t candidates = first.ok() ? first->num_candidates : 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(*ident.Identify(setup.query, rng));
+    benchmark::DoNotOptimize(*identify(rng));
   }
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations()) *
@@ -288,7 +294,8 @@ void BM_HillClimb(benchmark::State& state) {
 }
 BENCHMARK(BM_HillClimb)->Arg(32)->Arg(256);
 
-// Dedicated legacy-vs-batched comparison: measures per-query identification
+// Dedicated legacy-vs-batched comparison (legacy = the per-candidate oracle
+// of tests/identification_oracle.h): measures per-query identification
 // latency for both scorer paths at d in {1, 2, 3, 5}, checks that they pick
 // the same winning pre with scores equal within 1e-9, and writes the whole
 // record (the PR's perf acceptance artifact) to BENCH_identification.json.
@@ -305,27 +312,25 @@ void WriteIdentificationComparisonJson(const std::string& path) {
   std::vector<Row> rows;
   for (size_t d : {1u, 2u, 3u, 5u}) {
     const IdentSetup& setup = IdentSetupFor(d);
-    IdentificationOptions batched_opts;
-    IdentificationOptions legacy_opts;
-    legacy_opts.use_batched_scorer = false;
     // Score on the full sample (no subsampling) so the comparison measures
     // the scoring pipeline itself rather than the subsample-rate policy;
     // both paths see the identical row set.
-    batched_opts.score_on_full_sample = true;
-    legacy_opts.score_on_full_sample = true;
-    Rng c1(40), c2(40);
-    AggregateIdentifier batched(setup.cube.get(), &MicroSample(),
-                                batched_opts, c1);
-    AggregateIdentifier legacy(setup.cube.get(), &MicroSample(),
-                               legacy_opts, c2);
+    IdentificationOptions opts;
+    opts.score_on_full_sample = true;
+    Rng c1(40);
+    AggregateIdentifier ident(setup.cube.get(), &MicroSample(), opts, c1);
+    auto batched = [&](Rng& rng) { return ident.Identify(setup.query, rng); };
+    auto legacy = [&](Rng& rng) {
+      return oracle::Identify(ident, opts, setup.query, rng);
+    };
 
     Row row;
     row.d = d;
-    row.scoring_rows = batched.scoring_sample().size();
+    row.scoring_rows = ident.scoring_sample().size();
     {
       Rng r1(41), r2(41);
-      auto b = batched.Identify(setup.query, r1);
-      auto l = legacy.Identify(setup.query, r2);
+      auto b = batched(r1);
+      auto l = legacy(r2);
       if (!b.ok() || !l.ok()) continue;
       row.candidates = b->num_candidates;
       row.winner_matches =
@@ -333,14 +338,14 @@ void WriteIdentificationComparisonJson(const std::string& path) {
       row.score_diff = std::abs(b->scored_error - l->scored_error) /
                        std::max(1.0, std::abs(l->scored_error));
     }
-    auto time_path = [&](const AggregateIdentifier& ident) {
+    auto time_path = [&](const auto& identify) {
       // Warm, then time enough repetitions for a stable per-query latency.
       Rng rng(42);
-      (void)ident.Identify(setup.query, rng);
+      (void)identify(rng);
       size_t reps = 0;
       Timer timer;
       while (reps < 20 || (timer.ElapsedSeconds() < 0.25 && reps < 5000)) {
-        auto r = ident.Identify(setup.query, rng);
+        auto r = identify(rng);
         benchmark::DoNotOptimize(r);
         ++reps;
       }

@@ -28,10 +28,14 @@ bool LessPre(const PreAggregate& a, const PreAggregate& b) {
   return a.hi < b.hi;
 }
 
-// Deterministic per-candidate RNG seed: SplitMix64-mixes the candidate box
-// into the query's base seed. A pure function of (base_seed, box), so a
-// candidate's score never depends on which thread picks it up or in what
-// order — parallel identification is bit-identical to sequential.
+std::vector<size_t> MemoKey(const PreAggregate& pre) {
+  std::vector<size_t> key = pre.lo;
+  key.insert(key.end(), pre.hi.begin(), pre.hi.end());
+  return key;
+}
+
+}  // namespace
+
 uint64_t CandidateSeed(uint64_t base_seed, const PreAggregate& pre) {
   uint64_t h = base_seed;
   auto mix = [&h](uint64_t v) {
@@ -44,14 +48,6 @@ uint64_t CandidateSeed(uint64_t base_seed, const PreAggregate& pre) {
   for (size_t v : pre.hi) mix(static_cast<uint64_t>(v));
   return h;
 }
-
-std::vector<size_t> MemoKey(const PreAggregate& pre) {
-  std::vector<size_t> key = pre.lo;
-  key.insert(key.end(), pre.hi.begin(), pre.hi.end());
-  return key;
-}
-
-}  // namespace
 
 AggregateIdentifier::AggregateIdentifier(const PrefixCube* cube,
                                          const Sample* sample,
@@ -236,25 +232,8 @@ PreValues AggregateIdentifier::ReadPreValues(const PreAggregate& pre) const {
   return v;
 }
 
-// Legacy single-candidate scorer (ScoreBatch is the production path). Its
-// predicate evaluation rides the chunked kernel layer transitively through
-// RangePredicate::EvaluateMask, so it stays a faithful-but-slower oracle for
-// the batched scorer without any separate scan code.
-Result<double> AggregateIdentifier::ScoreCandidate(const RangeQuery& query,
-                                                   const PreAggregate& pre,
-                                                   Rng& rng) const {
-  SampleEstimator estimator(&scoring_sample_,
-                            {.confidence_level = options_.confidence_level,
-                             .bootstrap_resamples = 40});
-  RangePredicate pre_pred = pre.ToPredicate(cube_->scheme());
-  PreValues values = ReadPreValues(pre);
-  AQPP_ASSIGN_OR_RETURN(
-      auto ci, estimator.EstimateWithPre(query, pre_pred, values, rng));
-  return ci.half_width;
-}
-
 Result<std::vector<double>> AggregateIdentifier::ScoreBatch(
-    const RangeQuery& query, const BatchCandidateScorer::QueryContext* ctx,
+    const BatchCandidateScorer::QueryContext& ctx,
     const std::vector<PreAggregate>& cands, uint64_t base_seed,
     ScoreMemo* memo) const {
   std::vector<double> scores(cands.size(), 0.0);
@@ -291,71 +270,62 @@ Result<std::vector<double>> AggregateIdentifier::ScoreBatch(
   }
 
   std::vector<double> job_scores(jobs.size(), 0.0);
-  if (ctx != nullptr) {
-    // Hull of the batch's non-empty boxes: a row outside both the query and
-    // the hull has an exactly-zero difference for every job, so one sweep
-    // here lets each Score call walk only the rows that can matter.
-    PreAggregate hull;
-    bool have_hull = false;
-    for (const Job& job : jobs) {
-      const PreAggregate& pre = cands[job.cand];
-      bool box_empty = false;
-      for (size_t i = 0; i < pre.lo.size(); ++i) {
-        if (pre.lo[i] >= pre.hi[i]) {
-          box_empty = true;
-          break;
-        }
-      }
-      if (box_empty) continue;
-      if (!have_hull) {
-        hull = pre;
-        have_hull = true;
-      } else {
-        for (size_t i = 0; i < pre.lo.size(); ++i) {
-          hull.lo[i] = std::min(hull.lo[i], pre.lo[i]);
-          hull.hi[i] = std::max(hull.hi[i], pre.hi[i]);
-        }
+  // Hull of the batch's non-empty boxes: a row outside both the query and
+  // the hull has an exactly-zero difference for every job, so one sweep
+  // here lets each Score call walk only the rows that can matter.
+  PreAggregate hull;
+  bool have_hull = false;
+  for (const Job& job : jobs) {
+    const PreAggregate& pre = cands[job.cand];
+    bool box_empty = false;
+    for (size_t i = 0; i < pre.lo.size(); ++i) {
+      if (pre.lo[i] >= pre.hi[i]) {
+        box_empty = true;
+        break;
       }
     }
-    // Cell grouping costs one sort of the active rows; it only pays for
-    // itself once enough candidates reuse the groups.
-    constexpr size_t kGroupMinJobs = 12;
-    const BatchCandidateScorer::ActiveSet active =
-        jobs.empty() ? BatchCandidateScorer::ActiveSet{}
-                     : scorer_->ActiveRows(*ctx, have_hull ? &hull : nullptr,
-                                           /*group=*/jobs.size() >= kGroupMinJobs);
-
-    // Batched path: each job derives its candidate mask from the cell-id
-    // matrix and accumulates moments in one fused sweep over the active
-    // rows, in parallel on the pool. Seeding is per-job, so the schedule
-    // cannot change any score.
-    std::mutex err_mu;
-    Status status = Status::OK();
-    ParallelForEach(
-        jobs.size(),
-        [&](size_t j) {
-          const PreAggregate& pre = cands[jobs[j].cand];
-          Rng job_rng(jobs[j].seed);
-          PreValues values = ReadPreValues(pre);
-          auto score = scorer_->Score(*ctx, pre, values, job_rng, &active);
-          if (score.ok()) {
-            job_scores[j] = *score;
-          } else {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (status.ok()) status = score.status();
-          }
-        },
-        options_.scoring_pool);
-    AQPP_RETURN_NOT_OK(status);
-  } else {
-    // Legacy reference path: per-candidate predicate re-evaluation through
-    // the estimator, same per-job seeds (bit-identical scores).
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      Rng job_rng(jobs[j].seed);
-      AQPP_ASSIGN_OR_RETURN(
-          job_scores[j], ScoreCandidate(query, cands[jobs[j].cand], job_rng));
+    if (box_empty) continue;
+    if (!have_hull) {
+      hull = pre;
+      have_hull = true;
+    } else {
+      for (size_t i = 0; i < pre.lo.size(); ++i) {
+        hull.lo[i] = std::min(hull.lo[i], pre.lo[i]);
+        hull.hi[i] = std::max(hull.hi[i], pre.hi[i]);
+      }
     }
   }
+  // Cell grouping costs one sort of the active rows; it only pays for
+  // itself once enough candidates reuse the groups.
+  constexpr size_t kGroupMinJobs = 12;
+  const BatchCandidateScorer::ActiveSet active =
+      jobs.empty()
+          ? BatchCandidateScorer::ActiveSet{}
+          : scorer_->ActiveRows(ctx, have_hull ? &hull : nullptr,
+                                /*group=*/jobs.size() >= kGroupMinJobs);
+
+  // Each job derives its candidate mask from the cell-id matrix and
+  // accumulates moments in one fused sweep over the active rows, in parallel
+  // on the pool. Seeding is per-job, so the schedule cannot change any
+  // score.
+  std::mutex err_mu;
+  Status status = Status::OK();
+  ParallelForEach(
+      jobs.size(),
+      [&](size_t j) {
+        const PreAggregate& pre = cands[jobs[j].cand];
+        Rng job_rng(jobs[j].seed);
+        PreValues values = ReadPreValues(pre);
+        auto score = scorer_->Score(ctx, pre, values, job_rng, &active);
+        if (score.ok()) {
+          job_scores[j] = *score;
+        } else {
+          std::lock_guard<std::mutex> lock(err_mu);
+          if (status.ok()) status = score.status();
+        }
+      },
+      options_.scoring_pool);
+  AQPP_RETURN_NOT_OK(status);
 
   if (memo != nullptr) {
     for (const auto& [key, j] : pending) memo->emplace(key, job_scores[j]);
@@ -366,20 +336,32 @@ Result<std::vector<double>> AggregateIdentifier::ScoreBatch(
   return scores;
 }
 
+bool AggregateIdentifier::UsesGreedy(const RangeQuery& query) const {
+  // Candidate-count guard: 4^d blows up around d ~ 6; use the greedy
+  // per-dimension refinement there instead.
+  std::vector<std::vector<size_t>> u_cands, v_cands;
+  BracketQuery(query, &u_cands, &v_cands);
+  const size_t limit = options_.max_enumerated_candidates;
+  size_t total = 1;
+  for (size_t i = 0; i < u_cands.size(); ++i) {
+    // BracketQuery gives every dimension at least one bracket per side, so
+    // arity >= 1; the division guards the product against overflow.
+    const size_t arity = u_cands[i].size() * v_cands[i].size();
+    if (total > limit / arity) return true;
+    total *= arity;
+  }
+  return total > limit;
+}
+
 Result<IdentifiedAggregate> AggregateIdentifier::IdentifyGreedy(
-    const RangeQuery& query, Rng& rng, obs::QueryTrace* trace) const {
+    const RangeQuery& query, const BatchCandidateScorer::QueryContext& ctx,
+    Rng& rng, obs::QueryTrace* trace) const {
   const size_t d = cube_->scheme().num_dims();
   std::vector<std::vector<size_t>> u_cands, v_cands;
   BracketQuery(query, &u_cands, &v_cands);
 
   const uint64_t base_seed = rng.Next();
   ScoreMemo memo;
-  BatchCandidateScorer::QueryContext ctx_storage;
-  const BatchCandidateScorer::QueryContext* ctx = nullptr;
-  if (options_.use_batched_scorer) {
-    AQPP_ASSIGN_OR_RETURN(ctx_storage, scorer_->Prepare(query));
-    ctx = &ctx_storage;
-  }
 
   // Start from the loosest box (every dimension at its outer brackets) and
   // refine one dimension at a time, keeping the subsample-scored best.
@@ -410,7 +392,7 @@ Result<IdentifiedAggregate> AggregateIdentifier::IdentifyGreedy(
     if (trials.empty()) continue;
     obs::SpanTimer score_span(obs::Phase::kScoring, trace);
     AQPP_ASSIGN_OR_RETURN(std::vector<double> errs,
-                          ScoreBatch(query, ctx, trials, base_seed, &memo));
+                          ScoreBatch(ctx, trials, base_seed, &memo));
     score_span.Stop();
     double best_err = std::numeric_limits<double>::infinity();
     std::pair<size_t, size_t> best_pair{current.lo[i], current.hi[i]};
@@ -427,7 +409,7 @@ Result<IdentifiedAggregate> AggregateIdentifier::IdentifyGreedy(
   obs::SpanTimer final_span(obs::Phase::kScoring, trace);
   AQPP_ASSIGN_OR_RETURN(
       std::vector<double> finals,
-      ScoreBatch(query, ctx, {current, MakePhi(d)}, base_seed, &memo));
+      ScoreBatch(ctx, {current, MakePhi(d)}, base_seed, &memo));
   final_span.Stop();
 
   IdentifiedAggregate best;
@@ -443,40 +425,18 @@ Result<IdentifiedAggregate> AggregateIdentifier::IdentifyGreedy(
 
 Result<IdentifiedAggregate> AggregateIdentifier::Identify(
     const RangeQuery& query, Rng& rng, obs::QueryTrace* trace) const {
-  {
-    // Candidate-count guard: 4^d blows up around d ~ 6; use the greedy
-    // per-dimension refinement there instead.
-    std::vector<std::vector<size_t>> u_cands, v_cands;
-    BracketQuery(query, &u_cands, &v_cands);
-    size_t total = 1;
-    bool overflow = false;
-    for (size_t i = 0; i < u_cands.size(); ++i) {
-      size_t arity = u_cands[i].size() * v_cands[i].size();
-      if (total > options_.max_enumerated_candidates / std::max<size_t>(1, arity)) {
-        overflow = true;
-        break;
-      }
-      total *= arity;
-    }
-    if (overflow || total > options_.max_enumerated_candidates) {
-      return IdentifyGreedy(query, rng, trace);
-    }
-  }
+  AQPP_ASSIGN_OR_RETURN(BatchCandidateScorer::QueryContext ctx,
+                        scorer_->Prepare(query));
+  if (UsesGreedy(query)) return IdentifyGreedy(query, ctx, rng, trace);
   std::vector<PreAggregate> candidates = EnumerateCandidates(query);
   AQPP_CHECK(!candidates.empty());
 
   const uint64_t base_seed = rng.Next();
-  BatchCandidateScorer::QueryContext ctx_storage;
-  const BatchCandidateScorer::QueryContext* ctx = nullptr;
-  if (options_.use_batched_scorer) {
-    AQPP_ASSIGN_OR_RETURN(ctx_storage, scorer_->Prepare(query));
-    ctx = &ctx_storage;
-  }
   // EnumerateCandidates output is already deduplicated; no memo needed.
   obs::SpanTimer score_span(obs::Phase::kScoring, trace);
   AQPP_ASSIGN_OR_RETURN(
       std::vector<double> scores,
-      ScoreBatch(query, ctx, candidates, base_seed, /*memo=*/nullptr));
+      ScoreBatch(ctx, candidates, base_seed, /*memo=*/nullptr));
   score_span.Stop();
 
   // Sequential argmin with first-wins ties: deterministic regardless of how
@@ -500,51 +460,28 @@ Result<IdentifiedAggregate> AggregateIdentifier::Identify(
 
 Result<std::vector<ScoredCandidate>> AggregateIdentifier::ScoreAll(
     const RangeQuery& query, Rng& rng) const {
+  AQPP_ASSIGN_OR_RETURN(BatchCandidateScorer::QueryContext ctx,
+                        scorer_->Prepare(query));
   std::vector<ScoredCandidate> scored;
-  std::vector<std::vector<size_t>> u_cands, v_cands;
-  BracketQuery(query, &u_cands, &v_cands);
-  size_t total = 1;
-  bool overflow = false;
-  for (size_t i = 0; i < u_cands.size(); ++i) {
-    size_t arity = u_cands[i].size() * v_cands[i].size();
-    if (arity == 0 ||
-        total > options_.max_enumerated_candidates / arity) {
-      overflow = true;
-      break;
-    }
-    total *= arity;
-  }
-  if (overflow || total > options_.max_enumerated_candidates) {
+  if (UsesGreedy(query)) {
     // High d: report only the greedy winner and phi.
     AQPP_ASSIGN_OR_RETURN(auto greedy,
-                          IdentifyGreedy(query, rng, /*trace=*/nullptr));
+                          IdentifyGreedy(query, ctx, rng, /*trace=*/nullptr));
     scored.push_back({greedy.pre, greedy.scored_error});
     if (!greedy.pre.IsEmpty()) {
       const uint64_t base_seed = rng.Next();
-      BatchCandidateScorer::QueryContext ctx_storage;
-      const BatchCandidateScorer::QueryContext* ctx = nullptr;
-      if (options_.use_batched_scorer) {
-        AQPP_ASSIGN_OR_RETURN(ctx_storage, scorer_->Prepare(query));
-        ctx = &ctx_storage;
-      }
       PreAggregate phi = MakePhi(cube_->scheme().num_dims());
       AQPP_ASSIGN_OR_RETURN(
           std::vector<double> phi_err,
-          ScoreBatch(query, ctx, {phi}, base_seed, /*memo=*/nullptr));
+          ScoreBatch(ctx, {phi}, base_seed, /*memo=*/nullptr));
       scored.push_back({phi, phi_err[0]});
     }
   } else {
     std::vector<PreAggregate> candidates = EnumerateCandidates(query);
     const uint64_t base_seed = rng.Next();
-    BatchCandidateScorer::QueryContext ctx_storage;
-    const BatchCandidateScorer::QueryContext* ctx = nullptr;
-    if (options_.use_batched_scorer) {
-      AQPP_ASSIGN_OR_RETURN(ctx_storage, scorer_->Prepare(query));
-      ctx = &ctx_storage;
-    }
     AQPP_ASSIGN_OR_RETURN(
         std::vector<double> errs,
-        ScoreBatch(query, ctx, candidates, base_seed, /*memo=*/nullptr));
+        ScoreBatch(ctx, candidates, base_seed, /*memo=*/nullptr));
     for (size_t i = 0; i < candidates.size(); ++i) {
       scored.push_back({candidates[i], errs[i]});
     }

@@ -7,12 +7,14 @@
 // scored by estimating its CI on a cheap subsample (Section 5.2), and the
 // winner is used for the final full-sample estimate.
 //
-// Scoring runs through the batched pipeline of core/scoring.h by default:
-// the query mask and measure column are computed once per query, candidate
-// pre-masks are derived from a precomputed cell-id matrix, and candidates
-// are scored concurrently on the persistent thread pool. Every candidate's
-// RNG is seeded purely from (query base seed, candidate box), so results
-// are bit-identical regardless of thread count or schedule.
+// Scoring runs through the batched pipeline of core/scoring.h: the query
+// mask and measure column are computed once per query, candidate pre-masks
+// are derived from a precomputed cell-id matrix, and candidates are scored
+// concurrently on the persistent thread pool. Every candidate's RNG is
+// seeded by CandidateSeed, a pure function of (query base seed, candidate
+// box), so results are bit-identical regardless of thread count or
+// schedule. The per-candidate reference scorer these scores are tested
+// against lives in tests/identification_oracle.h.
 
 #ifndef AQPP_CORE_IDENTIFICATION_H_
 #define AQPP_CORE_IDENTIFICATION_H_
@@ -35,30 +37,34 @@
 namespace aqpp {
 
 struct IdentificationOptions {
-  // Subsampling rate for candidate scoring. <= 0 means "auto": min(1, 4/4^d)
-  // scaled so the identification overhead stays below one full-sample pass
-  // (the paper uses < 1/4^d).
+  // Subsampling rate for candidate scoring. <= 0 means "auto": 1/4^d, so
+  // the total scoring work (|P-| * subsample rows) stays below one pass over
+  // the full sample (Section 5.2), floored at 512 rows so the variance
+  // estimates stay usable, and capped at the whole sample.
   double subsample_rate = -1.0;
   double confidence_level = 0.95;
   // When true, score candidates on the full sample instead of a subsample
   // (exact error(q, pre); used by tests and the brute-force comparison).
   bool score_on_full_sample = false;
-  // When |P-| = 4^d + 1 exceeds this, fall back to greedy per-dimension
-  // bracket selection (O(4d) candidates instead of O(4^d), default keeps full enumeration
-  // through d = 4); keeps
-  // identification tractable at d ~ 10 (Figure 7's upper range).
+  // Largest |P-| that is enumerated and scored in full. Above it,
+  // identification falls back to greedy per-dimension bracket selection
+  // (O(4d) candidates instead of O(4^d)), which keeps it tractable at
+  // d ~ 10 (Figure 7's upper range). The default enumerates through d = 4
+  // (4^4 + 1 = 257 candidates).
   size_t max_enumerated_candidates = 320;
-  // Score candidates through the batched single-pass pipeline (cell-id
-  // matrix, shared query mask/measure, pooled parallel scoring). False
-  // falls back to per-candidate predicate evaluation — the legacy reference
-  // path kept for equivalence tests and ablation benchmarks. Both paths
-  // produce bit-identical scores for the same seed.
-  bool use_batched_scorer = true;
   // Thread pool for parallel candidate scoring; nullptr uses the
   // process-global pool. Tests inject fixed-size pools here to assert
   // schedule independence.
   ThreadPool* scoring_pool = nullptr;
 };
+
+// Deterministic per-candidate RNG seed: SplitMix64-mixes the candidate box
+// into the query's base seed (one Rng::Next() per scoring sweep). A
+// candidate's score is therefore a pure function of (base_seed, box): it
+// does not depend on which thread scores the box, in what order, or whether
+// a memo hit skipped it, which is what makes parallel identification
+// bit-identical to sequential.
+uint64_t CandidateSeed(uint64_t base_seed, const PreAggregate& pre);
 
 struct IdentifiedAggregate {
   PreAggregate pre;
@@ -126,20 +132,14 @@ class AggregateIdentifier {
   // Reads all measure planes of `pre` from the cube.
   PreValues ReadPreValues(const PreAggregate& pre) const;
 
-  // CI half-width of `query` w.r.t. `pre` on the scoring sample — the
-  // legacy per-candidate path (predicate re-evaluation, fresh vectors).
-  Result<double> ScoreCandidate(const RangeQuery& query,
-                                const PreAggregate& pre, Rng& rng) const;
-
-  // Scores every candidate in `cands`, memoizing by box within the query
-  // and scoring unmemoized boxes in parallel on the pool (batched path).
-  // `ctx` is the prepared batched query context, or nullptr for the legacy
-  // path. `memo` may be nullptr when the batch is known to be deduplicated
-  // (skips the key/map machinery). Deterministic either way: each box's RNG
-  // is seeded from (base_seed, box), so memo hits, dedup and scheduling can
-  // never change a score.
+  // Scores every candidate in `cands` against the prepared query context,
+  // memoizing by box within the query and scoring unmemoized boxes in
+  // parallel on the pool. `memo` may be nullptr when the batch is known to
+  // be deduplicated (skips the key/map machinery). Deterministic either way:
+  // each box's RNG is seeded by CandidateSeed(base_seed, box), so memo hits,
+  // dedup and scheduling can never change a score.
   Result<std::vector<double>> ScoreBatch(
-      const RangeQuery& query, const BatchCandidateScorer::QueryContext* ctx,
+      const BatchCandidateScorer::QueryContext& ctx,
       const std::vector<PreAggregate>& cands, uint64_t base_seed,
       ScoreMemo* memo) const;
 
@@ -148,10 +148,15 @@ class AggregateIdentifier {
                     std::vector<std::vector<size_t>>* u_cands,
                     std::vector<std::vector<size_t>>* v_cands) const;
 
+  // True when |P-| exceeds options_.max_enumerated_candidates, so `query`
+  // is identified by the greedy path instead of full enumeration.
+  bool UsesGreedy(const RangeQuery& query) const;
+
   // Greedy fallback for high d: fixes one dimension's bracket pair at a
   // time, scoring each option on the subsample (scores memoized per query).
-  Result<IdentifiedAggregate> IdentifyGreedy(const RangeQuery& query, Rng& rng,
-                                             obs::QueryTrace* trace) const;
+  Result<IdentifiedAggregate> IdentifyGreedy(
+      const RangeQuery& query, const BatchCandidateScorer::QueryContext& ctx,
+      Rng& rng, obs::QueryTrace* trace) const;
 
   const PrefixCube* cube_;
   const Sample* sample_;

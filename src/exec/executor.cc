@@ -1,11 +1,8 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
-#include "common/logging.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
@@ -54,10 +51,6 @@ struct ScanAccumulator {
   }
 };
 
-}  // namespace
-
-namespace {
-
 // Full-table scans are the expensive fallback the approximate paths exist to
 // avoid; counting them (and their latency) makes accidental exact-path
 // traffic visible in the exposition.
@@ -82,138 +75,23 @@ struct ScanMetrics {
 Result<double> ExactExecutor::Execute(const RangeQuery& query) const {
   AQPP_RETURN_NOT_OK(ValidateQuery(*table_, query));
   if (query.predicate.IsEmpty()) {
-    switch (query.func) {
-      case AggregateFunction::kSum:
-      case AggregateFunction::kCount:
-      case AggregateFunction::kAvg:
-      case AggregateFunction::kVar:
-        return 0.0;
-      case AggregateFunction::kMin:
-      case AggregateFunction::kMax:
-        return Status::FailedPrecondition("MIN/MAX over empty selection");
-    }
+    return kernels::EmptyPredicateAnswer(query.func);
   }
   const ScanMetrics& metrics = ScanMetrics::Get();
   metrics.scans->Increment();
   Timer timer;
-  Result<double> out =
-      options_.use_kernels ? ExecuteKernel(query) : ExecuteLegacy(query);
-  metrics.seconds->Observe(timer.ElapsedSeconds());
-  return out;
-}
-
-Result<double> ExactExecutor::ExecuteKernel(const RangeQuery& query) const {
-  kernels::ScanProfile profile = kernels::ScanProfile::kCount;
-  switch (query.func) {
-    case AggregateFunction::kCount:
-      profile = kernels::ScanProfile::kCount;
-      break;
-    case AggregateFunction::kSum:
-    case AggregateFunction::kAvg:
-      profile = kernels::ScanProfile::kSum;
-      break;
-    case AggregateFunction::kVar:
-      profile = kernels::ScanProfile::kMoments;
-      break;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      profile = kernels::ScanProfile::kMinMax;
-      break;
-  }
   kernels::ValueRef values;
   if (query.func != AggregateFunction::kCount) {
     values = kernels::ValueRef::FromColumn(table_->column(query.agg_column));
   }
-  AQPP_ASSIGN_OR_RETURN(
-      kernels::ScanStats stats,
-      kernels::ScanAggregate(*table_, query.predicate.conditions(), values,
-                             profile, ScanOpts(), &stats_));
-  switch (query.func) {
-    case AggregateFunction::kSum:
-      return stats.sum;
-    case AggregateFunction::kCount:
-      return stats.count;
-    case AggregateFunction::kAvg:
-      return stats.mean();
-    case AggregateFunction::kVar:
-      return stats.variance_population();
-    case AggregateFunction::kMin:
-      if (stats.count == 0) {
-        return Status::FailedPrecondition("MIN over empty selection");
-      }
-      return stats.min;
-    case AggregateFunction::kMax:
-      if (stats.count == 0) {
-        return Status::FailedPrecondition("MAX over empty selection");
-      }
-      return stats.max;
-  }
-  return Status::Internal("unreachable");
-}
-
-Result<double> ExactExecutor::ExecuteLegacy(const RangeQuery& query) const {
-  const size_t n = table_->num_rows();
-  const bool needs_value = query.func != AggregateFunction::kCount;
-  const Column* agg = needs_value ? &table_->column(query.agg_column) : nullptr;
-  const auto& conditions = query.predicate.conditions();
-
-  // Shards are the fixed kernels::kShardRows grid and partials merge in
-  // shard-index order, so the result does not depend on the thread count or
-  // on which thread finished first (the old completion-order merge did).
-  const size_t num_shards =
-      n == 0 ? 0 : (n + kernels::kShardRows - 1) / kernels::kShardRows;
-  std::vector<ScanAccumulator> shards(num_shards);
-  auto scan_shard = [&](size_t s) {
-    const size_t begin = s * kernels::kShardRows;
-    const size_t end = std::min(n, begin + kernels::kShardRows);
-    ScanAccumulator& local = shards[s];
-    for (size_t i = begin; i < end; ++i) {
-      bool match = true;
-      for (const auto& c : conditions) {
-        int64_t v = table_->column(c.column).GetInt64(i);
-        if (v < c.lo || v > c.hi) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      double x = needs_value ? agg->GetDouble(i) : 1.0;
-      local.moments.Add(x);
-      local.min = std::min(local.min, x);
-      local.max = std::max(local.max, x);
-    }
-  };
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : ThreadPool::Global();
-  if (options_.parallel && num_shards > 1 && pool.num_threads() > 1) {
-    ParallelForEach(num_shards, scan_shard, &pool);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) scan_shard(s);
-  }
-  ScanAccumulator total;
-  for (const ScanAccumulator& s : shards) total.Merge(s);
-
-  switch (query.func) {
-    case AggregateFunction::kSum:
-      return total.moments.sum();
-    case AggregateFunction::kCount:
-      return total.moments.count();
-    case AggregateFunction::kAvg:
-      return total.moments.mean();
-    case AggregateFunction::kVar:
-      return total.moments.variance_population();
-    case AggregateFunction::kMin:
-      if (total.moments.count() == 0) {
-        return Status::FailedPrecondition("MIN over empty selection");
-      }
-      return total.min;
-    case AggregateFunction::kMax:
-      if (total.moments.count() == 0) {
-        return Status::FailedPrecondition("MAX over empty selection");
-      }
-      return total.max;
-  }
-  return Status::Internal("unreachable");
+  kernels::ScanOptions opts;
+  opts.pool = options_.pool;
+  Result<kernels::ScanStats> stats = kernels::ScanAggregate(
+      *table_, query.predicate.conditions(), values,
+      kernels::ProfileFor(query.func), opts, &stats_);
+  metrics.seconds->Observe(timer.ElapsedSeconds());
+  AQPP_RETURN_NOT_OK(stats.status());
+  return kernels::AnswerFromStats(query.func, *stats);
 }
 
 Result<std::vector<GroupResult>> ExactExecutor::ExecuteGroupBy(
@@ -246,12 +124,7 @@ Result<std::vector<GroupResult>> ExactExecutor::ExecuteGroupBy(
     alignas(64) uint32_t sel[kernels::kChunkRows];
     for (size_t base = 0; base < n; base += kernels::kChunkRows) {
       const size_t stop = std::min(n, base + kernels::kChunkRows);
-      size_t k;
-      if (options_.use_kernels) {
-        k = kernels::EvaluateChunk(pred, base, stop, mask);
-      } else {
-        k = kernels::FillMaskScalar(pred, base, stop, mask);
-      }
+      size_t k = kernels::EvaluateChunk(pred, base, stop, mask);
       if (k == 0) continue;
       k = kernels::MaskToSelection(mask, stop - base, sel);
       for (size_t j = 0; j < k; ++j) {

@@ -2,12 +2,12 @@
 //
 // This is the ground-truth path: benchmarks use it to compute true answers
 // and relative errors, and the AggPre baseline uses it when a query cannot
-// be answered from the cube. Scalar scans run on the vectorized kernel layer
-// (src/kernels/) by default; the original row-at-a-time implementation stays
-// available behind ExecutorOptions::use_kernels = false as an ablation
-// baseline and test oracle. Both paths shard the table on the fixed
-// kernels::kShardRows grid and merge shard results in shard-index order, so
-// answers are bit-identical run-to-run and across thread counts.
+// be answered from the cube. Scans run on the vectorized kernel layer
+// (src/kernels/), which shards the table on the fixed kernels::kShardRows
+// grid and merges shard results in shard-index order, so answers are
+// bit-identical run-to-run and across thread counts. The row-at-a-time
+// reference these answers are tested against lives in
+// tests/exact_scan_oracle.h.
 
 #ifndef AQPP_EXEC_EXECUTOR_H_
 #define AQPP_EXEC_EXECUTOR_H_
@@ -28,18 +28,8 @@ struct GroupResult {
 };
 
 struct ExecutorOptions {
-  // Vectorized kernel scans; false selects the legacy row-at-a-time loop.
-  bool use_kernels = true;
-  // Chunk aggregation strategy for the kernel path (ablation knob).
-  kernels::ScanStrategy strategy = kernels::ScanStrategy::kAdaptive;
   // Pool for shard dispatch (process-global pool when null).
   ThreadPool* pool = nullptr;
-  // Sequential shard processing when false; results are identical either way.
-  bool parallel = true;
-  // Shared-scan batching (BatchScanExecutor): fuse concurrent same-table
-  // queries into one pass. False is the per-query ablation baseline; results
-  // are bit-identical either way, this is purely a scheduling knob.
-  bool fuse_batches = true;
 };
 
 class ExactExecutor {
@@ -65,16 +55,6 @@ class ExactExecutor {
   const ExecutorOptions& options() const { return options_; }
 
  private:
-  Result<double> ExecuteKernel(const RangeQuery& query) const;
-  Result<double> ExecuteLegacy(const RangeQuery& query) const;
-  kernels::ScanOptions ScanOpts() const {
-    kernels::ScanOptions opts;
-    opts.strategy = options_.strategy;
-    opts.pool = options_.pool;
-    opts.parallel = options_.parallel;
-    return opts;
-  }
-
   const Table* table_;
   ExecutorOptions options_;
   // Lazily built per-column min/max for bind-time full-range elision;

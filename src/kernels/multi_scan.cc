@@ -3,43 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace aqpp {
 namespace kernels {
-
-namespace {
-
-// Source-wide bound condition (post full-range/disjoint elision), same shape
-// the solo source scan uses.
-struct SourceCond {
-  size_t column;
-  int64_t lo;
-  int64_t hi;
-};
-
-struct BoundSourceMember {
-  Status status = Status::OK();
-  std::vector<SourceCond> bound;
-  bool never_matches = false;
-  bool value_is_double = false;
-  // Participates in the extent walk (ok, matches something, rows exist).
-  bool active = false;
-};
-
-struct PruneMetrics {
-  obs::Counter* skipped;
-  static const PruneMetrics& Get() {
-    static const PruneMetrics m = {
-        obs::Registry::Global().GetCounter(
-            "aqpp_extents_skipped_total", "",
-            "Extents skipped by zone-map pruning (never decoded)."),
-    };
-    return m;
-  }
-};
-
-}  // namespace
 
 void MultiScanBlock(const std::vector<MultiScanMember>& members, size_t begin,
                     size_t end, ScanStrategy strategy,
@@ -67,36 +32,6 @@ void MultiScanBlock(const std::vector<MultiScanMember>& members, size_t begin,
       }
     }
   }
-}
-
-std::vector<ScanStats> MultiScanBound(
-    const std::vector<MultiScanMember>& members, size_t n,
-    const ScanOptions& opts) {
-  const size_t q = members.size();
-  std::vector<ScanStats> out(q);
-  if (q == 0 || n == 0) return out;
-  const size_t num_shards = (n + kShardRows - 1) / kShardRows;
-  // accs[s * q + i]: member i's accumulator for shard s. Shards never share
-  // accumulators across threads; members never share them at all.
-  std::vector<internal::ShardAccum> accs(num_shards * q);
-  auto run_shard = [&](size_t s) {
-    const size_t begin = s * kShardRows;
-    const size_t end = std::min(n, begin + kShardRows);
-    MultiScanBlock(members, begin, end, opts.strategy, accs.data() + s * q);
-  };
-  ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::Global();
-  if (opts.parallel && num_shards > 1 && pool.num_threads() > 1) {
-    ParallelForEach(num_shards, run_shard, &pool);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) run_shard(s);
-  }
-  // Per member: shard-index-order merge, identical to the solo Finalize.
-  std::vector<internal::ShardAccum> shard_col(num_shards);
-  for (size_t i = 0; i < q; ++i) {
-    for (size_t s = 0; s < num_shards; ++s) shard_col[s] = accs[s * q + i];
-    out[i] = internal::Finalize(shard_col);
-  }
-  return out;
 }
 
 std::vector<Result<std::vector<uint8_t>>> MultiEvaluateMask(
@@ -151,257 +86,6 @@ std::vector<Result<std::vector<uint8_t>>> MultiEvaluateMask(
     }
   }
   return out;
-}
-
-MultiSourceScanResult MultiScanSource(
-    ColumnSource& source, const std::vector<MultiSourceMember>& members,
-    const SourceScanOptions& opts) {
-  const size_t q = members.size();
-  const size_t num_cols = source.schema().num_columns();
-  const size_t num_extents = source.num_extents();
-  MultiSourceScanResult result;
-  result.members.resize(q);
-  result.extents_total = num_extents;
-  if (q == 0) return result;
-
-  // Source-wide bind, per member, with the exact validation and elision the
-  // solo path applies. A malformed member is marked and excluded; its
-  // siblings scan normally.
-  std::vector<BoundSourceMember> bound(q);
-  size_t up_front_skips = 0;
-  for (size_t i = 0; i < q; ++i) {
-    const MultiSourceMember& m = members[i];
-    BoundSourceMember& b = bound[i];
-    if (m.profile != ScanProfile::kCount &&
-        (m.value_column < 0 ||
-         static_cast<size_t>(m.value_column) >= num_cols)) {
-      b.status = Status::InvalidArgument("scan profile requires a value column");
-      continue;
-    }
-    bool bad = false;
-    for (const auto& c : m.conds) {
-      if (c.column >= num_cols) {
-        b.status = Status::InvalidArgument("condition references missing column");
-        bad = true;
-        break;
-      }
-      if (source.schema().column(c.column).type == DataType::kDouble) {
-        b.status = Status::InvalidArgument(
-            "range conditions require an ordinal column; '" +
-            source.schema().column(c.column).name + "' is DOUBLE");
-        bad = true;
-        break;
-      }
-      ConditionClass cls = ClassifyCondition(c.lo, c.hi, nullptr);
-      if (cls == ConditionClass::kEffective) {
-        ColumnStatsCache::MinMax mm;
-        if (source.ColumnMinMax(c.column, &mm.min, &mm.max)) {
-          cls = ClassifyCondition(c.lo, c.hi, &mm);
-        }
-      }
-      switch (cls) {
-        case ConditionClass::kNeverMatches:
-          b.never_matches = true;
-          break;
-        case ConditionClass::kFullRange:
-          break;
-        case ConditionClass::kEffective:
-          b.bound.push_back({c.column, c.lo, c.hi});
-          break;
-      }
-    }
-    if (bad) continue;
-    if (b.never_matches || source.num_rows() == 0) {
-      // Same zero result the solo path returns without touching data.
-      result.members[i].extents_skipped = num_extents;
-      up_front_skips += num_extents;
-      continue;
-    }
-    b.value_is_double =
-        m.profile == ScanProfile::kCount ||
-        source.schema().column(static_cast<size_t>(m.value_column)).type ==
-            DataType::kDouble;
-    b.active = true;
-  }
-
-  bool any_active = false;
-  for (const auto& b : bound) any_active = any_active || b.active;
-  if (!any_active) {
-    for (size_t i = 0; i < q; ++i) result.members[i].status = bound[i].status;
-    if (up_front_skips > 0) PruneMetrics::Get().skipped->Increment(up_front_skips);
-    return result;
-  }
-
-  // accs[e * q + i]: member i's accumulator for extent e (== shard e).
-  std::vector<internal::ShardAccum> accs(num_extents * q);
-  std::vector<uint8_t> member_skip(num_extents * q, 0);
-  std::vector<Status> member_err(num_extents * q, Status::OK());
-  std::vector<uint8_t> extent_pinned(num_extents, 0);
-
-  auto run_extent = [&](size_t e) {
-    const size_t rows = source.ExtentRows(e);
-    // Zone-map pass for the whole batch: each (extent, column) zone map is
-    // fetched at most once, then every member's conditions are classified
-    // against the cached zones.
-    std::vector<uint8_t> zone_fetched(num_cols, 0);
-    std::vector<uint8_t> zone_present(num_cols, 0);
-    std::vector<ColumnStatsCache::MinMax> zones(num_cols);
-    auto zone_for = [&](size_t col) -> const ColumnStatsCache::MinMax* {
-      if (!opts.zone_map_pruning) return nullptr;
-      if (!zone_fetched[col]) {
-        zone_fetched[col] = 1;
-        zone_present[col] = source.ZoneMap(e, col, &zones[col].min,
-                                           &zones[col].max)
-                                ? 1
-                                : 0;
-      }
-      return zone_present[col] ? &zones[col] : nullptr;
-    };
-
-    // Per member: extent-local condition set (zone-covered conditions
-    // dropped) or a skip decision. Exactly the solo per-extent logic, run
-    // once per member against the shared zone cache.
-    struct ExtentMember {
-      std::vector<SourceCond> conds;  // surviving, need their columns pinned
-      bool scans = false;
-    };
-    std::vector<ExtentMember> ems(q);
-    for (size_t i = 0; i < q; ++i) {
-      if (!bound[i].active) continue;
-      ExtentMember& em = ems[i];
-      bool skip = false;
-      for (const SourceCond& c : bound[i].bound) {
-        switch (ClassifyCondition(c.lo, c.hi, zone_for(c.column))) {
-          case ConditionClass::kNeverMatches:
-            // Disproved by the zone map for THIS member: skipping the extent
-            // is bit-identical to scanning it (empty selections never touch
-            // the accumulators). Siblings still scan.
-            skip = true;
-            break;
-          case ConditionClass::kFullRange:
-            continue;
-          case ConditionClass::kEffective:
-            em.conds.push_back(c);
-            continue;
-        }
-        if (skip) break;
-      }
-      if (skip) {
-        member_skip[e * q + i] = 1;
-        em.conds.clear();
-      } else {
-        em.scans = true;
-      }
-    }
-
-    // Shared pin pass: each column any surviving member needs is pinned
-    // (decoded) exactly once for the batch. A pin failure poisons only the
-    // members that needed that column in this extent.
-    std::vector<uint8_t> pin_tried(num_cols, 0);
-    std::vector<Status> pin_status(num_cols, Status::OK());
-    std::vector<ColumnSource::PinnedColumn> pins(num_cols);
-    auto pin_for = [&](size_t col) -> const Status& {
-      if (!pin_tried[col]) {
-        pin_tried[col] = 1;
-        extent_pinned[e] = 1;
-        auto pin = source.Pin(e, col);
-        if (pin.ok()) {
-          pins[col] = std::move(*pin);
-        } else {
-          pin_status[col] = pin.status();
-        }
-      }
-      return pin_status[col];
-    };
-
-    std::vector<MultiScanMember> scan_members;
-    std::vector<size_t> scan_idx;
-    std::vector<BoundPredicate> scan_preds;
-    scan_members.reserve(q);
-    scan_idx.reserve(q);
-    scan_preds.reserve(q);  // stable: pointers into it are handed out
-    for (size_t i = 0; i < q; ++i) {
-      if (!ems[i].scans) continue;
-      Status failed = Status::OK();
-      BoundPredicate pred;
-      for (const SourceCond& c : ems[i].conds) {
-        const Status& st = pin_for(c.column);
-        if (!st.ok()) {
-          failed = st;
-          break;
-        }
-        pred.conds.push_back({pins[c.column].ints, c.lo, c.hi});
-      }
-      // COUNT with no surviving conditions never reads values; otherwise the
-      // aggregation column is pinned (shared with any sibling using it).
-      ValueRef values;
-      if (failed.ok() && members[i].profile != ScanProfile::kCount) {
-        const size_t vc = static_cast<size_t>(members[i].value_column);
-        const Status& st = pin_for(vc);
-        if (!st.ok()) {
-          failed = st;
-        } else if (bound[i].value_is_double) {
-          values.dbl = pins[vc].dbls;
-        } else {
-          values.i64 = pins[vc].ints;
-        }
-      }
-      if (!failed.ok()) {
-        member_err[e * q + i] = failed;
-        continue;
-      }
-      scan_idx.push_back(i);
-      scan_preds.push_back(std::move(pred));
-      scan_members.push_back(
-          {/*pred=*/nullptr, values, members[i].profile});
-    }
-    if (scan_members.empty()) return;
-    for (size_t j = 0; j < scan_members.size(); ++j) {
-      scan_members[j].pred = &scan_preds[j];
-    }
-    std::vector<internal::ShardAccum> local(scan_members.size());
-    MultiScanBlock(scan_members, 0, rows, opts.strategy, local.data());
-    for (size_t j = 0; j < scan_idx.size(); ++j) {
-      accs[e * q + scan_idx[j]] = local[j];
-    }
-  };
-
-  ThreadPool& pool = opts.pool != nullptr ? *opts.pool : ThreadPool::Global();
-  if (opts.parallel && num_extents > 1 && pool.num_threads() > 1) {
-    ParallelForEach(num_extents, run_extent, &pool);
-  } else {
-    for (size_t e = 0; e < num_extents; ++e) run_extent(e);
-  }
-
-  size_t total_skips = up_front_skips;
-  std::vector<internal::ShardAccum> shard_col(num_extents);
-  for (size_t i = 0; i < q; ++i) {
-    MultiSourceMemberResult& mr = result.members[i];
-    if (!bound[i].status.ok()) {
-      mr.status = bound[i].status;
-      continue;
-    }
-    if (!bound[i].active) continue;  // up-front skips already counted
-    // First extent-order error of an extent this member actually needed.
-    for (size_t e = 0; e < num_extents; ++e) {
-      if (!member_err[e * q + i].ok()) {
-        mr.status = member_err[e * q + i];
-        break;
-      }
-    }
-    for (size_t e = 0; e < num_extents; ++e) {
-      mr.extents_skipped += member_skip[e * q + i];
-    }
-    mr.extents_scanned = num_extents - mr.extents_skipped;
-    total_skips += mr.extents_skipped;
-    if (!mr.status.ok()) continue;  // stats stay default under an error
-    // Extent-index (== shard-index) order merge, same as the solo path.
-    for (size_t e = 0; e < num_extents; ++e) shard_col[e] = accs[e * q + i];
-    mr.stats = internal::Finalize(shard_col);
-  }
-  for (uint8_t p : extent_pinned) result.extents_pinned += p;
-  if (total_skips > 0) PruneMetrics::Get().skipped->Increment(total_skips);
-  return result;
 }
 
 }  // namespace kernels

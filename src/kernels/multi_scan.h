@@ -1,30 +1,25 @@
-// Fused multi-query scans: N conjunctive filter+aggregate queries answered
-// in ONE pass over the chunk/shard (or extent) grid.
+// Fused multi-query scans: N conjunctive filters evaluated in ONE pass over
+// the chunk grid.
 //
-// Concurrent interactive workloads are template-skewed: many in-flight
-// queries hit the same table, often the same columns, with different ranges.
-// Running each one as its own scan streams the same bytes from memory N
-// times. The fused scan walks the grid once; per chunk (2048 rows, resident
-// in L1 after the first member touches it) it evaluates every member's
-// predicate and feeds every member's accumulator lanes before moving on, so
-// the table's bytes travel the memory hierarchy once per batch instead of
-// once per query.
+// Many in-flight queries hit the same table with different ranges. Running
+// each one as its own scan streams the same bytes from memory N times. The
+// fused scan walks the grid once; per chunk (2048 rows, resident in L1 after
+// the first member touches it) it evaluates every member's predicate before
+// moving on, so the table's bytes travel the memory hierarchy once per batch
+// instead of once per query.
 //
 // Bit-identity contract: each member's work is the exact per-chunk sequence
 // its solo scan would have run — same ChunkScanState prediction sequence,
-// same strategy decisions, same lane feeding order, same shard-index-order
-// merge (see scan_internal.h). Only the interleaving across members changes,
-// and members never share accumulators, so every member's COUNT / SUM /
-// moments / MIN / MAX result is bit-identical to running it alone, at any
-// thread count and under any batch composition.
+// same strategy decisions, same lane feeding order (see scan_internal.h).
+// Only the interleaving across members changes, and members never share
+// accumulators or masks, so every member's result is bit-identical to
+// running it alone, under any batch composition.
 //
-// Three entry points:
-//   * MultiScanBound / MultiScanBlock — in-memory spans (Table-backed).
-//   * MultiEvaluateMask              — fused 0/1 row masks (the sample-side
-//     scan the service's batched estimation path shares across members).
-//   * MultiScanSource                — ColumnSource extents: zone maps are
-//     classified once per extent per batch, and each needed column is pinned
-//     (decoded) once per extent for the whole batch instead of per member.
+// Two entry points:
+//   * MultiScanBlock    — filter + aggregate over one shard-grid block (the
+//     shard worker's fused exact partials).
+//   * MultiEvaluateMask — fused 0/1 row masks (the sample-side pass the
+//     service's and the shard worker's batches share across members).
 
 #ifndef AQPP_KERNELS_MULTI_SCAN_H_
 #define AQPP_KERNELS_MULTI_SCAN_H_
@@ -33,8 +28,6 @@
 
 #include "kernels/scan.h"
 #include "kernels/scan_internal.h"
-#include "kernels/source_scan.h"
-#include "storage/column_source.h"
 
 namespace aqpp {
 namespace kernels {
@@ -51,19 +44,10 @@ struct MultiScanMember {
 // Fused scan of rows [begin, end) — one shard-grid block — for all members,
 // chunk-interleaved, accumulating into accs[member] (length members.size()).
 // Sequential; callers own parallelism and merging. Used per block by the
-// shard worker's exact partial lanes and per shard by MultiScanBound.
+// shard worker's exact partial lanes.
 void MultiScanBlock(const std::vector<MultiScanMember>& members, size_t begin,
                     size_t end, ScanStrategy strategy,
                     internal::ShardAccum* accs);
-
-// Fused scan over rows [0, n): one pass over the fixed chunk/shard grid,
-// returning per-member ScanStats (index-aligned with `members`). Each
-// member's stats are bit-identical to ScanAggregateBound on its predicate
-// alone. Members whose predicate never_matches cost nothing and return the
-// same zero stats their solo scan would.
-std::vector<ScanStats> MultiScanBound(
-    const std::vector<MultiScanMember>& members, size_t n,
-    const ScanOptions& opts = {});
 
 // Fused counterpart of EvaluateMask: one pass over `table` computing every
 // member conjunction's 0/1 row mask. Per-member results isolate binding
@@ -72,42 +56,6 @@ std::vector<ScanStats> MultiScanBound(
 std::vector<Result<std::vector<uint8_t>>> MultiEvaluateMask(
     const Table& table,
     const std::vector<std::vector<RangeCondition>>& member_conds);
-
-// One member of a fused ColumnSource scan.
-struct MultiSourceMember {
-  std::vector<RangeCondition> conds;
-  // Aggregation column; negative for COUNT-only members.
-  int value_column = -1;
-  ScanProfile profile = ScanProfile::kCount;
-};
-
-struct MultiSourceMemberResult {
-  // InvalidArgument for a malformed member; the first (extent-order) IO
-  // error of an extent this member actually needed; OK otherwise. Errors are
-  // member-local: siblings keep their own status.
-  Status status = Status::OK();
-  ScanStats stats;
-  // Extents proven empty for THIS member by zone maps alone.
-  size_t extents_skipped = 0;
-  size_t extents_scanned = 0;
-};
-
-struct MultiSourceScanResult {
-  std::vector<MultiSourceMemberResult> members;  // index-aligned
-  size_t extents_total = 0;
-  // Extents that had at least one column pinned (decoded) for the batch.
-  size_t extents_pinned = 0;
-};
-
-// Fused scan of `source` for all members: per extent, every member's
-// conditions are classified against the zone map once for the whole batch,
-// then each column any surviving member needs is pinned exactly once and
-// shared. Per-member stats are bit-identical to ScanAggregateSource on that
-// member alone (skipping an extent is bit-identical to scanning it — empty
-// selections never touch the accumulators).
-MultiSourceScanResult MultiScanSource(
-    ColumnSource& source, const std::vector<MultiSourceMember>& members,
-    const SourceScanOptions& opts = SourceScanOptions());
 
 }  // namespace kernels
 }  // namespace aqpp

@@ -7,6 +7,54 @@
 namespace aqpp {
 namespace kernels {
 
+ScanProfile ProfileFor(AggregateFunction func) {
+  switch (func) {
+    case AggregateFunction::kCount:
+      return ScanProfile::kCount;
+    case AggregateFunction::kSum:
+    case AggregateFunction::kAvg:
+      return ScanProfile::kSum;
+    case AggregateFunction::kVar:
+      return ScanProfile::kMoments;
+    case AggregateFunction::kMin:
+    case AggregateFunction::kMax:
+      return ScanProfile::kMinMax;
+  }
+  return ScanProfile::kCount;
+}
+
+Result<double> EmptyPredicateAnswer(AggregateFunction func) {
+  if (func == AggregateFunction::kMin || func == AggregateFunction::kMax) {
+    return Status::FailedPrecondition("MIN/MAX over empty selection");
+  }
+  return 0.0;
+}
+
+Result<double> AnswerFromStats(AggregateFunction func,
+                               const ScanStats& stats) {
+  switch (func) {
+    case AggregateFunction::kSum:
+      return stats.sum;
+    case AggregateFunction::kCount:
+      return stats.count;
+    case AggregateFunction::kAvg:
+      return stats.mean();
+    case AggregateFunction::kVar:
+      return stats.variance_population();
+    case AggregateFunction::kMin:
+      if (stats.count == 0) {
+        return Status::FailedPrecondition("MIN over empty selection");
+      }
+      return stats.min;
+    case AggregateFunction::kMax:
+      if (stats.count == 0) {
+        return Status::FailedPrecondition("MAX over empty selection");
+      }
+      return stats.max;
+  }
+  return Status::Internal("unreachable");
+}
+
 ScanStats ScanAggregateBound(const BoundPredicate& pred, size_t n,
                              ValueRef values, ScanProfile profile,
                              const ScanOptions& opts) {

@@ -74,6 +74,24 @@ struct ScanStats {
   }
 };
 
+// The exact-answer contract every exact scan path shares
+// (ExactExecutor::Execute, ExecuteQueryOnSource, the shard worker's exact
+// partials): which profile an aggregate function scans with, and how the
+// resulting stats become its answer.
+
+// Scan profile `func` needs: COUNT -> kCount, SUM/AVG -> kSum,
+// VAR -> kMoments, MIN/MAX -> kMinMax.
+ScanProfile ProfileFor(AggregateFunction func);
+
+// Answer of `func` over a predicate that is empty by construction
+// (RangePredicate::IsEmpty), reached without touching data: 0 for
+// SUM/COUNT/AVG/VAR, FailedPrecondition for MIN/MAX.
+Result<double> EmptyPredicateAnswer(AggregateFunction func);
+
+// Answer of `func` from a scan's stats. AVG/VAR of an empty selection are
+// 0; MIN/MAX of an empty selection are FailedPrecondition.
+Result<double> AnswerFromStats(AggregateFunction func, const ScanStats& stats);
+
 // Fused filter + aggregate over all rows of `table`. `values` supplies the
 // aggregation input (ignored for ScanProfile::kCount; required otherwise).
 // `stats`, when given, enables the bind-time full-range/disjoint condition

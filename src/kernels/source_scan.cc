@@ -182,63 +182,15 @@ Result<double> ExecuteQueryOnSource(ColumnSource& source,
       query.agg_column >= source.schema().num_columns()) {
     return Status::InvalidArgument("aggregate column out of range");
   }
-  if (query.predicate.IsEmpty()) {
-    switch (query.func) {
-      case AggregateFunction::kSum:
-      case AggregateFunction::kCount:
-      case AggregateFunction::kAvg:
-      case AggregateFunction::kVar:
-        return 0.0;
-      case AggregateFunction::kMin:
-      case AggregateFunction::kMax:
-        return Status::FailedPrecondition("MIN/MAX over empty selection");
-    }
-  }
-  ScanProfile profile = ScanProfile::kCount;
-  switch (query.func) {
-    case AggregateFunction::kCount:
-      profile = ScanProfile::kCount;
-      break;
-    case AggregateFunction::kSum:
-    case AggregateFunction::kAvg:
-      profile = ScanProfile::kSum;
-      break;
-    case AggregateFunction::kVar:
-      profile = ScanProfile::kMoments;
-      break;
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      profile = ScanProfile::kMinMax;
-      break;
-  }
+  if (query.predicate.IsEmpty()) return EmptyPredicateAnswer(query.func);
   const int value_column = query.func == AggregateFunction::kCount
                                ? -1
                                : static_cast<int>(query.agg_column);
   AQPP_ASSIGN_OR_RETURN(
       SourceScanResult r,
       ScanAggregateSource(source, query.predicate.conditions(), value_column,
-                          profile, opts));
-  switch (query.func) {
-    case AggregateFunction::kSum:
-      return r.stats.sum;
-    case AggregateFunction::kCount:
-      return r.stats.count;
-    case AggregateFunction::kAvg:
-      return r.stats.mean();
-    case AggregateFunction::kVar:
-      return r.stats.variance_population();
-    case AggregateFunction::kMin:
-      if (r.stats.count == 0) {
-        return Status::FailedPrecondition("MIN over empty selection");
-      }
-      return r.stats.min;
-    case AggregateFunction::kMax:
-      if (r.stats.count == 0) {
-        return Status::FailedPrecondition("MAX over empty selection");
-      }
-      return r.stats.max;
-  }
-  return Status::Internal("unreachable");
+                          ProfileFor(query.func), opts));
+  return AnswerFromStats(query.func, r.stats);
 }
 
 }  // namespace kernels

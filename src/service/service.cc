@@ -48,7 +48,9 @@ struct ServiceMetrics {
   }
 };
 
-// Batch-pass metrics: same series the exec-layer BatchScanExecutor feeds.
+// Batch-pass metrics: same series the shard worker server feeds. Registered
+// when the service is constructed, so METRICS lists them before the first
+// batch forms.
 struct BatchServiceMetrics {
   obs::Counter* fused;
   obs::Histogram* batch_size;
@@ -152,6 +154,7 @@ QueryService::QueryService(EngineRef engine, ServiceOptions options)
       sessions_(options_.sessions),
       cache_(options_.cache),
       admission_(options_.admission) {
+  (void)BatchServiceMetrics::Get();
   engine_.Warmup();
   latencies_.resize(std::max<size_t>(1, options_.latency_window), 0.0);
 }

@@ -27,18 +27,6 @@ size_t CutsPerDimension(size_t budget, size_t dims) {
   return std::max<size_t>(2, static_cast<size_t>(per));
 }
 
-kernels::ScanProfile ProfileFor(AggregateFunction func) {
-  switch (func) {
-    case AggregateFunction::kCount:
-      return kernels::ScanProfile::kCount;
-    case AggregateFunction::kSum:
-    case AggregateFunction::kAvg:
-      return kernels::ScanProfile::kSum;
-    default:
-      return kernels::ScanProfile::kMoments;
-  }
-}
-
 Status ValidateQuery(const RangeQuery& query, const Table& table) {
   if (!query.group_by.empty()) {
     return Status::InvalidArgument("shard partials are scalar-only");
@@ -253,7 +241,7 @@ std::vector<Result<ShardPartial>> ShardWorker::PartialBatch(
     preds[i] = std::move(*bound);
     kernels::MultiScanMember m;
     m.pred = &preds[i];
-    m.profile = ProfileFor(requests[i].query.func);
+    m.profile = kernels::ProfileFor(requests[i].query.func);
     if (requests[i].query.func != AggregateFunction::kCount) {
       m.values = kernels::ValueRef::FromColumn(
           table_->column(requests[i].query.agg_column));
@@ -364,7 +352,7 @@ Status ShardWorker::ComputeExact(const RangeQuery& query,
   AQPP_ASSIGN_OR_RETURN(
       kernels::BoundPredicate pred,
       kernels::BindConditions(*table_, query.predicate.conditions()));
-  kernels::ScanProfile profile = ProfileFor(query.func);
+  kernels::ScanProfile profile = kernels::ProfileFor(query.func);
   kernels::ValueRef values;
   if (query.func != AggregateFunction::kCount) {
     values = kernels::ValueRef::FromColumn(table_->column(query.agg_column));

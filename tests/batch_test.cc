@@ -1,14 +1,11 @@
-// Shared-scan batch execution: fused batches must be bit-identical to solo
-// runs for every batch composition, thread count, and source flavor; batch
-// formation in the admission controller must group same-key jobs; the
-// service's single-flight dedup must share outcomes without ever fanning an
-// error out or re-inserting a stale cache entry; and a member failing
-// mid-batch (chaos lane) must never poison its siblings.
+// Batching: fused shard partial batches must be bit-identical to solo
+// partials; batch formation in the admission controller must group same-key
+// jobs; and the service's single-flight dedup must share outcomes without
+// ever fanning an error out or re-inserting a stale cache entry.
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <future>
 #include <memory>
@@ -18,17 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/failpoint.h"
-#include "common/parallel.h"
 #include "core/engine.h"
-#include "exec/batch_scan.h"
-#include "exec/executor.h"
-#include "kernels/source_scan.h"
+#include "kernels/kernels.h"
 #include "service/admission.h"
 #include "service/service.h"
 #include "shard/worker.h"
-#include "storage/column_source.h"
-#include "storage/extent_file.h"
 #include "test_util.h"
 
 namespace aqpp {
@@ -49,143 +40,6 @@ bool WaitFor(const std::function<bool()>& pred) {
     std::this_thread::sleep_for(1ms);
   }
   return pred();
-}
-
-// ---------------------------------------------------------------------------
-// Randomized equivalence fuzz: batched == sequential, bit for bit.
-// ---------------------------------------------------------------------------
-
-// Draws a random scalar query against the synthetic c1/c2/a schema. Mixes
-// aggregate functions (MIN/MAX included), empty predicates, never-matching
-// ranges, and the occasional invalid member (bad aggregate column) so error
-// isolation is fuzzed alongside the happy path.
-RangeQuery RandomQuery(Rng& rng) {
-  RangeQuery q;
-  switch (rng.NextInt(0, 5)) {
-    case 0: q.func = AggregateFunction::kCount; break;
-    case 1: q.func = AggregateFunction::kSum; break;
-    case 2: q.func = AggregateFunction::kAvg; break;
-    case 3: q.func = AggregateFunction::kVar; break;
-    case 4: q.func = AggregateFunction::kMin; break;
-    default: q.func = AggregateFunction::kMax; break;
-  }
-  q.agg_column = rng.NextInt(0, 9) == 0 ? 99 : 2;  // ~10% invalid members
-  int preds = static_cast<int>(rng.NextInt(0, 2));
-  for (int p = 0; p < preds; ++p) {
-    size_t col = static_cast<size_t>(rng.NextInt(0, 1));
-    int64_t lo = rng.NextInt(1, 100);
-    int64_t hi = rng.NextInt(0, 9) == 0 ? lo - 1  // never-matching range
-                                        : rng.NextInt(lo, 120);
-    q.predicate.Add({col, lo, hi});
-  }
-  return q;
-}
-
-void ExpectSameOutcome(const Result<double>& got, const Result<double>& want,
-                       const std::string& label) {
-  if (!want.ok()) {
-    ASSERT_FALSE(got.ok()) << label;
-    EXPECT_EQ(got.status().code(), want.status().code()) << label;
-    EXPECT_EQ(got.status().message(), want.status().message()) << label;
-    return;
-  }
-  ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
-  EXPECT_EQ(Bits(*got), Bits(*want))
-      << label << " got " << *got << " want " << *want;
-}
-
-TEST(BatchEquivalenceTest, FusedBatchMatchesSoloBitsAcrossThreadCounts) {
-  auto table = testutil::MakeSynthetic({.rows = 50000});
-  ExactExecutor solo(table.get());
-  Rng rng = testutil::MakeTestRng(8101);
-
-  for (int round = 0; round < 12; ++round) {
-    size_t batch_size = 1 + static_cast<size_t>(rng.NextInt(0, 15));
-    std::vector<RangeQuery> queries;
-    queries.reserve(batch_size);
-    std::vector<Result<double>> want;
-    for (size_t i = 0; i < batch_size; ++i) {
-      queries.push_back(RandomQuery(rng));
-      want.push_back(solo.Execute(queries.back()));
-    }
-    for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-      ThreadPool pool(threads);
-      ExecutorOptions opts;
-      opts.pool = &pool;
-      opts.parallel = threads > 1;
-      BatchScanExecutor batch(table.get(), opts);
-      auto got = batch.ExecuteBatch(queries);
-      ASSERT_EQ(got.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        ExpectSameOutcome(got[i], want[i],
-                          "round=" + std::to_string(round) + " threads=" +
-                              std::to_string(threads) + " member=" +
-                              std::to_string(i));
-      }
-    }
-    // The ablation path must agree too (it IS the solo path).
-    ExecutorOptions ablation;
-    ablation.fuse_batches = false;
-    BatchScanExecutor unfused(table.get(), ablation);
-    auto got = unfused.ExecuteBatch(queries);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ExpectSameOutcome(got[i], want[i], "ablation member " +
-                                             std::to_string(i));
-    }
-  }
-}
-
-class BatchSourceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "aqpp_batch_test";
-    std::filesystem::create_directories(dir_);
-    table_ = testutil::MakeSynthetic({.rows = 3 * kExtentRows + 4321});
-    path_ = (dir_ / "t.ext").string();
-    ASSERT_TRUE(WriteExtentFile(*table_, path_).ok());
-    auto reader = ExtentFileReader::Open(path_);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    reader_ = *reader;
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::filesystem::path dir_;
-  std::string path_;
-  std::shared_ptr<Table> table_;
-  std::shared_ptr<ExtentFileReader> reader_;
-};
-
-TEST_F(BatchSourceTest, FusedSourceBatchMatchesSoloOnBothSourceFlavors) {
-  Rng rng = testutil::MakeTestRng(8102);
-  for (int round = 0; round < 6; ++round) {
-    size_t batch_size = 1 + static_cast<size_t>(rng.NextInt(0, 11));
-    std::vector<RangeQuery> queries;
-    for (size_t i = 0; i < batch_size; ++i) queries.push_back(RandomQuery(rng));
-
-    TableColumnSource mem(table_.get());
-    ExtentColumnSource ext(reader_);
-    ColumnSource* sources[] = {&mem, &ext};
-    for (ColumnSource* src : sources) {
-      for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-        ThreadPool pool(threads);
-        kernels::SourceScanOptions opts;
-        opts.pool = &pool;
-        opts.parallel = threads > 1;
-        std::vector<Result<double>> want;
-        for (const RangeQuery& q : queries) {
-          want.push_back(kernels::ExecuteQueryOnSource(*src, q, opts));
-        }
-        auto got = ExecuteQueriesOnSource(*src, queries, opts);
-        ASSERT_EQ(got.size(), queries.size());
-        for (size_t i = 0; i < queries.size(); ++i) {
-          ExpectSameOutcome(
-              got[i], want[i],
-              std::string(src == &mem ? "table" : "extent") + "/threads=" +
-                  std::to_string(threads) + " member=" + std::to_string(i));
-        }
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -515,79 +369,6 @@ TEST(SingleFlightTest, FollowerReExecutesWhenLeaderFails) {
   EXPECT_EQ(leader.status.code(), StatusCode::kDeadlineExceeded);
   ASSERT_TRUE(follower.status.ok()) << follower.status.ToString();
   EXPECT_FALSE(follower.single_flight);
-}
-
-// ---------------------------------------------------------------------------
-// Chaos lane: a member failing mid-batch must not poison its siblings.
-// ---------------------------------------------------------------------------
-
-#define SKIP_WITHOUT_FAILPOINTS()                                            \
-  do {                                                                       \
-    if (!fail::kCompiledIn)                                                  \
-      GTEST_SKIP() << "failpoints compiled out (AQPP_ENABLE_FAILPOINTS=OFF)"; \
-  } while (0)
-
-class BatchChaosTest : public BatchSourceTest {
- protected:
-  void SetUp() override {
-    BatchSourceTest::SetUp();
-    fail::Registry::Global().DisableAll();
-  }
-  void TearDown() override {
-    fail::Registry::Global().DisableAll();
-    BatchSourceTest::TearDown();
-  }
-};
-
-TEST_F(BatchChaosTest, ExtentReadFailureStaysScopedToAffectedMembers) {
-  SKIP_WITHOUT_FAILPOINTS();
-
-  // Member 0 needs extent reads (real predicate + DOUBLE measure pins).
-  // Member 1 counts every row: no conditions, no value column — it walks the
-  // extent grid without pinning a single column.
-  // Member 2's range lies outside the column's domain: disproved by stats /
-  // zone maps at bind, nothing pinned.
-  // Member 3 has an empty range (lo > hi): the short-circuit answer.
-  std::vector<RangeQuery> queries(4);
-  queries[0].func = AggregateFunction::kSum;
-  queries[0].agg_column = 2;
-  queries[0].predicate.Add({0, 10, 90});
-  queries[1].func = AggregateFunction::kCount;
-  queries[2].func = AggregateFunction::kSum;
-  queries[2].agg_column = 2;
-  queries[2].predicate.Add({0, 1000, 2000});  // c1 domain is 1..100
-  queries[3].func = AggregateFunction::kSum;
-  queries[3].agg_column = 2;
-  queries[3].predicate.Add({0, 50, 40});  // lo > hi: matches nothing
-
-  ExtentColumnSource ext(reader_);
-  fail::Registry::Global().Enable(
-      "storage/io/read", fail::Trigger::Always(),
-      {.kind = fail::ActionKind::kReturnError,
-       .code = StatusCode::kIOError,
-       .message = "injected extent read failure"});
-  auto got = ExecuteQueriesOnSource(ext, queries);
-  fail::Registry::Global().DisableAll();
-
-  ASSERT_EQ(got.size(), 4u);
-  // The scanning member fails with the injected error...
-  ASSERT_FALSE(got[0].ok());
-  EXPECT_EQ(got[0].status().code(), StatusCode::kIOError);
-  // ...and its siblings are untouched, because none of them pins data.
-  ASSERT_TRUE(got[1].ok()) << got[1].status().ToString();
-  EXPECT_EQ(*got[1], static_cast<double>(table_->num_rows()));
-  ASSERT_TRUE(got[2].ok()) << got[2].status().ToString();
-  EXPECT_EQ(*got[2], 0.0);
-  ASSERT_TRUE(got[3].ok()) << got[3].status().ToString();
-  EXPECT_EQ(*got[3], 0.0);
-
-  // With the failpoint cleared the same batch heals completely and matches
-  // solo execution bit for bit.
-  auto healed = ExecuteQueriesOnSource(ext, queries);
-  ASSERT_TRUE(healed[0].ok()) << healed[0].status().ToString();
-  auto solo = kernels::ExecuteQueryOnSource(ext, queries[0]);
-  ASSERT_TRUE(solo.ok());
-  EXPECT_EQ(Bits(*healed[0]), Bits(*solo));
 }
 
 }  // namespace

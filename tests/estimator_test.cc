@@ -8,6 +8,7 @@
 #include "cube/prefix_cube.h"
 #include "dense_bootstrap_oracle.h"
 #include "exec/executor.h"
+#include "identification_oracle.h"
 #include "sampling/samplers.h"
 #include "synopsis/estimator.h"
 #include "test_util.h"
@@ -571,11 +572,9 @@ TEST(SupportBootstrapScorerTest, BatchedMatchesLegacyBitForBitWithGroupedSet) {
   ASSERT_TRUE(cube.ok());
   Rng srng(321);
   auto sample = std::move(CreateUniformSample(*table, 0.2, srng)).value();
-  IdentificationOptions legacy_opts;
-  legacy_opts.use_batched_scorer = false;
-  Rng c1(322), c2(322);
-  AggregateIdentifier batched(cube->get(), &sample, {}, c1);
-  AggregateIdentifier legacy(cube->get(), &sample, legacy_opts, c2);
+  const IdentificationOptions opts;
+  Rng c1(322);
+  AggregateIdentifier batched(cube->get(), &sample, opts, c1);
 
   // Each bound strictly inside a cut interval, with a full interval between
   // the two: both snap directions at both ends stay non-empty, giving
@@ -591,7 +590,7 @@ TEST(SupportBootstrapScorerTest, BatchedMatchesLegacyBitForBitWithGroupedSet) {
       q.predicate.Add({1, qrng.NextInt(12, 18), qrng.NextInt(32, 38)});
       Rng r1(330 + trial), r2(330 + trial);
       auto b = batched.ScoreAll(q, r1);
-      auto l = legacy.ScoreAll(q, r2);
+      auto l = oracle::ScoreAll(batched, opts, q, r2);
       ASSERT_TRUE(b.ok()) << b.status();
       ASSERT_TRUE(l.ok()) << l.status();
       ASSERT_GE(b->size(), 12u);

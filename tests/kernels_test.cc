@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "exact_scan_oracle.h"
 #include "exec/executor.h"
 #include "kernels/binning.h"
 #include "kernels/elementwise.h"
@@ -260,9 +261,6 @@ TEST(KernelMaskTest, FusedSelectionMatchesMaskPipeline) {
 TEST(ExecutorKernelTest, KernelAndLegacyAgree) {
   auto table = testutil::MakeSynthetic({.rows = 50000, .seed = 17});
   ExactExecutor kernel_ex(table.get());
-  ExecutorOptions legacy_opts;
-  legacy_opts.use_kernels = false;
-  ExactExecutor legacy_ex(table.get(), legacy_opts);
 
   Rng rng(31);
   const AggregateFunction funcs[] = {
@@ -277,7 +275,7 @@ TEST(ExecutorKernelTest, KernelAndLegacyAgree) {
     for (AggregateFunction f : funcs) {
       q.func = f;
       auto kr = kernel_ex.Execute(q);
-      auto lr = legacy_ex.Execute(q);
+      auto lr = oracle::ExactScan(*table, q);
       ASSERT_EQ(kr.ok(), lr.ok()) << "status mismatch";
       if (!kr.ok()) continue;  // both empty-selection MIN/MAX errors
       if (f == AggregateFunction::kCount) {
@@ -286,17 +284,43 @@ TEST(ExecutorKernelTest, KernelAndLegacyAgree) {
         EXPECT_NEAR(*kr, *lr, 1e-9 * (1.0 + std::abs(*lr)));
       }
     }
-    // Group-by parity (kernel chunked selection vs scalar mask path).
+    // Group-by parity (kernel chunked selection vs the row loop).
     q.func = AggregateFunction::kSum;
     q.group_by = {1};
     auto kg = *kernel_ex.ExecuteGroupBy(q);
-    auto lg = *legacy_ex.ExecuteGroupBy(q);
+    auto lg = oracle::ExactGroupBy(*table, q);
     ASSERT_EQ(kg.size(), lg.size());
     for (size_t g = 0; g < kg.size(); ++g) {
       EXPECT_EQ(kg[g].key.values, lg[g].key.values);
       EXPECT_EQ(Bits(kg[g].value), Bits(lg[g].value));
     }
     q.group_by.clear();
+  }
+}
+
+TEST(ExecutorKernelTest, SumFollowsTheLaneOrderContract) {
+  // Ragged last shard, so the shard-order merge is exercised too.
+  auto table = testutil::MakeSynthetic(
+      {.rows = 3 * kernels::kShardRows + 777, .seed = 29});
+  Rng rng(37);
+  for (int iter = 0; iter < 10; ++iter) {
+    RangeQuery q;
+    q.func = AggregateFunction::kSum;
+    q.agg_column = 2;
+    int64_t a = rng.NextInt(1, 100), b = rng.NextInt(1, 100);
+    q.predicate.Add({0, std::min(a, b), std::max(a, b)});
+    if (iter % 2 == 0) q.predicate.Add({1, 1, rng.NextInt(1, 50)});
+    const double want = oracle::LaneOrderedSum(*table, q);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      ThreadPool pool(threads);
+      ExecutorOptions opts;
+      opts.pool = &pool;
+      ExactExecutor ex(table.get(), opts);
+      auto got = ex.Execute(q);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(Bits(*got), Bits(want))
+          << "iter " << iter << ", " << threads << " threads";
+    }
   }
 }
 
@@ -307,22 +331,17 @@ TEST(ExecutorKernelTest, ResultsBitIdenticalAcrossThreadCounts) {
   q.agg_column = 2;
   q.predicate.Add({0, 10, 60});
 
-  for (bool use_kernels : {true, false}) {
-    double reference = 0.0;
-    for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-      ThreadPool pool(threads);
-      ExecutorOptions opts;
-      opts.use_kernels = use_kernels;
-      opts.pool = &pool;
-      ExactExecutor ex(table.get(), opts);
-      double got = *ex.Execute(q);
-      if (threads == 1) {
-        reference = got;
-      } else {
-        EXPECT_EQ(Bits(got), Bits(reference))
-            << (use_kernels ? "kernel" : "legacy") << " path, " << threads
-            << " threads";
-      }
+  double reference = 0.0;
+  for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+    ThreadPool pool(threads);
+    ExecutorOptions opts;
+    opts.pool = &pool;
+    ExactExecutor ex(table.get(), opts);
+    double got = *ex.Execute(q);
+    if (threads == 1) {
+      reference = got;
+    } else {
+      EXPECT_EQ(Bits(got), Bits(reference)) << threads << " threads";
     }
   }
 }

@@ -18,7 +18,6 @@
 
 #include <filesystem>
 
-#include "exec/batch_scan.h"
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
@@ -521,20 +520,26 @@ TEST(ExtentCacheGaugeTest, HitRateIsZeroBeforeFirstReadAndTracksRatio) {
 
 // ---- Batch / single-flight series names ------------------------------------
 //
-// The shared-scan batch executor, the admission batch former, and the
-// service's single-flight dedup all publish under these names (from several
+// The service's batch path, the admission batch former, and the service's
+// single-flight dedup all publish under these names (from several
 // translation units via get-or-create). Dashboards key on them; exercise the
 // real registration paths and pin the exposition.
 
 TEST(BatchMetricsTest, BatchAndSingleFlightSeriesNamesArePinned) {
   auto table = testutil::MakeSynthetic({.rows = 4096});
 
-  // A fused pass registers the batch counter/size series.
-  BatchScanExecutor batch(table.get());
-  RangeQuery q;
-  q.func = AggregateFunction::kCount;
-  q.predicate.Add({0, 1, 50});
-  (void)batch.ExecuteBatch({q, q});
+  // Constructing a service registers the batch counter/size series before
+  // any batch forms.
+  auto engine = AqppEngine::Create(table, {});
+  ASSERT_TRUE(engine.ok());
+  QueryService service(EngineRef(engine->get()), {});
+  {
+    std::string text = obs::Registry::Global().RenderPrometheus();
+    EXPECT_NE(text.find("# TYPE aqpp_batch_queries_fused_total counter\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE aqpp_batch_size histogram\n"),
+              std::string::npos);
+  }
 
   // A lone batchable admission job walks the window-wait path.
   AdmissionOptions aopts;
@@ -553,9 +558,9 @@ TEST(BatchMetricsTest, BatchAndSingleFlightSeriesNamesArePinned) {
   ctrl.Stop();
 
   // One service execution registers the single-flight attach counter.
-  auto engine = AqppEngine::Create(table, {});
-  ASSERT_TRUE(engine.ok());
-  QueryService service(EngineRef(engine->get()), {});
+  RangeQuery q;
+  q.func = AggregateFunction::kCount;
+  q.predicate.Add({0, 1, 50});
   auto session = service.sessions().Open("");
   ASSERT_TRUE(session.ok());
   QueryOutcome out = service.Execute((*session)->id(), q);

@@ -1,9 +1,10 @@
 // Equivalence and determinism tests for the batched candidate-scoring
 // pipeline (core/scoring.h):
 //  * the cell-id matrix reproduces predicate-based box masks exactly,
-//  * batched identification picks the same winning pre as the legacy
-//    per-candidate path with CI half-widths equal within 1e-9, for
-//    d in {1, 2, 3} and every supported aggregate function,
+//  * batched identification picks the same winning pre as the
+//    per-candidate oracle (identification_oracle.h) with CI half-widths
+//    equal within 1e-9, for d in {1, 2, 3} and every supported aggregate
+//    function,
 //  * parallel scoring is bit-identical at 1, 4 and 8 threads.
 
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "core/identification.h"
 #include "core/scoring.h"
 #include "cube/prefix_cube.h"
+#include "identification_oracle.h"
 #include "sampling/samplers.h"
 #include "test_util.h"
 
@@ -110,7 +112,7 @@ TEST(CellIndexTest, PreMaskOnSampleMatchesPredicateMask) {
   }
 }
 
-// ---- Batched vs legacy equivalence ------------------------------------------
+// ---- Batched scorer vs per-candidate oracle --------------------------------
 
 TEST(BatchedScoringTest, MatchesLegacyPathAllFunctionsAndDims) {
   const AggregateFunction kFuncs[] = {
@@ -122,13 +124,10 @@ TEST(BatchedScoringTest, MatchesLegacyPathAllFunctionsAndDims) {
     Rng srng(921);
     auto sample = std::move(CreateUniformSample(*table, 0.2, srng)).value();
 
-    // Same construction seed => identical scoring subsamples.
-    IdentificationOptions batched_opts;  // default: batched
-    IdentificationOptions legacy_opts;
-    legacy_opts.use_batched_scorer = false;
-    Rng c1(930), c2(930);
-    AggregateIdentifier batched(cube.get(), &sample, batched_opts, c1);
-    AggregateIdentifier legacy(cube.get(), &sample, legacy_opts, c2);
+    // The oracle scores on the identifier's own scoring subsample.
+    const IdentificationOptions opts;
+    Rng c1(930);
+    AggregateIdentifier batched(cube.get(), &sample, opts, c1);
 
     for (AggregateFunction func : kFuncs) {
       Rng qrng(940 + static_cast<uint64_t>(func));
@@ -136,7 +135,7 @@ TEST(BatchedScoringTest, MatchesLegacyPathAllFunctionsAndDims) {
         RangeQuery q = MakeQuery(func, d, qrng);
         Rng r1(1000 + trial), r2(1000 + trial);
         auto b = batched.Identify(q, r1);
-        auto l = legacy.Identify(q, r2);
+        auto l = oracle::Identify(batched, opts, q, r2);
         ASSERT_TRUE(b.ok()) << b.status();
         ASSERT_TRUE(l.ok()) << l.status();
         EXPECT_EQ(b->pre.lo, l->pre.lo) << "d=" << d << " trial=" << trial;
@@ -155,17 +154,15 @@ TEST(BatchedScoringTest, ScoreAllMatchesLegacyPath) {
   Rng srng(951);
   auto sample = std::move(CreateUniformSample(*table, 0.2, srng)).value();
 
-  IdentificationOptions legacy_opts;
-  legacy_opts.use_batched_scorer = false;
-  Rng c1(952), c2(952);
-  AggregateIdentifier batched(cube.get(), &sample, {}, c1);
-  AggregateIdentifier legacy(cube.get(), &sample, legacy_opts, c2);
+  const IdentificationOptions opts;
+  Rng c1(952);
+  AggregateIdentifier batched(cube.get(), &sample, opts, c1);
 
   Rng qrng(953);
   RangeQuery q = MakeQuery(AggregateFunction::kAvg, 2, qrng);
   Rng r1(954), r2(954);
   auto b = batched.ScoreAll(q, r1);
-  auto l = legacy.ScoreAll(q, r2);
+  auto l = oracle::ScoreAll(batched, opts, q, r2);
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(l.ok());
   ASSERT_EQ(b->size(), l->size());
@@ -179,23 +176,22 @@ TEST(BatchedScoringTest, ScoreAllMatchesLegacyPath) {
 
 TEST(BatchedScoringTest, GreedyPathMatchesLegacy) {
   // d = 8 forces the greedy fallback; memoized batched scoring must agree
-  // with the legacy scorer there too.
+  // with the per-candidate oracle there too.
   auto table = MakeTable(8, 20000, 960);
   auto cube = MakeCube(*table, 8);
   Rng srng(961);
   auto sample = std::move(CreateUniformSample(*table, 0.2, srng)).value();
 
-  IdentificationOptions legacy_opts;
-  legacy_opts.use_batched_scorer = false;
-  Rng c1(962), c2(962);
-  AggregateIdentifier batched(cube.get(), &sample, {}, c1);
-  AggregateIdentifier legacy(cube.get(), &sample, legacy_opts, c2);
+  const IdentificationOptions opts;
+  Rng c1(962);
+  AggregateIdentifier batched(cube.get(), &sample, opts, c1);
 
   Rng qrng(963);
   RangeQuery q = MakeQuery(AggregateFunction::kSum, 8, qrng);
+  ASSERT_TRUE(oracle::UsesGreedy(batched, opts, q));
   Rng r1(964), r2(964);
   auto b = batched.Identify(q, r1);
-  auto l = legacy.Identify(q, r2);
+  auto l = oracle::Identify(batched, opts, q, r2);
   ASSERT_TRUE(b.ok()) << b.status();
   ASSERT_TRUE(l.ok()) << l.status();
   EXPECT_EQ(b->pre.lo, l->pre.lo);

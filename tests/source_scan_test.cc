@@ -188,6 +188,55 @@ TEST_F(SourceScanTest, EdgeCaseQueriesMatchOracle) {
   }
 }
 
+// Both exact paths share one answer contract (kernels/scan.h). Pin its
+// error codes and messages byte for byte: an empty predicate (lo > hi)
+// short-circuits before any scan, a valid range that selects no rows fails
+// in the stats mapping, and both paths must say the same thing.
+TEST_F(SourceScanTest, EmptyPredicateAndEmptySelectionShareOneContract) {
+  struct Case {
+    AggregateFunction func;
+    RangePredicate predicate;
+    const char* message;  // nullptr: the answer is 0
+  };
+  const RangePredicate empty_predicate({{0, 5, 4}});
+  const RangePredicate empty_selection({{0, kDomain + 10, kDomain + 20}});
+  const char* kMinMax = "MIN/MAX over empty selection";
+  const Case cases[] = {
+      {AggregateFunction::kMin, empty_predicate, kMinMax},
+      {AggregateFunction::kMax, empty_predicate, kMinMax},
+      {AggregateFunction::kMin, empty_selection, "MIN over empty selection"},
+      {AggregateFunction::kMax, empty_selection, "MAX over empty selection"},
+      {AggregateFunction::kCount, empty_predicate, nullptr},
+      {AggregateFunction::kSum, empty_selection, nullptr},
+      {AggregateFunction::kAvg, empty_selection, nullptr},
+      {AggregateFunction::kVar, empty_predicate, nullptr},
+  };
+  ExactExecutor exact(table_.get());
+  ExtentColumnSource ext(reader_);
+  for (const Case& c : cases) {
+    RangeQuery q;
+    q.func = c.func;
+    q.agg_column = 3;
+    q.predicate = c.predicate;
+    const std::string label = q.ToString(table_->schema());
+    auto want = exact.Execute(q);
+    auto got = ExecuteQueryOnSource(ext, q);
+    if (c.message == nullptr) {
+      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      EXPECT_EQ(*want, 0.0) << label;
+      EXPECT_EQ(Bits(*got), Bits(*want)) << label;
+      continue;
+    }
+    ASSERT_FALSE(want.ok()) << label;
+    ASSERT_FALSE(got.ok()) << label;
+    EXPECT_EQ(want.status().code(), StatusCode::kFailedPrecondition) << label;
+    EXPECT_EQ(got.status().code(), want.status().code()) << label;
+    EXPECT_EQ(want.status().message(), c.message) << label;
+    EXPECT_EQ(got.status().message(), want.status().message()) << label;
+  }
+}
+
 TEST_F(SourceScanTest, MinMaxOverClusteredWindow) {
   RangeQuery q;
   q.func = AggregateFunction::kMin;
