@@ -1,25 +1,26 @@
 // Streaming-append scenario (Appendix C, "Data Updates").
 //
 // A warehouse receives daily batches. Instead of rebuilding the sample and
-// the BP-Cube from scratch, the maintenance layer:
-//   * streams each batch through a reservoir so the sample stays an exact
-//     uniform draw of everything seen so far, and
-//   * buffers batches against the cube, answering queries exactly from
-//     cube + buffer, folding the buffer in (a linear prefix-cube merge)
-//     when it grows.
+// the BP-Cube from scratch, the engine's IngestManager:
+//   * commits each batch to an exact delta, which queries scan and add to
+//     the engine's answer while it is small (SUM/COUNT fold exactly), and
+//   * absorbs the delta on demand: a delta cube is added onto the BP-Cube
+//     (a linear prefix-cube merge) and the sample is continued by
+//     Algorithm R, so it stays a uniform draw of everything seen so far.
+//
+// The run exits non-zero if the manager's row accounting ever disagrees
+// with the rows the example appended.
 //
 // Build & run:  ./build/examples/streaming_updates
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "common/timer.h"
-#include "core/identification.h"
-#include "core/maintenance.h"
-#include "core/precompute.h"
+#include "core/engine.h"
+#include "core/ingest.h"
 #include "exec/executor.h"
-#include "sampling/samplers.h"
-#include "synopsis/estimator.h"
 #include "workload/tpcd_skew.h"
 
 int main() {
@@ -31,16 +32,22 @@ int main() {
           .value();
 
   // Prepare sample + cube once on the initial load.
-  Rng rng(1);
-  auto sample = std::move(CreateUniformSample(*base, 0.02, rng)).value();
-  size_t price = *base->GetColumnIndex("l_extendedprice");
-  size_t shipdate = *base->GetColumnIndex("l_shipdate");
-  Precomputer precomputer(base.get(), &sample, price);
-  auto prepared = std::move(precomputer.Precompute({shipdate}, 64)).value();
+  EngineOptions options;
+  options.sample_rate = 0.02;
+  options.cube_budget = 64;
+  auto engine = std::move(AqppEngine::Create(base, options)).value();
+  const size_t price = *base->GetColumnIndex("l_extendedprice");
+  const size_t shipdate = *base->GetColumnIndex("l_shipdate");
+  QueryTemplate tmpl;
+  tmpl.func = AggregateFunction::kSum;
+  tmpl.agg_column = price;
+  tmpl.condition_columns = {shipdate};
+  AQPP_CHECK_OK(engine->Prepare(tmpl));
 
-  CubeMaintainer cube_maintainer(prepared.cube, base,
-                                 {.compact_threshold = 150'000});
-  ReservoirMaintainer sample_maintainer(sample, 2);
+  // Manual absorbs: no background thread, the example decides when.
+  IngestOptions ingest_options;
+  ingest_options.background = false;
+  IngestManager ingest(engine.get(), ingest_options);
 
   // The running query the dashboard keeps asking.
   RangeQuery query;
@@ -59,50 +66,50 @@ int main() {
     return total;
   };
 
+  uint64_t appended = 0;
   for (int day = 1; day <= 5; ++day) {
     auto batch = std::move(GenerateTpcdSkew(
                                {.rows = 60'000, .skew = 1.0,
                                 .seed = 1000 + static_cast<uint64_t>(day)}))
                      .value();
-    Timer absorb_timer;
-    AQPP_CHECK_OK(cube_maintainer.Absorb(*batch));
-    AQPP_CHECK_OK(sample_maintainer.Absorb(*batch));
-    double absorb_ms = absorb_timer.ElapsedMillis();
+    AQPP_CHECK_OK(ingest.Append(*batch));
+    appended += batch->num_rows();
     all_tables.push_back(batch);
 
-    // Answer with AQP++ against the maintained artifacts: identify the best
-    // pre on the maintained cube, read its (cube + pending buffer) values,
-    // estimate the difference on the maintained sample.
-    Rng qrng(10 + static_cast<uint64_t>(day));
-    AggregateIdentifier identifier(&cube_maintainer.cube(),
-                                   &sample_maintainer.sample(), {}, qrng);
-    auto identified = std::move(identifier.Identify(query, qrng)).value();
-    PreValues pre;
-    pre.sum = cube_maintainer.BoxValue(identified.pre, 0);
-    pre.count = cube_maintainer.BoxValue(identified.pre, 1);
-    pre.sum_sq = cube_maintainer.BoxValue(identified.pre, 2);
-    SampleEstimator estimator(&sample_maintainer.sample());
-    RangePredicate pre_pred =
-        identified.pre.ToPredicate(cube_maintainer.cube().scheme());
-    auto ci = std::move(
-                  estimator.EstimateWithPre(query, pre_pred, pre, qrng))
-                  .value();
+    std::printf("day %d: +60k rows", day);
+    if (day % 2 == 0) {
+      Timer absorb_timer;
+      AQPP_CHECK_OK(ingest.AbsorbNow());
+      std::printf(", absorbed in %.1f ms", absorb_timer.ElapsedMillis());
+    }
 
-    double truth = exact_total();
-    std::printf(
-        "day %d: +60k rows (absorb %.1f ms, pending %zu rows)\n"
-        "       AQP++ %s   truth %.6g   err %.3f%%\n",
-        day, absorb_ms, cube_maintainer.pending_rows(),
-        ci.ToString().c_str(), truth,
-        100 * std::fabs(ci.estimate - truth) / truth);
+    // AQP++ over the published cube + sample, plus an exact scan of the
+    // rows still in the delta.
+    auto result = std::move(engine->Execute(query)).value();
+    ConfidenceInterval ci = result.ci;
+    ci.estimate += *IngestManager::FoldValue(*ingest.delta(), query);
+
+    const IngestSnapshot snap = ingest.snapshot();
+    const double truth = exact_total();
+    std::printf(" (%zu rows pending)\n"
+                "       AQP++ %s   truth %.6g   err %.3f%%\n",
+                snap.delta_rows, ci.ToString().c_str(), truth,
+                100 * std::fabs(ci.estimate - truth) / truth);
+    if (snap.total_rows != base->num_rows() + appended) {
+      std::fprintf(stderr, "row accounting mismatch: %llu != %llu\n",
+                   static_cast<unsigned long long>(snap.total_rows),
+                   static_cast<unsigned long long>(base->num_rows() +
+                                                   appended));
+      return 1;
+    }
   }
 
-  std::printf("\nfinal: %zu rows absorbed, sample still %zu rows "
-              "(weights %.1f), cube untouched by %s\n",
-              cube_maintainer.total_absorbed_rows(),
-              sample_maintainer.sample().size(),
-              sample_maintainer.sample().weights[0],
-              cube_maintainer.pending_rows() == 0 ? "compaction"
-                                                  : "pending buffer");
+  const IngestSnapshot snap = ingest.snapshot();
+  std::printf("\nfinal: %llu rows appended, %llu absorbed, %zu pending; "
+              "sample still %zu rows (weight %.1f)\n",
+              static_cast<unsigned long long>(snap.rows_committed),
+              static_cast<unsigned long long>(snap.rows_absorbed),
+              snap.delta_rows, engine->sample().size(),
+              engine->sample().weights[0]);
   return 0;
 }

@@ -214,10 +214,8 @@ class AqppEngine {
     synopsis_ = std::move(s);
   }
 
-  // Shared handles for maintenance (CubeMaintainer wants shared ownership;
-  // the ingest absorber clones through these).
+  // Shared handle the ingest absorber clones the live cube through.
   std::shared_ptr<PrefixCube> shared_cube() const { return cube_; }
-  std::shared_ptr<Table> shared_table() const { return table_; }
 
   // Selects the synopsis that answers scalar estimates and builds it over
   // the engine's state ("" or "off" restores the default "reservoir").
@@ -228,8 +226,8 @@ class AqppEngine {
 
   // The live synopsis; non-null once the engine holds a sample (after
   // Prepare, LoadState, AdoptPrepared or the first Execute). Shared
-  // ownership: SetSynopsis may swap the synopsis while a maintainer still
-  // holds the old one.
+  // ownership: SetSynopsis may swap the synopsis while the ingest absorber
+  // still holds the old one.
   std::shared_ptr<synopsis::Synopsis> active_synopsis() const {
     std::lock_guard<std::mutex> lock(synopsis_mu_);
     return synopsis_;

@@ -10,7 +10,6 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "core/maintenance.h"
 #include "obs/metrics.h"
 #include "synopsis/synopsis.h"
 
@@ -182,6 +181,14 @@ Status IngestManager::ValidateBatch(const Table& batch) const {
         StrFormat("ingest batch of %zu rows exceeds the %zu-row bound",
                   batch.num_rows(), options_.max_batch_rows));
   }
+  // The absorber continues the sample by Algorithm R, which keeps uniform
+  // samples only; reject up front so no batch commits that could never be
+  // absorbed.
+  if (engine_->sample().method != SamplingMethod::kUniform) {
+    return Status::FailedPrecondition(StrFormat(
+        "ingest requires a uniform engine sample (this engine's is %s)",
+        SamplingMethodToString(engine_->sample().method)));
+  }
   const Table& base = engine_->table();
   AQPP_RETURN_NOT_OK(
       synopsis::CheckSameSchema(base.schema(), batch.schema()));
@@ -336,25 +343,27 @@ Status IngestManager::AbsorbCycle() {
 
   // ---- Candidates, prepared outside any lock --------------------------------
 
-  // Reservoir continuation; the maintainer copies the live sample rows
-  // before Algorithm R overwrites any in place.
-  if (engine_->sample().size() == 0) {
+  // Reservoir continuation over a copy of the live sample; the continuation
+  // unshares its rows before Algorithm R overwrites any.
+  Sample sample = engine_->sample();
+  if (sample.size() == 0) {
     return Status::FailedPrecondition(
         "engine has no sample; prepare it before ingest");
   }
-  ReservoirMaintainer reservoir(engine_->sample(),
-                                CycleSeed(options_.seed, rows_absorbed_before));
-  AQPP_RETURN_NOT_OK(reservoir.Absorb(*batch));
+  size_t rows_seen = sample.population_size;
+  Rng rng(CycleSeed(options_.seed, rows_absorbed_before));
+  AQPP_RETURN_NOT_OK(
+      synopsis::ContinueReservoir(&sample, &rows_seen, *batch, rng));
 
-  // Cube absorb on a clone, through the maintainer's validate + delta-cube
-  // binning path (compact_threshold=1 folds the pending buffer immediately).
+  // Cube: a delta cube over the (validated, dictionary-coded) delta, added
+  // onto a clone — exact, because prefix summation is linear.
   std::shared_ptr<PrefixCube> cube_candidate;
-  if (engine_->has_cube()) {
-    cube_candidate = engine_->shared_cube()->Clone();
-    CubeMaintainer cube_maintainer(cube_candidate, engine_->shared_table(),
-                                   CubeMaintainerOptions{/*compact_threshold=*/1});
-    AQPP_RETURN_NOT_OK(cube_maintainer.Absorb(*batch));
-    AQPP_RETURN_NOT_OK(cube_maintainer.Compact());
+  if (std::shared_ptr<PrefixCube> live = engine_->shared_cube()) {
+    AQPP_ASSIGN_OR_RETURN(
+        auto delta_cube,
+        PrefixCube::Build(*batch, live->scheme(), live->measures()));
+    cube_candidate = live->Clone();
+    AQPP_RETURN_NOT_OK(cube_candidate->MergeFrom(*delta_cube));
   }
 
   // A non-aligned synopsis summarizes the table, not the engine sample:
@@ -367,8 +376,7 @@ Status IngestManager::AbsorbCycle() {
     std::string bytes;
     AQPP_RETURN_NOT_OK(active->SerializeTo(&bytes));
     AQPP_RETURN_NOT_OK(fresh->DeserializeFrom(bytes));
-    synopsis::SynopsisMaintainer maintainer(fresh.get());
-    AQPP_RETURN_NOT_OK(maintainer.Absorb(*batch));
+    AQPP_RETURN_NOT_OK(fresh->Absorb(*batch));
     synopsis_candidate = std::move(fresh);
   }
 
@@ -380,7 +388,7 @@ Status IngestManager::AbsorbCycle() {
       if (fired->kind == fail::ActionKind::kReturnError) return fired->error;
     }
     AQPP_RETURN_NOT_OK(
-        engine_->PublishMaintained(reservoir.sample(), cube_candidate));
+        engine_->PublishMaintained(std::move(sample), cube_candidate));
     // A concurrent SET SYNOPSIS may have swapped kinds mid-cycle; never
     // clobber the newer selection with a stale clone.
     if (synopsis_candidate != nullptr &&

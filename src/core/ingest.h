@@ -1,6 +1,7 @@
-// Streaming ingest: an in-memory delta of appended rows kept exactly, plus a
-// background absorber that folds the delta into the engine's prepared state
-// (cube + reservoir + active synopsis) through the maintainers' Absorb paths.
+// Streaming ingest (Appendix C, "Data updates"): an in-memory delta of
+// appended rows kept exactly, plus a background absorber that folds the delta
+// into the engine's prepared state (cube + reservoir + active synopsis).
+// `Append` is the only way appended rows reach that state.
 //
 // The consistency model has two layers:
 //
@@ -15,9 +16,10 @@
 //
 //  * The absorber. A background thread (or AbsorbNow in manual mode) takes a
 //    delta snapshot, prepares *candidate* state outside any lock — a cloned
-//    cube absorbed via CubeMaintainer, a deep-copied sample continued via
-//    ReservoirMaintainer (Vitter's algorithm R), and, when the active
-//    synopsis is not engine-aligned, a serialized clone of it absorbed via
+//    cube plus a delta cube built over the snapshot (a linear prefix-cube
+//    merge), a copy of the sample continued by synopsis::ContinueReservoir
+//    (Vitter's algorithm R), and, when the active synopsis is not
+//    engine-aligned, a serialized clone of it absorbed via
 //    Synopsis::Absorb — and then publishes all of them under one exclusive
 //    acquisition of `state_mutex()` (an engine-aligned synopsis is re-adopted
 //    over the published sample there), truncating
@@ -111,9 +113,9 @@ class IngestManager {
   void Stop();
 
   // Stage-validates `batch` and commits it to the delta. All-or-nothing: a
-  // batch that fails any check (schema, unknown dictionary value, value past
-  // a cube dimension's last cut, non-finite double, size/backpressure bound)
-  // leaves no trace. Thread-safe.
+  // batch that fails any check (non-uniform engine sample, schema, unknown
+  // dictionary value, value past a cube dimension's last cut, non-finite
+  // double, size/backpressure bound) leaves no trace. Thread-safe.
   Status Append(const Table& batch);
 
   // Runs one absorb cycle synchronously (waits out a concurrent background

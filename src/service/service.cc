@@ -163,20 +163,6 @@ QueryService::~QueryService() { Stop(); }
 
 void QueryService::Stop() { admission_.Stop(); }
 
-void QueryService::WireMaintenance(CubeMaintainer* cube,
-                                   ReservoirMaintainer* reservoir,
-                                   synopsis::SynopsisMaintainer* synopsis) {
-  if (cube != nullptr) {
-    cube->set_update_observer([this] { cache_.InvalidateAll(); });
-  }
-  if (reservoir != nullptr) {
-    reservoir->set_update_observer([this] { cache_.InvalidateAll(); });
-  }
-  if (synopsis != nullptr) {
-    synopsis->set_update_observer([this] { cache_.InvalidateAll(); });
-  }
-}
-
 void QueryService::AttachIngest(IngestManager* ingest) {
   ingest_ = ingest;
   if (ingest_ != nullptr) {

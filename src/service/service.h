@@ -43,7 +43,6 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/ingest.h"
-#include "core/maintenance.h"
 #include "core/multi_engine.h"
 #include "core/progressive.h"
 #include "obs/slow_query_log.h"
@@ -212,15 +211,12 @@ class QueryService {
 
   const obs::SlowQueryLog& slow_query_log() const { return slow_log_; }
 
-  // Cache invalidation surface; WireMaintenance registers InvalidateAll as
-  // the update observer of either maintainer (append → nothing cached stays
-  // servable).
+  // Cache invalidation surface. Appends invalidate through AttachIngest's
+  // commit observer.
   void InvalidateCache() { cache_.InvalidateAll(); }
   void InvalidateTemplate(int template_id) {
     cache_.InvalidateTemplate(template_id);
   }
-  void WireMaintenance(CubeMaintainer* cube, ReservoirMaintainer* reservoir,
-                       synopsis::SynopsisMaintainer* synopsis = nullptr);
 
   // Selects the engine's synopsis and invalidates every cached answer (the
   // estimator changed; replayed bits would no longer match a re-execution).

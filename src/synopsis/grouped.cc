@@ -293,20 +293,7 @@ Status GroupedSynopsis::Absorb(const Table& batch) {
       const size_t j = static_cast<size_t>(
           absorb_rng_.NextBounded(static_cast<uint64_t>(g.population)));
       if (j < g.capacity) {
-        const size_t slot = g.slots[j];
-        for (size_t c = 0; c < rows_->num_columns(); ++c) {
-          Column& dst = rows_->mutable_column(c);
-          const Column& src = batch.column(c);
-          if (dst.type() == DataType::kDouble) {
-            dst.MutableDoubleData()[slot] = src.GetDouble(r);
-          } else if (dst.type() == DataType::kString) {
-            AQPP_ASSIGN_OR_RETURN(int64_t code,
-                                  dst.LookupDictionary(src.GetString(r)));
-            dst.MutableInt64Data()[slot] = code;
-          } else {
-            dst.MutableInt64Data()[slot] = src.GetInt64(r);
-          }
-        }
+        AQPP_RETURN_NOT_OK(OverwriteSlot(rows_.get(), g.slots[j], batch, r));
       }
     }
   }

@@ -1,6 +1,5 @@
 #include "synopsis/reservoir.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/failpoint.h"
@@ -203,31 +202,12 @@ Result<ConfidenceInterval> ReservoirSynopsis::ClosedFormMasked(
 Status ReservoirSynopsis::Absorb(const Table& batch) {
   if (!built_) return Status::FailedPrecondition("synopsis not built");
   AQPP_RETURN_NOT_OK(CheckSameSchema(sample_.rows->schema(), batch.schema()));
-  // Validate the whole batch before touching any state, and only then arm
-  // the failpoint: a torn absorb (chaos lane) observes either the old
-  // synopsis or the new one, never a half-overwritten reservoir.
-  AQPP_RETURN_NOT_OK(ValidateBatchDictionaries(*sample_.rows, batch));
-  if (sample_.method != SamplingMethod::kUniform) {
-    return Status::FailedPrecondition(
-        "Algorithm R continues uniform reservoirs only");
-  }
+  // The continuation validates the whole batch before it overwrites a row,
+  // so a rejected batch and a torn absorb (chaos lane) both leave the old
+  // synopsis, never a half-overwritten reservoir.
   AQPP_FAILPOINT_RETURN_STATUS("synopsis/absorb");
-  AQPP_RETURN_NOT_OK(UnshareRows(&sample_));
-  const size_t n = sample_.size();
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    ++rows_seen_;
-    // Algorithm R continuation: the new row replaces a uniformly random
-    // slot with probability n / rows_seen.
-    size_t j = static_cast<size_t>(absorb_rng_.NextBounded(rows_seen_));
-    if (j < n) {
-      AQPP_RETURN_NOT_OK(OverwriteSlot(sample_.rows.get(), j, batch, r));
-    }
-  }
-  sample_.population_size = rows_seen_;
-  const double w = static_cast<double>(rows_seen_) / static_cast<double>(n);
-  std::fill(sample_.weights.begin(), sample_.weights.end(), w);
-  sample_.sampling_fraction =
-      static_cast<double>(n) / static_cast<double>(rows_seen_);
+  AQPP_RETURN_NOT_OK(
+      ContinueReservoir(&sample_, &rows_seen_, batch, absorb_rng_));
   // Overwrites invalidate cached measure materializations and any
   // engine-computed masks.
   measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());

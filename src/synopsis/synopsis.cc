@@ -180,14 +180,6 @@ bool IsSynopsisRegistered(const std::string& kind) {
   return Registry().count(kind) > 0;
 }
 
-// ---- Maintenance adapter ----------------------------------------------------
-
-Status SynopsisMaintainer::Absorb(const Table& batch) {
-  AQPP_RETURN_NOT_OK(synopsis_->Absorb(batch));
-  if (observer_) observer_();
-  return Status::OK();
-}
-
 // ---- Shared implementation helpers ------------------------------------------
 
 Status CheckSameSchema(const Schema& expected, const Schema& actual) {
@@ -245,6 +237,32 @@ Status OverwriteSlot(Table* rows, size_t slot, const Table& batch,
       dst.MutableInt64Data()[slot] = src.GetInt64(row);
     }
   }
+  return Status::OK();
+}
+
+Status ContinueReservoir(Sample* sample, size_t* rows_seen, const Table& batch,
+                         Rng& rng) {
+  if (sample->method != SamplingMethod::kUniform) {
+    return Status::FailedPrecondition(
+        "Algorithm R continues uniform reservoirs only");
+  }
+  // Stage-validate: an unknown category surfacing from OverwriteSlot would
+  // leave a torn row and *rows_seen advanced past unabsorbed rows.
+  AQPP_RETURN_NOT_OK(ValidateBatchDictionaries(*sample->rows, batch));
+  AQPP_RETURN_NOT_OK(UnshareRows(sample));
+  const size_t n = sample->size();
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    ++*rows_seen;
+    const size_t j = static_cast<size_t>(rng.NextBounded(*rows_seen));
+    if (j < n) {
+      AQPP_RETURN_NOT_OK(OverwriteSlot(sample->rows.get(), j, batch, r));
+    }
+  }
+  sample->population_size = *rows_seen;
+  const double w = static_cast<double>(*rows_seen) / static_cast<double>(n);
+  std::fill(sample->weights.begin(), sample->weights.end(), w);
+  sample->sampling_fraction =
+      static_cast<double>(n) / static_cast<double>(*rows_seen);
   return Status::OK();
 }
 

@@ -212,29 +212,6 @@ std::vector<std::string> RegisteredSynopses();
 
 bool IsSynopsisRegistered(const std::string& kind);
 
-// ---- Maintenance adapter ----------------------------------------------------
-
-// Observer-carrying wrapper matching CubeMaintainer / ReservoirMaintainer:
-// the service layer registers cache invalidation as the update observer, so
-// a synopsis absorb can never leave stale cached answers servable.
-class SynopsisMaintainer {
- public:
-  // `s` is borrowed and must outlive the maintainer.
-  explicit SynopsisMaintainer(Synopsis* s) : synopsis_(s) {}
-
-  Status Absorb(const Table& batch);
-
-  void set_update_observer(std::function<void()> observer) {
-    observer_ = std::move(observer);
-  }
-
-  const Synopsis& synopsis() const { return *synopsis_; }
-
- private:
-  Synopsis* synopsis_;
-  std::function<void()> observer_;
-};
-
 // ---- Shared implementation helpers ------------------------------------------
 
 // Column-for-column name/type equality (absorbed batches must match the
@@ -255,6 +232,16 @@ Status UnshareRows(Sample* sample);
 // of `batch`, re-coding strings into `rows`' dictionaries (which
 // ValidateBatchDictionaries has checked).
 Status OverwriteSlot(Table* rows, size_t slot, const Table& batch, size_t row);
+
+// Vitter's Algorithm R continued over `batch`: each appended row replaces a
+// uniformly random slot of `sample` with probability n / rows_seen, one
+// `rng.NextBounded(rows_seen)` draw per row, so `sample` stays a uniform
+// draw of everything seen. FailedPrecondition for a non-uniform sample and
+// InvalidArgument for an unknown category, both before anything mutates;
+// shared rows are copied before the first overwrite. On success advances
+// `*rows_seen` and refreshes population_size, weights and sampling_fraction.
+Status ContinueReservoir(Sample* sample, size_t* rows_seen, const Table& batch,
+                         Rng& rng);
 
 }  // namespace synopsis
 }  // namespace aqpp

@@ -306,5 +306,69 @@ TEST_F(PrefixCubeTest, RejectsInvalidMeasure) {
       PrefixCube::Build(*table_, scheme, {MeasureSpec::Sum(99)}).ok());
 }
 
+// ---- Delta-cube merge (the ingest absorber's cube path) --------------------
+
+class CubeMergeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    base_ = MakeSynthetic({.rows = 20000, .dom1 = 100, .dom2 = 50,
+                           .seed = 701});
+    scheme_ = PartitionScheme({DimensionPartition{0, {25, 50, 75, 100}},
+                               DimensionPartition{1, {25, 50}}});
+    cube_ = std::move(PrefixCube::Build(
+                          *base_, scheme_,
+                          {MeasureSpec::Sum(2), MeasureSpec::Count(),
+                           MeasureSpec::SumSquares(2)}))
+                .value();
+  }
+
+  // Exact SUM over a box for base + appended batches.
+  double ExactCombined(const std::vector<std::shared_ptr<Table>>& tables,
+                       const PreAggregate& box) {
+    RangePredicate pred = box.ToPredicate(scheme_);
+    double total = 0;
+    for (const auto& t : tables) {
+      for (size_t r = 0; r < t->num_rows(); ++r) {
+        if (pred.Matches(*t, r)) total += t->column(2).GetDouble(r);
+      }
+    }
+    return total;
+  }
+
+  std::shared_ptr<Table> base_;
+  PartitionScheme scheme_;
+  std::shared_ptr<PrefixCube> cube_;
+};
+
+TEST_F(CubeMergeTest, MergeFromIsExact) {
+  auto batch = MakeSynthetic({.rows = 5000, .dom1 = 100, .dom2 = 50,
+                              .seed = 702});
+  auto delta = PrefixCube::Build(*batch, scheme_,
+                                 {MeasureSpec::Sum(2), MeasureSpec::Count(),
+                                  MeasureSpec::SumSquares(2)});
+  ASSERT_TRUE(delta.ok());
+  ASSERT_TRUE(cube_->MergeFrom(**delta).ok());
+  PreAggregate box;
+  box.lo = {1, 0};
+  box.hi = {3, 2};
+  EXPECT_NEAR(cube_->BoxValue(box, 0), ExactCombined({base_, batch}, box),
+              1e-6);
+}
+
+TEST_F(CubeMergeTest, MergeFromRejectsMismatch) {
+  PartitionScheme other({DimensionPartition{0, {50, 100}},
+                         DimensionPartition{1, {25, 50}}});
+  auto delta = PrefixCube::Build(*base_, other, {MeasureSpec::Sum(2)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_FALSE(cube_->MergeFrom(**delta).ok());
+}
+
+TEST_F(CubeMergeTest, DeltaPastTheLastCutIsRejected) {
+  // dom1 = 300 exceeds the last cut (100) on dimension 0: the delta cube
+  // cannot be built, so it can never be merged.
+  auto bad = MakeSynthetic({.rows = 10, .dom1 = 300, .dom2 = 50, .seed = 708});
+  EXPECT_FALSE(PrefixCube::Build(*bad, scheme_, {MeasureSpec::Sum(2)}).ok());
+}
+
 }  // namespace
 }  // namespace aqpp

@@ -454,6 +454,149 @@ TEST_F(IngestManagerTest, EqualSchedulesProduceEqualBits) {
   }
 }
 
+TEST_F(IngestManagerTest, CountAndSumSquaresPlanesMaintained) {
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager mgr(engine_.get(), opts);
+  auto batch = MakeBatch(1000, testutil::TestSeed(709));
+  ASSERT_TRUE(mgr.Append(*batch).ok());
+  ASSERT_TRUE(mgr.AbsorbNow().ok());
+
+  // Every plane of the published cube covers base + batch over the full box.
+  const PrefixCube& cube = *engine_->cube();
+  PreAggregate all;
+  for (const auto& dim : cube.scheme().dims()) {
+    all.lo.push_back(0);
+    all.hi.push_back(dim.num_cuts());
+  }
+  ASSERT_EQ(cube.measures().size(), 3u);
+  ASSERT_TRUE(cube.measures()[1].is_count());
+  ASSERT_TRUE(cube.measures()[2].squared);
+  EXPECT_NEAR(cube.BoxValue(all, 1), 21000.0, 1e-9);
+  double ss = 0;
+  for (const auto& t : {table_, batch}) {
+    for (size_t r = 0; r < t->num_rows(); ++r) {
+      double a = t->column(2).GetDouble(r);
+      ss += a * a;
+    }
+  }
+  EXPECT_NEAR(cube.BoxValue(all, 2), ss, std::fabs(ss) * 1e-12);
+}
+
+// Regression: Algorithm R continues uniform samples only. A stratified
+// engine used to accept the batch and then abort the process in the absorb
+// cycle (the background absorber would take a daemon down the same way).
+// The batch is now refused at Append, so nothing commits that could never
+// be absorbed.
+TEST(IngestNonUniformTest, NonUniformSampleRejectsAppendAndNeverAborts) {
+  auto table = testutil::MakeSynthetic(
+      {.rows = 5000, .seed = testutil::TestSeed(4250)});
+  EngineOptions eopts;
+  eopts.sample_rate = 0.05;
+  eopts.cube_budget = 100;
+  eopts.sampling = SamplingMethod::kStratified;
+  eopts.stratify_columns = {1};
+  auto created = AqppEngine::Create(table, eopts);
+  ASSERT_TRUE(created.ok()) << created.status();
+  std::shared_ptr<AqppEngine> engine(std::move(*created));
+  QueryTemplate tmpl;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0, 1};
+  ASSERT_TRUE(engine->Prepare(tmpl).ok());
+  ASSERT_TRUE(
+      engine->Execute(MakeQuery(AggregateFunction::kCount, 1, 100)).ok());
+  ASSERT_EQ(engine->sample().method, SamplingMethod::kStratified);
+
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager mgr(engine.get(), opts);
+  Status st = mgr.Append(*MakeBatch(64, testutil::TestSeed(4251)));
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_NE(st.message().find("uniform"), std::string::npos);
+  IngestSnapshot snap = mgr.snapshot();
+  EXPECT_EQ(snap.rows_committed, 0u);
+  EXPECT_EQ(snap.delta_rows, 0u);
+  EXPECT_EQ(snap.committed_generation, 0u);
+  // Nothing committed, so the absorb cycle has nothing to do — and it
+  // returns instead of aborting.
+  EXPECT_TRUE(mgr.AbsorbNow().ok());
+  EXPECT_EQ(mgr.snapshot().absorbed_generation, 0u);
+}
+
+// Regression: a string value missing from a NON-dimension column's
+// dictionary must reject the whole batch, leaving nothing behind — and the
+// manager must stay usable. The cube partitions only c1, so the domain
+// guard never looks at the string column.
+TEST(IngestStringColumnTest, AppendRejectsUnknownCategoryWithoutPartialState) {
+  Schema schema({{"c1", DataType::kInt64},
+                 {"s", DataType::kString},
+                 {"a", DataType::kDouble}});
+  auto base = std::make_shared<Table>(schema);
+  Rng gen(801);
+  for (int i = 0; i < 2000; ++i) {
+    base->AddRow()
+        .Int64(gen.NextInt(1, 100))
+        .String(i % 2 == 0 ? "x" : "y")
+        .Double(gen.NextDouble());
+  }
+  base->FinalizeDictionaries();
+  EngineOptions eopts;
+  eopts.sample_rate = 0.1;
+  eopts.cube_budget = 16;
+  auto created = AqppEngine::Create(base, eopts);
+  ASSERT_TRUE(created.ok()) << created.status();
+  std::shared_ptr<AqppEngine> engine(std::move(*created));
+  QueryTemplate tmpl;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0};
+  ASSERT_TRUE(engine->Prepare(tmpl).ok());
+  RangeQuery count_all;
+  count_all.func = AggregateFunction::kCount;
+  count_all.predicate.Add({0, 1, 100});
+  ASSERT_TRUE(engine->Execute(count_all).ok());
+
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager mgr(engine.get(), opts);
+  auto make = [&](std::vector<std::pair<int64_t, const char*>> rows) {
+    auto t = std::make_shared<Table>(schema);
+    for (const auto& [c1, s] : rows) {
+      t->AddRow().Int64(c1).String(s).Double(1.0);
+    }
+    t->FinalizeDictionaries();
+    return t;
+  };
+  ASSERT_TRUE(mgr.Append(*make({{10, "x"}})).ok());
+  ASSERT_EQ(mgr.snapshot().delta_rows, 1u);
+
+  Status st = mgr.Append(*make({{20, "x"}, {30, "zzz"}}));  // unknown category
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  // Nothing from the rejected batch is visible: rows, generation, and every
+  // delta column stay exactly as before.
+  IngestSnapshot snap = mgr.snapshot();
+  EXPECT_EQ(snap.delta_rows, 1u);
+  EXPECT_EQ(snap.rows_committed, 1u);
+  EXPECT_EQ(snap.committed_generation, 1u);
+  auto delta = mgr.delta();
+  for (size_t c = 0; c < delta->num_columns(); ++c) {
+    const Column& col = delta->column(c);
+    EXPECT_EQ(col.type() == DataType::kDouble ? col.DoubleData().size()
+                                              : col.Int64Data().size(),
+              1u);
+  }
+
+  // The manager is still usable, and the accepted rows absorb cleanly.
+  ASSERT_TRUE(mgr.Append(*make({{40, "y"}})).ok());
+  EXPECT_EQ(mgr.snapshot().delta_rows, 2u);
+  ASSERT_TRUE(mgr.AbsorbNow().ok());
+  EXPECT_EQ(mgr.snapshot().total_rows, 2002u);
+  const PrefixCube& cube = *engine->cube();
+  PreAggregate all;
+  all.lo = {0};
+  all.hi = {cube.scheme().dims()[0].num_cuts()};
+  EXPECT_NEAR(cube.BoxValue(all, 1), 2002.0, 1e-9);
+}
+
 // ---------------------------------------------------------------------------
 // Wire codec.
 // ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@
 #include <cctype>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "core/identification.h"
-#include "core/maintenance.h"
+#include "core/ingest.h"
 #include "core/precompute.h"
 #include "cube/extrema_grid.h"
 #include "cube/prefix_cube.h"
@@ -339,21 +339,30 @@ INSTANTIATE_TEST_SUITE_P(
 class MaintenancePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaintenancePropertyTest, AnyBatchSplitEqualsOneBigBuild) {
-  // Absorbing the same rows in any number of batches (with or without
-  // intermediate compactions) must answer every box exactly like a cube
-  // built over all rows at once.
+  // Appending the same rows in any number of batches (absorbing after every
+  // other batch, and once more at the end) must publish a cube that answers
+  // every box exactly like a cube built over all rows at once.
   const int num_batches = GetParam();
   auto base = MakeSynthetic({.rows = 8000, .dom1 = 50, .dom2 = 20,
                              .seed = 1601});
   auto extra = MakeSynthetic({.rows = 6000, .dom1 = 50, .dom2 = 20,
                               .seed = 1602});
-  PartitionScheme scheme({DimensionPartition{0, {10, 20, 30, 40, 50}},
-                          DimensionPartition{1, {10, 20}}});
-  std::vector<MeasureSpec> measures = {MeasureSpec::Sum(2),
-                                       MeasureSpec::Count()};
+  EngineOptions eopts;
+  eopts.sample_rate = 0.05;
+  eopts.cube_budget = 64;
+  auto engine = std::move(AqppEngine::Create(base, eopts)).value();
+  QueryTemplate tmpl;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0, 1};
+  ASSERT_TRUE(engine->Prepare(tmpl).ok());
+  RangeQuery warm;
+  warm.func = AggregateFunction::kCount;
+  warm.predicate.Add({0, 1, 50});
+  ASSERT_TRUE(engine->Execute(warm).ok());  // draws the sample
 
-  auto cube = std::move(PrefixCube::Build(*base, scheme, measures)).value();
-  CubeMaintainer maintainer(cube, base);
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager ingest(engine.get(), opts);
   size_t per_batch = extra->num_rows() / static_cast<size_t>(num_batches);
   for (int b = 0; b < num_batches; ++b) {
     size_t begin = static_cast<size_t>(b) * per_batch;
@@ -362,13 +371,13 @@ TEST_P(MaintenancePropertyTest, AnyBatchSplitEqualsOneBigBuild) {
     std::vector<size_t> rows;
     for (size_t r = begin; r < end; ++r) rows.push_back(r);
     auto batch = std::move(TakeRows(*extra, rows)).value();
-    ASSERT_TRUE(maintainer.Absorb(*batch).ok());
-    if (b % 2 == 1) ASSERT_TRUE(maintainer.Compact().ok());
+    ASSERT_TRUE(ingest.Append(*batch).ok());
+    if (b % 2 == 1) ASSERT_TRUE(ingest.AbsorbNow().ok());
   }
+  ASSERT_TRUE(ingest.AbsorbNow().ok());
+  ASSERT_EQ(ingest.snapshot().rows_absorbed, extra->num_rows());
 
   // Reference: one cube over base + extra.
-  std::vector<size_t> all_base(base->num_rows());
-  std::iota(all_base.begin(), all_base.end(), 0);
   auto combined = std::make_shared<Table>(base->schema());
   for (size_t c = 0; c < base->num_columns(); ++c) {
     Column& dst = combined->mutable_column(c);
@@ -389,18 +398,26 @@ TEST_P(MaintenancePropertyTest, AnyBatchSplitEqualsOneBigBuild) {
     }
   }
   combined->SetRowCountFromColumns();
-  auto reference =
-      std::move(PrefixCube::Build(*combined, scheme, measures)).value();
+  const PrefixCube& published = *engine->cube();
+  auto reference = std::move(PrefixCube::Build(*combined, published.scheme(),
+                                               published.measures()))
+                       .value();
 
-  for (size_t lo1 = 0; lo1 < 5; ++lo1) {
-    for (size_t hi1 = lo1 + 1; hi1 <= 5; ++hi1) {
-      for (size_t m = 0; m < 2; ++m) {
-        PreAggregate box;
-        box.lo = {lo1, 0};
-        box.hi = {hi1, 2};
-        EXPECT_NEAR(maintainer.BoxValue(box, m),
-                    reference->BoxValue(box, m),
-                    std::fabs(reference->BoxValue(box, m)) * 1e-9 + 1e-9);
+  const auto& dims = published.scheme().dims();
+  ASSERT_EQ(dims.size(), 2u);
+  for (size_t lo1 = 0; lo1 < dims[0].num_cuts(); ++lo1) {
+    for (size_t hi1 = lo1 + 1; hi1 <= dims[0].num_cuts(); ++hi1) {
+      for (size_t lo2 = 0; lo2 < dims[1].num_cuts(); ++lo2) {
+        for (size_t hi2 = lo2 + 1; hi2 <= dims[1].num_cuts(); ++hi2) {
+          for (size_t m = 0; m < published.measures().size(); ++m) {
+            PreAggregate box;
+            box.lo = {lo1, lo2};
+            box.hi = {hi1, hi2};
+            EXPECT_NEAR(published.BoxValue(box, m),
+                        reference->BoxValue(box, m),
+                        std::fabs(reference->BoxValue(box, m)) * 1e-9 + 1e-9);
+          }
+        }
       }
     }
   }

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/maintenance.h"
+#include "core/ingest.h"
 #include "core/multi_engine.h"
 #include "service/result_cache.h"
 #include "service/service.h"
@@ -230,10 +230,11 @@ TEST(ServiceCacheTest, MaintenanceObserverInvalidatesOnAppend) {
   ASSERT_TRUE(session.ok());
   uint64_t sid = (*session)->id();
 
-  // Reservoir maintainer over a copy of the engine's sample; the service
-  // registers invalidation as its update observer.
-  ReservoirMaintainer reservoir((*engine)->sample());
-  service.WireMaintenance(nullptr, &reservoir);
+  // The service registers invalidation as the ingest commit observer.
+  IngestOptions ingest_opts;
+  ingest_opts.background = false;
+  IngestManager ingest(engine->get(), ingest_opts);
+  service.AttachIngest(&ingest);
 
   RangeQuery q = SumQuery(10, 60);
   ASSERT_TRUE(service.Execute(sid, q).status.ok());
@@ -241,7 +242,7 @@ TEST(ServiceCacheTest, MaintenanceObserverInvalidatesOnAppend) {
 
   // Appending a batch must flush the cache through the observer.
   auto batch = testutil::MakeSynthetic({.rows = 500, .seed = 777});
-  ASSERT_TRUE(reservoir.Absorb(*batch).ok());
+  ASSERT_TRUE(ingest.Append(*batch).ok());
   EXPECT_EQ(service.cache().stats().size, 0u);
   EXPECT_GE(service.cache().stats().invalidated, 1u);
 }

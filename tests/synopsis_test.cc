@@ -34,6 +34,7 @@
 #include "core/engine.h"
 #include "engine_oracle.h"
 #include "expr/query.h"
+#include "sampling/samplers.h"
 #include "stats/confidence.h"
 #include "storage/table.h"
 #include "synopsis/reservoir.h"
@@ -347,23 +348,156 @@ TEST_P(SynopsisPropertyTest, TornAbsorbLeavesNoPartialState) {
   ASSERT_TRUE(synopsis_->Absorb(*batch).ok());
 }
 
-TEST(SynopsisMaintainerTest, ObserverFiresOnSuccessNotOnFailure) {
-  auto table = MakeSynthetic({.rows = 1000, .seed = testutil::TestSeed(9111)});
-  auto syn = BuildSynopsis("reservoir", *table, testutil::TestSeed(9112));
-  ASSERT_NE(syn, nullptr);
+// ---- Algorithm R continuation ----------------------------------------------
+//
+// synopsis::ContinueReservoir is the one reservoir continuation: the
+// "reservoir" kinds' Absorb and the ingest absorber both run it.
 
-  synopsis::SynopsisMaintainer maintainer(syn.get());
-  int notified = 0;
-  maintainer.set_update_observer([&notified] { ++notified; });
+TEST(ContinueReservoirTest, KeepsSizeAndUpdatesWeights) {
+  auto base = MakeSynthetic({.rows = 10000, .seed = 710});
+  Rng rng(1);
+  auto sample = std::move(CreateUniformSample(*base, 0.02, rng)).value();
+  size_t rows_seen = sample.population_size;
+  auto batch = MakeSynthetic({.rows = 5000, .seed = 711});
+  Rng absorb_rng(2);
+  ASSERT_TRUE(
+      synopsis::ContinueReservoir(&sample, &rows_seen, *batch, absorb_rng)
+          .ok());
+  EXPECT_EQ(sample.size(), 200u);
+  EXPECT_EQ(rows_seen, 15000u);
+  EXPECT_EQ(sample.population_size, 15000u);
+  for (double w : sample.weights) {
+    EXPECT_NEAR(w, 15000.0 / 200.0, 1e-9);
+  }
+}
 
-  auto batch = MakeSynthetic({.rows = 200, .seed = testutil::TestSeed(9113)});
-  ASSERT_TRUE(maintainer.Absorb(*batch).ok());
-  EXPECT_EQ(notified, 1);
+TEST(ContinueReservoirTest, StaysUnbiasedAcrossAppends) {
+  // Append data with a very different measure mean; the continued sample
+  // must track the combined population total.
+  Schema schema({{"c", DataType::kInt64}, {"a", DataType::kDouble}});
+  auto base = std::make_shared<Table>(schema);
+  Rng gen(3);
+  double truth = 0;
+  for (int i = 0; i < 20000; ++i) {
+    double v = 10 + gen.NextGaussian();
+    base->AddRow().Int64(gen.NextInt(1, 100)).Double(v);
+    truth += v;
+  }
+  auto batch = std::make_shared<Table>(schema);
+  for (int i = 0; i < 20000; ++i) {
+    double v = 500 + gen.NextGaussian();
+    batch->AddRow().Int64(gen.NextInt(1, 100)).Double(v);
+    truth += v;
+  }
 
-  Schema other({{"x", DataType::kInt64}});
-  Table wrong(other);
-  EXPECT_FALSE(maintainer.Absorb(wrong).ok());
-  EXPECT_EQ(notified, 1) << "observer fired for a failed absorb";
+  double mean_est = 0;
+  constexpr int kDraws = 40;
+  Rng rng(4);
+  for (int d = 0; d < kDraws; ++d) {
+    auto s = std::move(CreateUniformSample(*base, 0.01, rng)).value();
+    size_t rows_seen = s.population_size;
+    Rng absorb_rng(100 + d);
+    ASSERT_TRUE(
+        synopsis::ContinueReservoir(&s, &rows_seen, *batch, absorb_rng).ok());
+    double est = 0;
+    for (size_t i = 0; i < s.size(); ++i) {
+      est += s.weights[i] * s.rows->column(1).GetDouble(i);
+    }
+    mean_est += est / kDraws;
+  }
+  EXPECT_NEAR(mean_est, truth, truth * 0.03);
+}
+
+TEST(ContinueReservoirTest, RejectsUnknownDictionaryValues) {
+  Schema schema({{"flag", DataType::kString}, {"a", DataType::kDouble}});
+  auto base = std::make_shared<Table>(schema);
+  Rng gen(5);
+  for (int i = 0; i < 1000; ++i) {
+    base->AddRow().String(i % 2 == 0 ? "A" : "B").Double(gen.NextDouble());
+  }
+  base->FinalizeDictionaries();
+  Rng rng(6);
+  auto sample = std::move(CreateUniformSample(*base, 0.1, rng)).value();
+  size_t rows_seen = sample.population_size;
+
+  auto batch = std::make_shared<Table>(schema);
+  for (int i = 0; i < 500; ++i) {
+    batch->AddRow().String("Z").Double(0.5);  // unseen category
+  }
+  batch->FinalizeDictionaries();
+  // Statistically certain to try an overwrite within 500 rows.
+  Rng absorb_rng(7);
+  EXPECT_FALSE(
+      synopsis::ContinueReservoir(&sample, &rows_seen, *batch, absorb_rng)
+          .ok());
+}
+
+TEST(ContinueReservoirTest, RequiresUniformSample) {
+  auto base = MakeSynthetic({.rows = 2000, .seed = 712});
+  Rng rng(8);
+  auto stratified =
+      std::move(CreateStratifiedSample(*base, {0}, 0.05, rng)).value();
+  size_t rows_seen = stratified.population_size;
+  const std::vector<double> weights_before = stratified.weights;
+  auto batch = MakeSynthetic({.rows = 100, .seed = 713});
+  Rng absorb_rng(9);
+  Status st =
+      synopsis::ContinueReservoir(&stratified, &rows_seen, *batch, absorb_rng);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(st.message().find("uniform"), std::string::npos);
+  EXPECT_EQ(rows_seen, stratified.population_size);
+  EXPECT_EQ(stratified.weights, weights_before);
+}
+
+// Regression (production defect): an unknown category used to surface from
+// the slot overwrite mid-batch, after earlier columns of the victim sample
+// row were already overwritten (torn row) and the seen-row counter had
+// advanced past rows that were never absorbed. The continuation must
+// pre-validate and reject the batch with the sample bit-identical to before.
+TEST(ContinueReservoirTest, RejectsUnknownCategoryWithoutTearingRows) {
+  // Double column FIRST: the old code overwrote it before discovering the
+  // bad string value in the second column.
+  Schema schema({{"a", DataType::kDouble}, {"s", DataType::kString}});
+  auto base = std::make_shared<Table>(schema);
+  Rng gen(802);
+  for (int i = 0; i < 1000; ++i) {
+    base->AddRow().Double(gen.NextDouble()).String(i % 2 == 0 ? "x" : "y");
+  }
+  base->FinalizeDictionaries();
+  Rng rng(803);
+  auto sample = std::move(CreateUniformSample(*base, 0.1, rng)).value();
+  size_t rows_seen = sample.population_size;
+  Rng absorb_rng(804);
+
+  std::vector<double> before_a = sample.rows->column(0).DoubleData();
+  std::vector<int64_t> before_s = sample.rows->column(1).Int64Data();
+  size_t before_population = sample.population_size;
+  std::vector<double> before_weights = sample.weights;
+
+  auto bad = std::make_shared<Table>(schema);
+  for (int i = 0; i < 500; ++i) {
+    bad->AddRow().Double(12345.0).String("zzz");  // unseen category
+  }
+  bad->FinalizeDictionaries();
+  EXPECT_FALSE(
+      synopsis::ContinueReservoir(&sample, &rows_seen, *bad, absorb_rng).ok());
+
+  EXPECT_EQ(sample.rows->column(0).DoubleData(), before_a);
+  EXPECT_EQ(sample.rows->column(1).Int64Data(), before_s);
+  EXPECT_EQ(sample.population_size, before_population);
+  EXPECT_EQ(sample.weights, before_weights);
+  EXPECT_EQ(rows_seen, before_population);
+
+  // A subsequent valid batch is accounted from the pre-failure population —
+  // the old defect had silently advanced the counter by the rejected rows.
+  auto good = std::make_shared<Table>(schema);
+  for (int i = 0; i < 10; ++i) {
+    good->AddRow().Double(1.0).String("x");
+  }
+  good->FinalizeDictionaries();
+  ASSERT_TRUE(
+      synopsis::ContinueReservoir(&sample, &rows_seen, *good, absorb_rng).ok());
+  EXPECT_EQ(sample.population_size, before_population + 10);
 }
 
 // ---- Sample adoption gates --------------------------------------------------
