@@ -89,7 +89,6 @@ Status AqppEngine::EnsureSample() {
 Status AqppEngine::InstallSample(Sample sample) {
   sample_ = std::move(sample);
   has_sample_ = true;
-  measure_cache_ = std::make_unique<MeasureCache>(sample_.rows.get());
   prepare_stats_.sample_bytes = sample_.MemoryUsage();
   // An engine-aligned synopsis mirrors the sample row for row, so it must
   // move to the new rows with it; other kinds summarize the table and are
@@ -268,6 +267,58 @@ Result<ApproximateResult> AqppEngine::Execute(const RangeQuery& query,
                        identifier_.get(), table_->schema(), rng);
 }
 
+namespace {
+
+// The estimation half of the scalar path. With a non-empty `pre`, `syn`
+// answers the difference estimate (Equation 4); a synopsis without a
+// difference path, or an empty `pre`, gets the direct estimate. An
+// engine-aligned `syn` reuses the identifier's sample-row masks.
+Status EstimateAgainstPre(const RangeQuery& query,
+                          const ExecuteControl& control,
+                          const synopsis::Synopsis& syn,
+                          const AggregateIdentifier* identifier,
+                          const PreAggregate& pre, const PreValues& values,
+                          const Schema& schema, Rng& rng,
+                          ApproximateResult* out) {
+  if (!pre.IsEmpty()) {
+    const PrefixCube& cube = identifier->cube();
+    Result<ConfidenceInterval> ci = Status::Internal("unset");
+    if (syn.engine_aligned()) {
+      // The synopsis rows are the engine sample's rows, so the query mask
+      // and the identifier's cached pre mask apply unchanged.
+      std::vector<uint8_t> q_mask_storage;
+      if (control.query_mask == nullptr) {
+        AQPP_ASSIGN_OR_RETURN(
+            q_mask_storage,
+            query.predicate.EvaluateMask(*identifier->sample().rows));
+      }
+      const std::vector<uint8_t>& q_mask = control.query_mask != nullptr
+                                               ? *control.query_mask
+                                               : q_mask_storage;
+      ci = syn.EstimateWithPreMasked(query, q_mask,
+                                     identifier->PreMaskOnSample(pre), values,
+                                     control, rng);
+    } else {
+      ci = syn.EstimateWithPre(query, pre.ToPredicate(cube.scheme()), values,
+                               control, rng);
+    }
+    if (ci.ok()) {
+      out->ci = std::move(ci).value();
+      out->used_pre = true;
+      out->pre_description = pre.ToString(cube.scheme(), schema);
+      return Status::OK();
+    }
+    if (ci.status().code() != StatusCode::kUnimplemented) return ci.status();
+    // Synopses without a difference path answer directly; the pre is
+    // dropped, not mis-applied.
+    out->pre_description = "phi (synopsis)";
+  }
+  AQPP_ASSIGN_OR_RETURN(out->ci, syn.Estimate(query, control, rng));
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<ApproximateResult> EstimateScalar(const RangeQuery& query,
                                          const ExecuteControl& control,
                                          const synopsis::Synopsis& syn,
@@ -289,43 +340,9 @@ Result<ApproximateResult> EstimateScalar(const RangeQuery& query,
 
   Timer est_timer;
   obs::SpanTimer est_span(obs::Phase::kSampleEstimation, control.trace);
-  if (!identified.pre.IsEmpty()) {
-    const PrefixCube& cube = identifier->cube();
-    Result<ConfidenceInterval> ci = Status::Internal("unset");
-    if (syn.engine_aligned()) {
-      // The synopsis rows are the engine sample's rows, so the query mask
-      // and the identifier's cached pre mask apply unchanged.
-      std::vector<uint8_t> q_mask_storage;
-      if (control.query_mask == nullptr) {
-        AQPP_ASSIGN_OR_RETURN(
-            q_mask_storage,
-            query.predicate.EvaluateMask(*identifier->sample().rows));
-      }
-      const std::vector<uint8_t>& q_mask = control.query_mask != nullptr
-                                               ? *control.query_mask
-                                               : q_mask_storage;
-      ci = syn.EstimateWithPreMasked(
-          query, q_mask, identifier->PreMaskOnSample(identified.pre),
-          identified.values, control, rng);
-    } else {
-      ci = syn.EstimateWithPre(query, identified.pre.ToPredicate(cube.scheme()),
-                               identified.values, control, rng);
-    }
-    if (ci.ok()) {
-      out.ci = std::move(ci).value();
-      out.used_pre = true;
-      out.pre_description = identified.pre.ToString(cube.scheme(), schema);
-    } else if (ci.status().code() == StatusCode::kUnimplemented) {
-      // Synopses without a difference path answer directly; the pre is
-      // dropped, not mis-applied.
-      out.pre_description = "phi (synopsis)";
-    } else {
-      return ci.status();
-    }
-  }
-  if (!out.used_pre) {
-    AQPP_ASSIGN_OR_RETURN(out.ci, syn.Estimate(query, control, rng));
-  }
+  AQPP_RETURN_NOT_OK(EstimateAgainstPre(query, control, syn, identifier,
+                                        identified.pre, identified.values,
+                                        schema, rng, &out));
   est_span.Stop();
   out.estimation_seconds = est_timer.ElapsedSeconds();
   return out;
@@ -536,19 +553,16 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
     group_values.insert(vals);
   }
 
-  SampleEstimator estimator(
-      &sample_, {.confidence_level = options_.confidence_level,
-                 .bootstrap_resamples = options_.bootstrap_resamples});
-  if (measure_cache_ != nullptr) {
-    estimator.set_measure_cache(measure_cache_.get());
-  }
-  estimator.set_trace(control.trace);
+  // Every group is estimated through the live synopsis, like a scalar
+  // query. The caller's query mask covers the whole query, not a group.
+  std::shared_ptr<synopsis::Synopsis> syn = active_synopsis();
+  ExecuteControl group_control = control;
+  group_control.query_mask = nullptr;
 
   // Identify once on the group-stripped query (Appendix C's heuristic).
   RangeQuery scalar = query;
   scalar.group_by.clear();
   IdentifiedAggregate identified;
-  bool have_pre = false;
   double ident_seconds = 0;
   if (cube_covers_groups && identifier_ != nullptr) {
     Timer t;
@@ -557,7 +571,6 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
                           identifier_->Identify(scalar, rng, control.trace));
     ident_span.Stop();
     ident_seconds = t.ElapsedSeconds();
-    have_pre = !identified.pre.IsEmpty();
   }
 
   obs::SpanTimer groups_span(obs::Phase::kSampleEstimation, control.trace);
@@ -576,22 +589,17 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
     }
 
     Timer est_timer;
-    IdentifiedAggregate group_identified = identified;
-    bool group_have_pre = have_pre;
+    PreAggregate pre = identified.pre;
     if (options_.per_group_identification && cube_covers_groups &&
         identifier_ != nullptr) {
       // Appendix C's "more effective" variant: identify against the
       // group-pinned query itself. The group dimensions are exhaustive, so
       // the group value's slice is always exactly bracketable.
       auto per_group = identifier_->Identify(group_query, rng);
-      if (per_group.ok()) {
-        group_identified = std::move(*per_group);
-        group_have_pre = !group_identified.pre.IsEmpty();
-      }
+      if (per_group.ok()) pre = std::move(per_group->pre);
     }
-    if (group_have_pre) {
+    if (!pre.IsEmpty()) {
       // Pin the pre box to the group's cube slice on each group dimension.
-      PreAggregate pre = group_identified.pre;
       bool sliceable = true;
       for (size_t g = 0; g < query.group_by.size(); ++g) {
         const auto& dim = cube_->scheme().dim(group_dims[g]);
@@ -606,30 +614,17 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
         pre.lo[group_dims[g]] = upper - 1;
         pre.hi[group_dims[g]] = upper;
       }
-      if (sliceable && !pre.IsEmpty()) {
-        PreValues values;
-        values.sum = cube_->BoxValue(pre, 0);
-        values.count = cube_->num_measures() > 1 ? cube_->BoxValue(pre, 1) : 0;
-        values.sum_sq =
-            cube_->num_measures() > 2 ? cube_->BoxValue(pre, 2) : 0;
-        AQPP_ASSIGN_OR_RETURN(auto gq_mask,
-                              estimator.Mask(group_query.predicate));
-        std::vector<uint8_t> pre_mask = identifier_->PreMaskOnSample(pre);
-        AQPP_ASSIGN_OR_RETURN(
-            gr.result.ci, estimator.EstimateWithPreMasked(group_query, gq_mask,
-                                                          pre_mask, values,
-                                                          rng));
-        gr.result.used_pre = true;
-        gr.result.pre_description =
-            pre.ToString(cube_->scheme(), table_->schema());
-      } else {
-        AQPP_ASSIGN_OR_RETURN(gr.result.ci,
-                              estimator.EstimateDirect(group_query, rng));
-      }
-    } else {
-      AQPP_ASSIGN_OR_RETURN(gr.result.ci,
-                            estimator.EstimateDirect(group_query, rng));
+      if (!sliceable) pre = PreAggregate{};
     }
+    PreValues values;
+    if (!pre.IsEmpty()) {
+      values.sum = cube_->BoxValue(pre, 0);
+      values.count = cube_->num_measures() > 1 ? cube_->BoxValue(pre, 1) : 0;
+      values.sum_sq = cube_->num_measures() > 2 ? cube_->BoxValue(pre, 2) : 0;
+    }
+    AQPP_RETURN_NOT_OK(EstimateAgainstPre(group_query, group_control, *syn,
+                                          identifier_.get(), pre, values,
+                                          table_->schema(), rng, &gr.result));
     gr.result.estimation_seconds = est_timer.ElapsedSeconds();
     gr.result.identification_seconds =
         ident_seconds / static_cast<double>(group_values.size());

@@ -10,10 +10,10 @@
 // With `enable_precompute = false` (or without Prepare) the engine degrades
 // to plain AQP — the `pre = phi` special case of Equation 4.
 //
-// Every scalar estimate goes through the engine's synopsis. By default that
-// is the engine-aligned "reservoir" over the engine's own sample: it shares
-// the sample rows, so identification's sample-row masks apply to it
-// unchanged.
+// Every estimate, scalar or per GROUP BY group, goes through the engine's
+// synopsis. By default that is the engine-aligned "reservoir" over the
+// engine's own sample: it shares the sample rows, so identification's
+// sample-row masks apply to it unchanged.
 
 #ifndef AQPP_CORE_ENGINE_H_
 #define AQPP_CORE_ENGINE_H_
@@ -153,7 +153,7 @@ class AqppEngine {
 
   // Group-by query (Appendix C): one identification pass on the
   // group-stripped query, then per-group difference estimation against the
-  // group-pinned cube slice.
+  // group-pinned cube slice, through the live synopsis like a scalar query.
   Result<std::vector<GroupApproximateResult>> ExecuteGroupBy(
       const RangeQuery& query);
 
@@ -195,9 +195,9 @@ class AqppEngine {
                        std::shared_ptr<PrefixCube> cube);
 
   // Publishes maintained state (the streaming-ingest absorber's commit): the
-  // absorbed sample and cube replace the current ones, the measure cache and
-  // identifier are rebuilt, an engine-aligned synopsis is re-adopted over
-  // the new sample, and the prepared template is kept. A synopsis that is
+  // absorbed sample and cube replace the current ones, the identifier is
+  // rebuilt, an engine-aligned synopsis is re-adopted over the new sample,
+  // and the prepared template is kept. A synopsis that is
   // not engine-aligned is left alone — the absorber publishes its own
   // absorbed clone via AdoptSynopsis. NOT internally synchronized:
   // the caller serializes against concurrent Execute (IngestManager holds
@@ -253,9 +253,9 @@ class AqppEngine {
 
   Status EnsureSample();
 
-  // The one place a sample is installed: sets the sample, its measure cache
-  // and sample_bytes, then re-adopts an engine-aligned synopsis over the new
-  // rows (or creates the default one on the first install).
+  // The one place a sample is installed: sets the sample and sample_bytes,
+  // then re-adopts an engine-aligned synopsis over the new rows (or creates
+  // the default one on the first install).
   Status InstallSample(Sample sample);
 
   // The one place a cube is installed: sets the cube, its prepare stats and
@@ -271,10 +271,6 @@ class AqppEngine {
   Rng rng_;
   Sample sample_;
   bool has_sample_ = false;
-  // Engine-level measure cache: double-materialized measure columns over the
-  // current sample, shared by every estimator the engine creates. Rebuilt
-  // whenever the sample changes.
-  std::unique_ptr<MeasureCache> measure_cache_;
   std::optional<QueryTemplate> template_;
   std::shared_ptr<PrefixCube> cube_;
   std::shared_ptr<ExtremaGrid> extrema_;

@@ -205,6 +205,12 @@ Status IngestManager::ValidateBatch(const Table& batch) const {
       }
     }
   }
+  // A synopsis that is not engine-aligned absorbs the batch itself later;
+  // a batch it would refuse would fail every absorb cycle, so refuse it now.
+  if (auto syn = engine_->active_synopsis();
+      syn != nullptr && !syn->engine_aligned()) {
+    AQPP_RETURN_NOT_OK(syn->ValidateAbsorb(batch));
+  }
   // Cube-domain guard (footnote 5): a value past a dimension's last cut
   // would silently break the cube's coverage guarantee — reject up front so
   // the absorber can never fail on it later.

@@ -6,7 +6,8 @@
 // The consistency model has two layers:
 //
 //  * The delta. `Append` stage-validates a batch (schema, dictionary
-//    membership, cube-domain last-cut guard, finite doubles) and then commits
+//    membership, cube-domain last-cut guard, finite doubles, and a
+//    non-aligned synopsis's ValidateAbsorb) and then commits
 //    it by publishing a new immutable delta table — copy-on-write, so a
 //    reader that snapshotted the previous delta keeps scanning a stable
 //    table. Every commit bumps `committed_generation` and fires the commit
@@ -115,7 +116,8 @@ class IngestManager {
   // Stage-validates `batch` and commits it to the delta. All-or-nothing: a
   // batch that fails any check (non-uniform engine sample, schema, unknown
   // dictionary value, value past a cube dimension's last cut, non-finite
-  // double, size/backpressure bound) leaves no trace. Thread-safe.
+  // double, a batch a non-aligned synopsis would refuse to absorb,
+  // size/backpressure bound) leaves no trace. Thread-safe.
   Status Append(const Table& batch);
 
   // Runs one absorb cycle synchronously (waits out a concurrent background

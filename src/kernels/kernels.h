@@ -171,6 +171,7 @@ size_t EvaluateChunk(const BoundPredicate& pred, size_t begin, size_t end,
 
 // Chunked replacement for RangePredicate::EvaluateMask: 0/1 byte mask of
 // length table.num_rows(). Same validation semantics (ordinal columns only).
+// A one-member MultiEvaluateMask (kernels/multi_scan.h).
 Result<std::vector<uint8_t>> EvaluateMask(
     const Table& table, const std::vector<RangeCondition>& conds);
 

@@ -49,10 +49,10 @@ void MultiScanBlock(const std::vector<MultiScanMember>& members, size_t begin,
                     size_t end, ScanStrategy strategy,
                     internal::ShardAccum* accs);
 
-// Fused counterpart of EvaluateMask: one pass over `table` computing every
-// member conjunction's 0/1 row mask. Per-member results isolate binding
-// errors (one bad member does not poison its siblings); ok masks are
-// byte-identical to EvaluateMask on that member alone.
+// One pass over `table` computing every member conjunction's 0/1 row mask;
+// EvaluateMask is the one-member call. Per-member results isolate binding
+// errors (one bad member does not poison its siblings), and a member's mask
+// does not depend on the other members.
 std::vector<Result<std::vector<uint8_t>>> MultiEvaluateMask(
     const Table& table,
     const std::vector<std::vector<RangeCondition>>& member_conds);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "kernels/multi_scan.h"
+
 #if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
@@ -240,26 +242,7 @@ size_t EvaluateChunk(const BoundPredicate& pred, size_t begin, size_t end,
 
 Result<std::vector<uint8_t>> EvaluateMask(
     const Table& table, const std::vector<RangeCondition>& conds) {
-  AQPP_ASSIGN_OR_RETURN(BoundPredicate pred, BindConditions(table, conds));
-  const size_t n = table.num_rows();
-  std::vector<uint8_t> out(n);
-  if (pred.never_matches) return out;  // zero-filled
-  if (pred.conds.empty()) {
-    std::fill(out.begin(), out.end(), uint8_t{1});
-    return out;
-  }
-  int64_t mask[kChunkRows];
-  for (size_t base = 0; base < n; base += kChunkRows) {
-    const size_t end = std::min(n, base + kChunkRows);
-    const size_t m = end - base;
-    size_t count = EvaluateChunk(pred, base, end, mask);
-    uint8_t* o = out.data() + base;
-    if (count == 0) continue;  // out is zero-initialized
-    for (size_t i = 0; i < m; ++i) {
-      o[i] = static_cast<uint8_t>(mask[i] & 1);
-    }
-  }
-  return out;
+  return std::move(MultiEvaluateMask(table, {conds}).front());
 }
 
 }  // namespace kernels

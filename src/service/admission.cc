@@ -31,7 +31,7 @@ struct AdmissionMetrics {
         reg.GetHistogram(
             "aqpp_batch_window_wait_seconds", "",
             {0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01},
-            "Seconds a lone batch leader waited for same-key company."),
+            "Seconds a worker holding a lone job waited for company."),
     };
     return m;
   }
@@ -39,8 +39,9 @@ struct AdmissionMetrics {
 
 }  // namespace
 
-AdmissionController::AdmissionController(AdmissionOptions options)
-    : options_(std::move(options)) {
+AdmissionController::AdmissionController(AdmissionOptions options,
+                                         Runner runner)
+    : options_(std::move(options)), runner_(std::move(runner)) {
   size_t n = std::max<size_t>(1, options_.num_workers);
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -94,8 +95,6 @@ Status AdmissionController::Submit(uint64_t session_id, Job job,
               : "per-session queue full");
     }
     if (queue.empty()) round_robin_.push_back(session_id);
-    const bool batchable = !job.batch_key.empty();
-    if (batchable) ++batchable_queued_[job.batch_key];
     queue.push_back(std::move(job));
     ++total_queued_;
     ++stats_.admitted;
@@ -104,106 +103,53 @@ Status AdmissionController::Submit(uint64_t session_id, Job job,
     AdmissionMetrics::Get().admitted->Increment();
     AdmissionMetrics::Get().queue_depth->Set(
         static_cast<int64_t>(total_queued_));
-    if (batchable) {
-      // A window-waiting leader may be the batch this job should join;
-      // notify_one could wake a different worker and strand it.
-      cv_.notify_all();
-      return Status::OK();
-    }
   }
-  cv_.notify_one();
+  // A window-waiting worker may be the batch this job should join;
+  // notify_one could wake a different worker and strand it.
+  cv_.notify_all();
   return Status::OK();
 }
 
-void AdmissionController::CollectBatchLocked(const std::string& key,
-                                             std::vector<Job>* batch) {
-  auto counted = batchable_queued_.find(key);
-  if (counted == batchable_queued_.end()) return;
-  size_t taken = 0;
-  for (auto it = queues_.begin(); it != queues_.end();) {
-    std::deque<Job>& queue = it->second;
-    for (auto j = queue.begin(); j != queue.end();) {
-      if (j->batch_key == key) {
-        batch->push_back(std::move(*j));
-        j = queue.erase(j);
-        ++taken;
-      } else {
-        ++j;
-      }
-    }
-    if (queue.empty()) {
-      // Keep the round-robin invariant: a session appears iff its queue is
-      // non-empty.
-      for (auto r = round_robin_.begin(); r != round_robin_.end(); ++r) {
-        if (*r == it->first) {
-          round_robin_.erase(r);
-          break;
-        }
-      }
-      it = queues_.erase(it);
+void AdmissionController::PopAllLocked(std::vector<Job>* batch) {
+  while (!round_robin_.empty()) {
+    uint64_t sid = round_robin_.front();
+    round_robin_.pop_front();
+    auto it = queues_.find(sid);
+    batch->push_back(std::move(it->second.front()));
+    it->second.pop_front();
+    if (it->second.empty()) {
+      queues_.erase(it);
     } else {
-      ++it;
+      round_robin_.push_back(sid);  // fairness: back of the rotation
     }
   }
-  total_queued_ -= taken;
-  stats_.queue_depth = total_queued_;
-  AdmissionMetrics::Get().queue_depth->Set(static_cast<int64_t>(total_queued_));
-  batchable_queued_.erase(counted);
+  total_queued_ = 0;
+  stats_.queue_depth = 0;
+  AdmissionMetrics::Get().queue_depth->Set(0);
 }
 
 void AdmissionController::WorkerLoop() {
   for (;;) {
-    Job job;
-    std::vector<Job> followers;
+    std::vector<Job> batch;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || total_queued_ > 0; });
       if (stopping_) return;  // leftovers are drained by Stop()
-      uint64_t sid = round_robin_.front();
-      round_robin_.pop_front();
-      auto it = queues_.find(sid);
-      job = std::move(it->second.front());
-      it->second.pop_front();
-      --total_queued_;
-      stats_.queue_depth = total_queued_;
-      AdmissionMetrics::Get().queue_depth->Set(
-          static_cast<int64_t>(total_queued_));
-      if (it->second.empty()) {
-        queues_.erase(it);
-      } else {
-        round_robin_.push_back(sid);  // fairness: back of the rotation
+      PopAllLocked(&batch);
+      if (batch.size() == 1 && options_.batch_window_seconds > 0) {
+        // Lone job: hold the collection window open for company. Any
+        // Submit (or Stop) ends it early.
+        SteadyTime wait_start = SteadyNow();
+        cv_.wait_for(
+            lock, std::chrono::duration<double>(options_.batch_window_seconds),
+            [this] { return stopping_ || total_queued_ > 0; });
+        AdmissionMetrics::Get().batch_window_wait->Observe(
+            SecondsBetween(wait_start, SteadyNow()));
+        if (!stopping_) PopAllLocked(&batch);
       }
-      const bool batchable = options_.enable_batching &&
-                             !job.batch_key.empty() &&
-                             job.run_batch != nullptr;
-      if (!job.batch_key.empty()) {
-        auto cnt = batchable_queued_.find(job.batch_key);
-        if (cnt != batchable_queued_.end() && --cnt->second == 0) {
-          batchable_queued_.erase(cnt);
-        }
-      }
-      if (batchable) {
-        // Queue-depth trigger: same-key backlog joins immediately.
-        CollectBatchLocked(job.batch_key, &followers);
-        if (followers.empty() && options_.batch_window_seconds > 0) {
-          // Lone leader: hold the collection window open for company. Any
-          // same-key Submit (or Stop) ends it early.
-          SteadyTime wait_start = SteadyNow();
-          cv_.wait_for(
-              lock,
-              std::chrono::duration<double>(options_.batch_window_seconds),
-              [this, &job] {
-                return stopping_ ||
-                       batchable_queued_.count(job.batch_key) > 0;
-              });
-          AdmissionMetrics::Get().batch_window_wait->Observe(
-              SecondsBetween(wait_start, SteadyNow()));
-          if (!stopping_) CollectBatchLocked(job.batch_key, &followers);
-        }
-        if (!followers.empty()) {
-          ++stats_.batches_formed;
-          stats_.batch_members += followers.size() + 1;
-        }
+      if (batch.size() > 1) {
+        ++stats_.batches_formed;
+        stats_.batch_members += batch.size();
       }
     }
     if (options_.worker_hook) options_.worker_hook();
@@ -211,23 +157,12 @@ void AdmissionController::WorkerLoop() {
     // the window where a slow engine pushes queued requests past deadline.
     AQPP_FAILPOINT("service/admission/worker");
     SteadyTime start = SteadyNow();
-    const size_t jobs_run = followers.size() + 1;
-    if (!followers.empty()) {
-      std::vector<Job> batch;
-      batch.reserve(jobs_run);
-      batch.push_back(std::move(job));
-      for (Job& f : followers) batch.push_back(std::move(f));
-      // The leader's run_batch owns every member's promise; grab it before
-      // the leader is moved into the batch vector's first slot.
-      auto run_batch = batch.front().run_batch;
-      run_batch(std::move(batch));
-    } else {
-      job.run();
-    }
+    const size_t jobs_run = batch.size();
+    runner_(batch);
     double seconds = SecondsBetween(start, SteadyNow());
     {
       std::lock_guard<std::mutex> lock(mu_);
-      // EWMA tracks per-job service time; a fused batch amortizes one pass
+      // EWMA tracks per-job service time; a batch amortizes its shared pass
       // across its members.
       double per_job = seconds / static_cast<double>(jobs_run);
       stats_.ewma_service_seconds =
@@ -255,19 +190,13 @@ void AdmissionController::Stop() {
   std::vector<Job> leftovers;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [sid, queue] : queues_) {
-      for (Job& j : queue) leftovers.push_back(std::move(j));
-    }
-    queues_.clear();
-    round_robin_.clear();
-    batchable_queued_.clear();
-    total_queued_ = 0;
-    stats_.queue_depth = 0;
-    AdmissionMetrics::Get().queue_depth->Set(0);
+    PopAllLocked(&leftovers);
   }
   for (Job& j : leftovers) {
     if (j.token != nullptr) j.token->Cancel();
-    j.run();
+    std::vector<Job> one;
+    one.push_back(std::move(j));
+    runner_(one);
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.drained;
   }

@@ -13,9 +13,13 @@
 //    observed service times — explicit backpressure instead of a hang;
 //  * drains sessions round-robin, so one chatty client cannot starve the
 //    others (per-session FIFO, cross-session fairness);
-//  * on Stop(), cancels whatever is still queued and runs it anyway — every
-//    job's promise is fulfilled (with Cancelled), so no waiter is left
-//    hanging.
+//  * hands every job to one runner as part of a batch: a worker pops the
+//    whole queue in round-robin order, and that pop order is the batch
+//    order. A lone request is a batch of one; there are no batch keys and
+//    no solo path;
+//  * on Stop(), cancels whatever is still queued and runs it anyway through
+//    the same runner — every job's promise is fulfilled (with Cancelled),
+//    so no waiter is left hanging.
 //
 // Deadlines are not enforced here: the job's CancellationToken carries them
 // into the engine, which checks cooperatively (core/cancellation.h). The
@@ -30,7 +34,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -48,17 +51,12 @@ struct AdmissionOptions {
   size_t max_per_session = 16;
   // Lower bound on the retry-after hint.
   double retry_floor_seconds = 0.01;
-  // Shared-scan batch formation. A worker that pops a job with a non-empty
-  // batch_key gathers every queued same-key job (across sessions) into one
-  // batch and hands them all to the popped job's run_batch. If the popped
-  // job is alone, the worker waits up to batch_window_seconds for company —
-  // any same-key arrival (or Stop()) ends the wait early, and a backlog that
-  // already holds same-key jobs skips it entirely (queue-depth trigger).
-  // 0 disables the wait; batches then form only from the existing backlog.
+  // Batch formation. A worker takes every queued job (across sessions) as
+  // one batch. If it finds only one, it waits up to batch_window_seconds
+  // for company — any arrival (or Stop()) ends the wait early. 0 disables
+  // the wait; batches then form only from the existing backlog.
   double batch_window_seconds = 0.001;
-  // Master switch: false degrades every job to solo run() (ablation).
-  bool enable_batching = true;
-  // Test seam: invoked by a worker right before it runs a job.
+  // Test seam: invoked by a worker right before it runs a batch.
   std::function<void()> worker_hook;
 };
 
@@ -70,8 +68,8 @@ struct AdmissionStats {
   uint64_t completed = 0;
   // Jobs cancelled-and-run by Stop()'s drain.
   uint64_t drained = 0;
-  // Multi-member batches formed by batch-key grouping, and the total member
-  // jobs (leaders included) those batches absorbed.
+  // Multi-member batches the workers formed, and the total member jobs
+  // those batches held. Batches of one are not counted.
   uint64_t batches_formed = 0;
   uint64_t batch_members = 0;
   double ewma_service_seconds = 0;
@@ -82,26 +80,15 @@ class AdmissionController {
   struct Job {
     // Cancelled by Stop() before the drain runs the job; may be null.
     std::shared_ptr<CancellationToken> token;
-    // Must not throw; fulfills whatever promise the submitter waits on.
-    // Every job must work standalone through run() — the solo path, the
-    // Stop() drain, and batching-disabled mode all use it.
-    std::function<void()> run;
-    // Batch formation: jobs sharing a non-empty key may be grouped (across
-    // sessions) into one batch. Empty key = never batched. Keys must encode
-    // everything needed for the batch to share one pass (the service uses
-    // the target table's identity).
-    std::string batch_key;
-    // Runs the whole formed batch (this job first, then every gathered
-    // same-key job) and must fulfill every member's promise, isolating
-    // per-member failures. Only the popped leader's run_batch is invoked.
-    // Null degrades the job to solo run() even when batch_key is set.
-    std::function<void(std::vector<Job>&&)> run_batch;
-    // Opaque per-job context for run_batch (the service parks its canonical
-    // query / promise bundle here); never touched by the controller.
-    std::shared_ptr<void> batch_payload;
+    // Opaque per-job context for the runner (the service parks its
+    // canonical query and promise here); never touched by the controller.
+    std::shared_ptr<void> payload;
   };
+  // Runs one batch (round-robin pop order) and must fulfill every member's
+  // promise, isolating per-member failures. Must not throw.
+  using Runner = std::function<void(std::vector<Job>& batch)>;
 
-  explicit AdmissionController(AdmissionOptions options);
+  AdmissionController(AdmissionOptions options, Runner runner);
   ~AdmissionController();
 
   AdmissionController(const AdmissionController&) = delete;
@@ -113,8 +100,8 @@ class AdmissionController {
   Status Submit(uint64_t session_id, Job job,
                 double* retry_after_seconds = nullptr);
 
-  // Stops the workers, then cancels and runs every still-queued job on the
-  // calling thread. Idempotent.
+  // Stops the workers, then cancels every still-queued job and runs each as
+  // a batch of one on the calling thread. Idempotent.
   void Stop();
 
   AdmissionStats stats() const;
@@ -122,11 +109,12 @@ class AdmissionController {
  private:
   void WorkerLoop();
   double RetryAfterLocked() const;
-  // Extracts every queued job whose batch_key == key into *batch, fixing the
-  // round-robin and depth bookkeeping. Caller holds mu_.
-  void CollectBatchLocked(const std::string& key, std::vector<Job>* batch);
+  // Pops every queued job into *batch in round-robin order. Caller holds
+  // mu_.
+  void PopAllLocked(std::vector<Job>* batch);
 
   AdmissionOptions options_;
+  Runner runner_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
@@ -134,9 +122,6 @@ class AdmissionController {
   std::unordered_map<uint64_t, std::deque<Job>> queues_;
   // Sessions with pending work, in service order (rotated on each pop).
   std::deque<uint64_t> round_robin_;
-  // Queued (not yet popped) jobs per non-empty batch_key; lets the window
-  // wait and the queue-depth trigger check for company in O(1).
-  std::unordered_map<std::string, size_t> batchable_queued_;
   AdmissionStats stats_;
   std::vector<std::thread> workers_;
 };

@@ -67,23 +67,17 @@ struct BatchServiceMetrics {
   }
 };
 
-// Outcome slot one Execute() call blocks on; fulfilled by the solo worker
-// path, the batch path, or the Stop() drain.
-struct Pending {
-  QueryOutcome out;
-  std::promise<void> done;
-};
-
-// Per-query context parked on the admission job so RunBatch can execute the
-// whole formed batch (Job.batch_payload).
+// Per-query context parked on the admission job (Job.payload). RunBatch
+// fills `out` and fires `done`, which the Execute() call blocks on.
 struct BatchItem {
   CanonicalQuery canon;
   int template_id = -1;
   std::shared_ptr<CancellationToken> token;
-  std::shared_ptr<Pending> pending;
   SteadyTime enqueued;
   uint64_t cache_generation = 0;
   obs::QueryTrace* trace = nullptr;
+  QueryOutcome out;
+  std::promise<void> done;
 };
 
 }  // namespace
@@ -153,7 +147,10 @@ QueryService::QueryService(EngineRef engine, ServiceOptions options)
       canonicalizer_(&engine_.table()),
       sessions_(options_.sessions),
       cache_(options_.cache),
-      admission_(options_.admission) {
+      admission_(options_.admission,
+                 [this](std::vector<AdmissionController::Job>& jobs) {
+                   RunBatch(jobs);
+                 }) {
   (void)BatchServiceMetrics::Get();
   engine_.Warmup();
   latencies_.resize(std::max<size_t>(1, options_.latency_window), 0.0);
@@ -290,7 +287,7 @@ QueryOutcome QueryService::Execute(uint64_t session_id,
   // wipes the cache while the query runs, the stale result must not be
   // re-inserted after the wipe (InsertIfCurrent drops it).
   uint64_t cache_generation = cache_.generation();
-  if (options_.enable_cache) {
+  {
     // Under ingest the lookup + delta fold must be one consistent read: the
     // absorber invalidates the cache inside its exclusive publish section, so
     // holding the state mutex shared across both pins (cached base answer,
@@ -321,9 +318,11 @@ QueryOutcome QueryService::Execute(uint64_t session_id,
 
   // Single-flight: if an identical canonical query is already executing,
   // attach to it and share the leader's outcome instead of scanning again.
+  // A follower whose leader fails re-executes on its own, so errors never
+  // fan out.
   std::shared_ptr<Flight> flight;
   bool flight_leader = false;
-  if (options_.enable_single_flight) {
+  {
     std::lock_guard<std::mutex> lock(flight_mu_);
     auto [it, inserted] = in_flight_.try_emplace(canon.key);
     if (inserted) {
@@ -332,7 +331,7 @@ QueryOutcome QueryService::Execute(uint64_t session_id,
     }
     flight = it->second;
   }
-  if (flight != nullptr && !flight_leader) {
+  if (!flight_leader) {
     flight->future.wait();
     if (flight->out.status.ok()) {
       out = flight->out;
@@ -349,7 +348,6 @@ QueryOutcome QueryService::Execute(uint64_t session_id,
     }
     // The leader failed (deadline, cancellation, rejection…). Don't fan the
     // error out — fall through and execute this query on its own.
-    flight = nullptr;
   }
   // The leader must fan its outcome out on every post-creation return path,
   // removing the table entry first so late arrivals start a fresh flight.
@@ -379,33 +377,17 @@ QueryOutcome QueryService::Execute(uint64_t session_id,
     }
     template_id = engine_.TemplateFor(canon.query);
   }
-  auto pending = std::make_shared<Pending>();
+  auto item = std::make_shared<BatchItem>();
+  item->canon = canon;
+  item->template_id = template_id;
+  item->token = token;
+  item->enqueued = SteadyNow();
+  item->cache_generation = cache_generation;
+  item->trace = trace;
+  std::future<void> done = item->done.get_future();
   AdmissionController::Job job;
   job.token = token;
-  job.run = [this, pending, canon, template_id, token, trace, cache_generation,
-             enqueued = SteadyNow()] {
-    pending->out = RunOnWorker(canon, template_id, token.get(), enqueued,
-                               cache_generation, trace);
-    pending->done.set_value();
-  };
-  if (options_.enable_batching) {
-    // Same-table cache misses that queue together fuse into one pass; the
-    // payload carries everything RunBatch needs to stand in for job.run.
-    auto item = std::make_shared<BatchItem>();
-    item->canon = canon;
-    item->template_id = template_id;
-    item->token = token;
-    item->pending = pending;
-    item->enqueued = SteadyNow();
-    item->cache_generation = cache_generation;
-    item->trace = trace;
-    job.batch_key =
-        StrFormat("tbl:%p", static_cast<const void*>(&engine_.table()));
-    job.batch_payload = std::move(item);
-    job.run_batch = [this](std::vector<AdmissionController::Job>&& jobs) {
-      RunBatch(std::move(jobs));
-    };
-  }
+  job.payload = item;
   double retry_after = 0;
   Status admitted = admission_.Submit(session_id, std::move(job),
                                       &retry_after);
@@ -416,8 +398,8 @@ QueryOutcome QueryService::Execute(uint64_t session_id,
     AccountOutcome(out, *session);
     return out;
   }
-  pending->done.get_future().wait();
-  out = std::move(pending->out);
+  done.wait();
+  out = std::move(item->out);
   finish_flight();
   AccountOutcome(out, *session);
   double total_seconds = total_span.Stop();
@@ -437,21 +419,11 @@ QueryOutcome QueryService::RunOnWorker(const CanonicalQuery& canon,
                                        SteadyTime enqueued,
                                        uint64_t cache_generation,
                                        obs::QueryTrace* trace,
-                                       const std::vector<uint8_t>* query_mask,
-                                       bool state_locked) {
+                                       const std::vector<uint8_t>* query_mask) {
   QueryOutcome out;
   out.queue_seconds = SecondsBetween(enqueued, SteadyNow());
   obs::RecordPhase(trace, obs::Phase::kQueue, out.queue_seconds);
   SteadyTime start = SteadyNow();
-
-  // Under ingest, the whole engine pass + delta fold happens inside one
-  // shared acquisition of the ingest state mutex, so the absorber's publish
-  // swap can never interleave with it (a row is counted in exactly one of
-  // {published state, delta}). RunBatch already holds it for the fused pass.
-  std::shared_lock<std::shared_mutex> state_lock;
-  if (ingest_ != nullptr && !state_locked) {
-    state_lock = std::shared_lock<std::shared_mutex>(ingest_->state_mutex());
-  }
 
   Status stop = Status::OK();
   if (token->ShouldStop()) {
@@ -470,14 +442,12 @@ QueryOutcome QueryService::RunOnWorker(const CanonicalQuery& canon,
       out.ci = result->ci;
       out.used_pre = result->used_pre;
       out.pre_description = result->pre_description;
-      if (options_.enable_cache) {
-        // The cache stores the *base* (unfolded) answer: a delta commit bumps
-        // the cache generation through the commit observer, so this insert is
-        // dropped whenever the delta changed since the probe, and hits fold
-        // the live delta themselves.
-        cache_.InsertIfCurrent(canon.key, template_id, *result,
-                               cache_generation);
-      }
+      // The cache stores the *base* (unfolded) answer: a delta commit bumps
+      // the cache generation through the commit observer, so this insert is
+      // dropped whenever the delta changed since the probe, and hits fold
+      // the live delta themselves.
+      cache_.InsertIfCurrent(canon.key, template_id, *result,
+                             cache_generation);
       if (ingest_ != nullptr) {
         Status folded = FoldDeltaLocked(canon.query, &out);
         if (!folded.ok()) {
@@ -515,37 +485,32 @@ QueryOutcome QueryService::RunOnWorker(const CanonicalQuery& canon,
   return out;
 }
 
-void QueryService::RunBatch(std::vector<AdmissionController::Job>&& jobs) {
-  // Recover each member's context. A job without a payload (shouldn't happen
-  // on this path, but run_batch must never strand a promise) runs solo.
+void QueryService::RunBatch(std::vector<AdmissionController::Job>& jobs) {
   std::vector<std::shared_ptr<BatchItem>> items;
   items.reserve(jobs.size());
   for (AdmissionController::Job& j : jobs) {
-    auto item = std::static_pointer_cast<BatchItem>(j.batch_payload);
-    if (item == nullptr) {
-      if (j.run) j.run();
-      continue;
-    }
-    items.push_back(std::move(item));
+    items.push_back(std::static_pointer_cast<BatchItem>(std::move(j.payload)));
   }
-  if (items.empty()) return;
-  BatchServiceMetrics::Get().batch_size->Observe(
-      static_cast<double>(items.size()));
-  BatchServiceMetrics::Get().fused->Increment(items.size());
+  if (items.size() > 1) {
+    BatchServiceMetrics::Get().batch_size->Observe(
+        static_cast<double>(items.size()));
+    BatchServiceMetrics::Get().fused->Increment(items.size());
+  }
 
-  // One shared acquisition covers the fused mask pass and every member's
-  // engine pass + delta fold (the state mutex is not recursive, so members
-  // run with state_locked=true).
+  // Under ingest, the mask pass and every member's engine pass + delta fold
+  // happen inside one shared acquisition of the ingest state mutex, so the
+  // absorber's publish swap can never interleave with them (a row is counted
+  // in exactly one of {published state, delta}).
   std::shared_lock<std::shared_mutex> state_lock;
   if (ingest_ != nullptr) {
     state_lock = std::shared_lock<std::shared_mutex>(ingest_->state_mutex());
   }
 
-  // One fused pass over the sample evaluates every eligible member's
-  // predicate mask. MIN/MAX members use the extrema grid (no sample mask)
-  // and already-cancelled members skip straight to their error path, so
-  // neither joins the pass. A member whose mask fails to bind simply runs
-  // without one — the solo path reproduces the identical error, and no
+  // One pass over the sample evaluates every eligible member's predicate
+  // mask. MIN/MAX members use the extrema grid (no sample mask) and
+  // already-cancelled members skip straight to their error path, so neither
+  // joins the pass. A member whose mask fails to bind simply runs without
+  // one — the engine's own mask pass reproduces the identical error, and no
   // sibling is poisoned.
   const Table& sample_rows = *engine_.sample().rows;
   std::vector<size_t> mask_idx;
@@ -553,7 +518,7 @@ void QueryService::RunBatch(std::vector<AdmissionController::Job>&& jobs) {
   for (size_t i = 0; i < items.size(); ++i) {
     const BatchItem& item = *items[i];
     AggregateFunction func = item.canon.query.func;
-    if (item.token != nullptr && item.token->ShouldStop()) continue;
+    if (item.token->ShouldStop()) continue;
     if (func == AggregateFunction::kMin || func == AggregateFunction::kMax) {
       continue;
     }
@@ -574,11 +539,10 @@ void QueryService::RunBatch(std::vector<AdmissionController::Job>&& jobs) {
     BatchItem& item = *items[i];
     const std::vector<uint8_t>* mask =
         masks[i].has_value() ? &*masks[i] : nullptr;
-    item.pending->out =
-        RunOnWorker(item.canon, item.template_id, item.token.get(),
-                    item.enqueued, item.cache_generation, item.trace, mask,
-                    /*state_locked=*/ingest_ != nullptr);
-    item.pending->done.set_value();
+    item.out = RunOnWorker(item.canon, item.template_id, item.token.get(),
+                           item.enqueued, item.cache_generation, item.trace,
+                           mask);
+    item.done.set_value();
   }
 }
 

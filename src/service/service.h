@@ -87,7 +87,6 @@ struct ServiceOptions {
   AdmissionOptions admission;
   ResultCacheOptions cache;
   SessionManagerOptions sessions;
-  bool enable_cache = true;
   // Deadline applied when neither the request nor the session carries one;
   // <= 0 = unbounded.
   double default_timeout_seconds = 0;
@@ -101,16 +100,6 @@ struct ServiceOptions {
   double slow_query_threshold_seconds = 0.5;
   // Most recent slow queries retained.
   size_t slow_query_capacity = 64;
-  // Shared-scan batching: cache-miss queries that queue together are formed
-  // into one batch (admission batch_key grouping) whose sample-side predicate
-  // masks are evaluated in a single fused pass. Results are bit-identical to
-  // per-query execution; false is the ablation baseline.
-  bool enable_batching = true;
-  // Single-flight deduplication: a cache-miss whose canonical query is
-  // already executing attaches to that execution and shares its outcome
-  // instead of scanning again. A follower whose leader fails re-executes on
-  // its own, so errors never fan out.
-  bool enable_single_flight = true;
 };
 
 struct QueryOutcome {
@@ -233,17 +222,18 @@ class QueryService {
   // it and share the leader's outcome (see service.cc for the definition).
   struct Flight;
 
+  // One member of a batch. Caller holds the ingest state mutex shared.
   QueryOutcome RunOnWorker(const CanonicalQuery& canon, int template_id,
                            const CancellationToken* token, SteadyTime enqueued,
                            uint64_t cache_generation, obs::QueryTrace* trace,
-                           const std::vector<uint8_t>* query_mask = nullptr,
-                           bool state_locked = false);
+                           const std::vector<uint8_t>* query_mask);
   // Folds the current delta into `out` (exact SUM/COUNT shift) and stamps the
   // ingest generation fields. Caller holds the ingest state mutex shared.
   Status FoldDeltaLocked(const RangeQuery& query, QueryOutcome* out);
-  // Admission run_batch target: one fused sample-mask pass for the whole
-  // batch, then per-member engine execution with the precomputed masks.
-  void RunBatch(std::vector<AdmissionController::Job>&& jobs);
+  // The admission runner, and so the only worker entry: one shared
+  // sample-mask pass for the whole batch, then per-member engine execution
+  // with the precomputed masks. A lone request is a batch of one.
+  void RunBatch(std::vector<AdmissionController::Job>& jobs);
   Result<ProgressiveStep> RunProgressive(const CanonicalQuery& canon,
                                          const CancellationToken* token);
   void RecordLatency(double seconds);

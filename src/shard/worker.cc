@@ -160,29 +160,7 @@ uint64_t ShardWorker::ingest_generation() const {
 Result<ShardPartial> ShardWorker::Partial(
     const RangeQuery& query, const PartialWants& wants, uint64_t seed,
     const CancellationToken* cancel) const {
-  AQPP_RETURN_NOT_OK(ValidateQuery(query, *table_));
-  if (!wants.exact && !wants.sample && !wants.engine) {
-    return Status::InvalidArgument("partial request wants no views");
-  }
-  Timer timer;
-  ShardPartial out;
-  out.shard_index = shard_index_;
-  out.num_shards = num_shards_;
-  out.rows = table_->num_rows();
-  if (wants.exact) {
-    AQPP_RETURN_IF_STOPPED(cancel);
-    AQPP_RETURN_NOT_OK(ComputeExact(query, &out));
-  }
-  if (wants.sample) {
-    AQPP_RETURN_IF_STOPPED(cancel);
-    AQPP_RETURN_NOT_OK(ComputeSample(query, &out));
-  }
-  if (wants.engine) {
-    AQPP_RETURN_IF_STOPPED(cancel);
-    AQPP_RETURN_NOT_OK(ComputeEngine(query, seed, cancel, nullptr, &out));
-  }
-  out.exec_seconds = timer.ElapsedSeconds();
-  return out;
+  return std::move(PartialBatch({{query, wants, seed}}, cancel).front());
 }
 
 std::vector<Result<ShardPartial>> ShardWorker::PartialBatch(
@@ -219,7 +197,7 @@ std::vector<Result<ShardPartial>> ShardWorker::PartialBatch(
 
   // ---- Exact view: one fused pass over the shard's block grid. Per block,
   // every member gets a fresh accumulator and fresh adaptive-scan state, so
-  // its per-block moments are bit-identical to ComputeExact's.
+  // its per-block moments are bit-identical to a solo per-block scan.
   if (stopped()) {
     for (size_t i = 0; i < q; ++i) {
       if (!members[i].failed) fail(i, cancel->StopStatus());
@@ -305,7 +283,6 @@ std::vector<Result<ShardPartial>> ShardWorker::PartialBatch(
       continue;
     }
     if (mask_err[i].has_value()) {
-      // Same status ComputeSample's own EvaluateMask would produce.
       fail(i, *mask_err[i]);
       continue;
     }
@@ -345,52 +322,6 @@ std::vector<Result<ShardPartial>> ShardWorker::PartialBatch(
     }
   }
   return results;
-}
-
-Status ShardWorker::ComputeExact(const RangeQuery& query,
-                                 ShardPartial* out) const {
-  AQPP_ASSIGN_OR_RETURN(
-      kernels::BoundPredicate pred,
-      kernels::BindConditions(*table_, query.predicate.conditions()));
-  kernels::ScanProfile profile = kernels::ProfileFor(query.func);
-  kernels::ValueRef values;
-  if (query.func != AggregateFunction::kCount) {
-    values = kernels::ValueRef::FromColumn(table_->column(query.agg_column));
-  }
-  const size_t n = table_->num_rows();
-  const size_t nblocks = (n + kernels::kShardRows - 1) / kernels::kShardRows;
-  out->blocks.assign(nblocks, BlockMoments{});
-  const kernels::ScanStrategy strategy = kernels::ScanStrategy::kAdaptive;
-  for (size_t b = 0; b < nblocks; ++b) {
-    const size_t begin = b * kernels::kShardRows;
-    const size_t end = std::min(n, begin + kernels::kShardRows);
-    kernels::internal::ShardAccum acc;
-    if (!pred.never_matches) {
-      if (values.dbl != nullptr) {
-        kernels::internal::ScanShard<double>(pred, values.dbl, begin, end,
-                                             profile, strategy, acc);
-      } else {
-        kernels::internal::ScanShard<int64_t>(pred, values.i64, begin, end,
-                                              profile, strategy, acc);
-      }
-    }
-    BlockMoments& blk = out->blocks[b];
-    blk.count = acc.count;
-    for (size_t l = 0; l < kernels::kAccumulatorLanes; ++l) {
-      blk.sum[l] = acc.sum[l];
-      blk.sum_sq[l] = acc.sum_sq[l];
-    }
-  }
-  out->has_exact = true;
-  return Status::OK();
-}
-
-Status ShardWorker::ComputeSample(const RangeQuery& query,
-                                  ShardPartial* out) const {
-  AQPP_ASSIGN_OR_RETURN(
-      std::vector<uint8_t> mask,
-      query.predicate.EvaluateMask(*engine_->sample().rows));
-  return ComputeSampleWithMask(query, mask, out);
 }
 
 Status ShardWorker::ComputeSampleWithMask(const RangeQuery& query,

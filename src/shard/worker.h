@@ -72,8 +72,9 @@ class ShardWorker {
       uint32_t shard_index, uint32_t num_shards, uint64_t row_begin,
       const ShardWorkerOptions& options);
 
-  // Computes the requested partial views for a canonical scalar query.
-  // Deterministic: a pure function of (shard data, query, wants, seed).
+  // Computes the requested partial views for a canonical scalar query: a
+  // PartialBatch of one. Deterministic: a pure function of (shard data,
+  // query, wants, seed).
   Result<ShardPartial> Partial(const RangeQuery& query,
                                const PartialWants& wants, uint64_t seed,
                                const CancellationToken* cancel = nullptr) const;
@@ -85,13 +86,12 @@ class ShardWorker {
     uint64_t seed = 0;
   };
 
-  // Fused counterpart of Partial: one pass over the shard's block grid
-  // evaluates every member's exact view, and one pass over the sample
-  // evaluates every member's predicate mask (shared by the sample and
-  // engine views). results[i] is bit-identical to
-  // Partial(requests[i].query, requests[i].wants, requests[i].seed) —
-  // including error statuses — and one member's failure never affects its
-  // siblings.
+  // The one partial path: one pass over the shard's block grid evaluates
+  // every member's exact view, and one pass over the sample evaluates every
+  // member's predicate mask (shared by the sample and engine views).
+  // results[i] does not depend on the other members — it is bit-identical
+  // to a batch of requests[i] alone, including error statuses — and one
+  // member's failure never affects its siblings.
   std::vector<Result<ShardPartial>> PartialBatch(
       const std::vector<PartialRequest>& requests,
       const CancellationToken* cancel = nullptr) const;
@@ -126,10 +126,7 @@ class ShardWorker {
  private:
   ShardWorker() = default;
 
-  Status ComputeExact(const RangeQuery& query, ShardPartial* out) const;
-  Status ComputeSample(const RangeQuery& query, ShardPartial* out) const;
-  // Moments accumulation under a precomputed sample-row mask (what
-  // ComputeSample evaluates itself and PartialBatch shares across members).
+  // Moments accumulation under the member's sample-row mask.
   Status ComputeSampleWithMask(const RangeQuery& query,
                                const std::vector<uint8_t>& mask,
                                ShardPartial* out) const;

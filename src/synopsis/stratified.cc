@@ -173,7 +173,8 @@ Result<ConfidenceInterval> StratifiedSynopsis::EstimateSeries(
   return ci;
 }
 
-Status StratifiedSynopsis::Absorb(const Table& batch) {
+Result<std::vector<int32_t>> StratifiedSynopsis::StrataOf(
+    const Table& batch) const {
   if (!built_) return Status::FailedPrecondition("synopsis not built");
   AQPP_RETURN_NOT_OK(CheckSameSchema(sample_.rows->schema(), batch.schema()));
   if (options_.key_columns.empty()) {
@@ -181,8 +182,8 @@ Status StratifiedSynopsis::Absorb(const Table& batch) {
         "stratified absorb requires key_columns");
   }
   AQPP_RETURN_NOT_OK(ValidateBatchDictionaries(*sample_.rows, batch));
-  // Stage: resolve every batch row's stratum before mutating anything, so
-  // an unknown key can never leave a half-absorbed batch behind.
+  // Resolve every batch row's stratum before Absorb mutates anything, so an
+  // unknown key can never leave a half-absorbed batch behind.
   std::vector<int32_t> row_stratum(batch.num_rows());
   for (size_t r = 0; r < batch.num_rows(); ++r) {
     GroupKey key;
@@ -206,6 +207,15 @@ Status StratifiedSynopsis::Absorb(const Table& batch) {
     }
     row_stratum[r] = it->second;
   }
+  return row_stratum;
+}
+
+Status StratifiedSynopsis::ValidateAbsorb(const Table& batch) const {
+  return StrataOf(batch).status();
+}
+
+Status StratifiedSynopsis::Absorb(const Table& batch) {
+  AQPP_ASSIGN_OR_RETURN(std::vector<int32_t> row_stratum, StrataOf(batch));
   AQPP_FAILPOINT_RETURN_STATUS("synopsis/absorb");
   AQPP_RETURN_NOT_OK(UnshareRows(&sample_));
   // Commit: Algorithm R per stratum, capacity n_h fixed at build time.

@@ -53,6 +53,8 @@ class StratifiedSynopsis : public Synopsis {
       const ExecuteControl& control, Rng& rng) const override;
 
   Status Absorb(const Table& batch) override;
+  // Refuses a batch holding a stratum key never seen at build time.
+  Status ValidateAbsorb(const Table& batch) const override;
   Status Degrade(double keep_fraction, Rng& rng) override;
 
   Status SerializeTo(std::string* out) const override;
@@ -68,6 +70,10 @@ class StratifiedSynopsis : public Synopsis {
   Result<ConfidenceInterval> EstimateSeries(
       const RangeQuery& query, const std::vector<uint8_t>& q_mask,
       const std::vector<uint8_t>* pre_mask, const PreValues& pre) const;
+
+  // Absorb's validation: every batch row's stratum id, or the reason the
+  // batch cannot be absorbed.
+  Result<std::vector<int32_t>> StrataOf(const Table& batch) const;
 
   // Rebuilds key->stratum and per-stratum row-slot indexes from the sample
   // (after build, adopt, degrade, deserialize).

@@ -54,6 +54,11 @@ Status Synopsis::BuildFromSample(const Sample& sample) {
                                " synopsis cannot adopt an external sample");
 }
 
+Status Synopsis::ValidateAbsorb(const Table& batch) const {
+  (void)batch;
+  return Status::OK();
+}
+
 Result<ConfidenceInterval> Synopsis::Estimate(
     const RangeQuery& query, const ExecuteControl& control) const {
   Rng rng(control.seed.value_or(0));

@@ -156,6 +156,12 @@ class Synopsis {
   // leave partial state behind.
   virtual Status Absorb(const Table& batch) = 0;
 
+  // The validation half of Absorb: OK iff Absorb(batch) would pass its
+  // checks. Mutates nothing. Ingest calls it before acking a batch that a
+  // non-aligned synopsis must absorb later. The default accepts every
+  // batch; kinds whose Absorb can refuse a schema-valid batch override it.
+  virtual Status ValidateAbsorb(const Table& batch) const;
+
   // Thins the retained rows to `keep_fraction` (memory pressure relief),
   // inflating every subsequent interval conservatively. Contract: for any
   // fixed query, the CI after Degrade is never tighter than before.

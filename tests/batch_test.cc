@@ -1,14 +1,17 @@
-// Batching: fused shard partial batches must be bit-identical to solo
-// partials; batch formation in the admission controller must group same-key
-// jobs; and the service's single-flight dedup must share outcomes without
-// ever fanning an error out or re-inserting a stale cache entry.
+// Batching: fused shard partial batches must be bit-identical to batches of
+// one and to an independent per-block scan; the admission controller must
+// pop its whole queue as one batch; and the service's single-flight dedup
+// must share outcomes without ever fanning an error out or re-inserting a
+// stale cache entry.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,9 +20,11 @@
 
 #include "core/engine.h"
 #include "kernels/kernels.h"
+#include "kernels/scan_internal.h"
 #include "service/admission.h"
 #include "service/service.h"
 #include "shard/worker.h"
+#include "admission_jobs.h"
 #include "test_util.h"
 
 namespace aqpp {
@@ -43,8 +48,61 @@ bool WaitFor(const std::function<bool()>& pred) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard PARTIAL batching: fused partials == solo partials, bit for bit.
+// Shard PARTIAL batching: fused partials == batches of one, bit for bit.
 // ---------------------------------------------------------------------------
+
+// Reference for the exact view: each kShardRows block scanned alone by the
+// solo kernel, with a fresh accumulator per block — the shape of the
+// worker's exact partial before it was fused.
+Result<std::vector<shard::BlockMoments>> ExactBlocksOracle(
+    const Table& table, const RangeQuery& query) {
+  AQPP_ASSIGN_OR_RETURN(
+      kernels::BoundPredicate pred,
+      kernels::BindConditions(table, query.predicate.conditions()));
+  const kernels::ScanProfile profile = kernels::ProfileFor(query.func);
+  kernels::ValueRef values;
+  if (query.func != AggregateFunction::kCount) {
+    values = kernels::ValueRef::FromColumn(table.column(query.agg_column));
+  }
+  const size_t n = table.num_rows();
+  const size_t nblocks = (n + kernels::kShardRows - 1) / kernels::kShardRows;
+  std::vector<shard::BlockMoments> blocks(nblocks);
+  for (size_t b = 0; b < nblocks; ++b) {
+    const size_t begin = b * kernels::kShardRows;
+    const size_t end = std::min(n, begin + kernels::kShardRows);
+    kernels::internal::ShardAccum acc;
+    if (!pred.never_matches) {
+      if (values.dbl != nullptr) {
+        kernels::internal::ScanShard<double>(
+            pred, values.dbl, begin, end, profile,
+            kernels::ScanStrategy::kAdaptive, acc);
+      } else {
+        kernels::internal::ScanShard<int64_t>(
+            pred, values.i64, begin, end, profile,
+            kernels::ScanStrategy::kAdaptive, acc);
+      }
+    }
+    blocks[b].count = acc.count;
+    for (size_t l = 0; l < kernels::kAccumulatorLanes; ++l) {
+      blocks[b].sum[l] = acc.sum[l];
+      blocks[b].sum_sq[l] = acc.sum_sq[l];
+    }
+  }
+  return blocks;
+}
+
+void ExpectSameBlocks(const std::vector<shard::BlockMoments>& a,
+                      const std::vector<shard::BlockMoments>& b,
+                      size_t member) {
+  ASSERT_EQ(a.size(), b.size()) << "member " << member;
+  for (size_t blk = 0; blk < a.size(); ++blk) {
+    EXPECT_EQ(a[blk].count, b[blk].count) << member;
+    for (size_t l = 0; l < kernels::kAccumulatorLanes; ++l) {
+      EXPECT_EQ(Bits(a[blk].sum[l]), Bits(b[blk].sum[l])) << member;
+      EXPECT_EQ(Bits(a[blk].sum_sq[l]), Bits(b[blk].sum_sq[l])) << member;
+    }
+  }
+}
 
 TEST(BatchShardTest, PartialBatchMatchesSoloPartialsBitForBit) {
   auto table = testutil::MakeSynthetic({.rows = 65536 * 2});
@@ -80,6 +138,8 @@ TEST(BatchShardTest, PartialBatchMatchesSoloPartialsBitForBit) {
                     shard::ShardWorker::PartialRequest{bad, wants, 77});
   }
 
+  // A batch of N against N batches of one (Partial), and every member's
+  // exact view against the independent per-block scan.
   auto fused = (*worker)->PartialBatch(requests);
   ASSERT_EQ(fused.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -94,15 +154,10 @@ TEST(BatchShardTest, PartialBatchMatchesSoloPartialsBitForBit) {
                                << fused[i].status().ToString();
     const shard::ShardPartial& a = *fused[i];
     const shard::ShardPartial& b = *solo;
-    ASSERT_EQ(a.blocks.size(), b.blocks.size()) << "member " << i;
-    for (size_t blk = 0; blk < a.blocks.size(); ++blk) {
-      EXPECT_EQ(a.blocks[blk].count, b.blocks[blk].count);
-      for (size_t l = 0; l < kernels::kAccumulatorLanes; ++l) {
-        EXPECT_EQ(Bits(a.blocks[blk].sum[l]), Bits(b.blocks[blk].sum[l]));
-        EXPECT_EQ(Bits(a.blocks[blk].sum_sq[l]),
-                  Bits(b.blocks[blk].sum_sq[l]));
-      }
-    }
+    ExpectSameBlocks(a.blocks, b.blocks, i);
+    auto oracle = ExactBlocksOracle((*worker)->table(), requests[i].query);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    ExpectSameBlocks(a.blocks, *oracle, i);
     EXPECT_EQ(Bits(a.stratum.mean_c), Bits(b.stratum.mean_c)) << i;
     EXPECT_EQ(Bits(a.stratum.mean_s), Bits(b.stratum.mean_s)) << i;
     EXPECT_EQ(Bits(a.stratum.mean_q), Bits(b.stratum.mean_q)) << i;
@@ -127,107 +182,79 @@ struct Gate {
   void Open() { closed.store(false); }
 };
 
-TEST(BatchAdmissionTest, QueuedSameKeyJobsFormOneBatch) {
+TEST(BatchAdmissionTest, QueuedJobsFormOneBatchInRoundRobinOrder) {
   Gate gate;
   AdmissionOptions opts;
   opts.num_workers = 1;
+  opts.batch_window_seconds = 0;
   opts.worker_hook = gate.hook();
-  AdmissionController ctrl(opts);
+  std::mutex mu;
+  std::vector<size_t> batch_sizes;
+  std::vector<uint64_t> order;
+  AdmissionController ctrl(
+      opts, [&](std::vector<AdmissionController::Job>& batch) {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          batch_sizes.push_back(batch.size());
+        }
+        testutil::RunClosures(batch);
+      });
 
-  // Park the worker on a plain job, then queue three same-key batchable
-  // jobs from different sessions behind it.
-  std::promise<void> plain_done;
-  AdmissionController::Job plain;
-  plain.run = [&plain_done] { plain_done.set_value(); };
-  ASSERT_TRUE(ctrl.Submit(1, std::move(plain)).ok());
-
-  std::atomic<int> batch_calls{0};
-  std::atomic<size_t> batch_jobs{0};
-  std::atomic<int> members_run{0};
-  std::vector<std::promise<void>> done(3);
-  for (int i = 0; i < 3; ++i) {
-    AdmissionController::Job job;
-    job.batch_key = "tbl:test";
-    job.run = [&members_run, &done, i] {
-      members_run.fetch_add(1);
-      done[static_cast<size_t>(i)].set_value();
-    };
-    job.run_batch = [&](std::vector<AdmissionController::Job>&& jobs) {
-      batch_calls.fetch_add(1);
-      batch_jobs.store(jobs.size());
-      for (auto& j : jobs) j.run();
-    };
-    ASSERT_TRUE(ctrl.Submit(static_cast<uint64_t>(10 + i), std::move(job)).ok());
+  // Park the worker on a lone job, then queue three jobs from different
+  // sessions behind it.
+  auto make_job = [&](uint64_t sid) {
+    return testutil::ClosureJob([&mu, &order, sid] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(sid);
+    });
+  };
+  ASSERT_TRUE(ctrl.Submit(1, make_job(1)).ok());
+  ASSERT_TRUE(WaitFor([&] { return ctrl.stats().queue_depth == 0; }));
+  for (uint64_t sid = 10; sid <= 12; ++sid) {
+    ASSERT_TRUE(ctrl.Submit(sid, make_job(sid)).ok());
   }
-  ASSERT_TRUE(WaitFor([&] { return ctrl.stats().queue_depth == 3; }));
+  ASSERT_EQ(ctrl.stats().queue_depth, 3u);
 
   gate.Open();
-  for (auto& d : done) d.get_future().wait();
-  plain_done.get_future().wait();
+  // The worker counts a job completed after its batch returns: wait for the
+  // count instead of racing it.
+  ASSERT_TRUE(WaitFor([&] { return ctrl.stats().completed == 4; }));
+  ctrl.Stop();
 
-  // The worker popped one member and absorbed the other two: exactly one
-  // run_batch call covering all three jobs (the queue-depth trigger, no
-  // window wait involved).
-  EXPECT_EQ(batch_calls.load(), 1);
-  EXPECT_EQ(batch_jobs.load(), 3u);
-  EXPECT_EQ(members_run.load(), 3);
-  // The worker counts a job completed after its run returns, which is
-  // after the job's promise fired: wait for the count instead of racing it.
-  EXPECT_TRUE(WaitFor([&] { return ctrl.stats().completed == 4; }));
+  // The lone job ran as a batch of one; the worker then popped the whole
+  // queue as one batch, in round-robin (arrival) order.
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(order, (std::vector<uint64_t>{1, 10, 11, 12}));
+  // Only the multi-member batch is counted.
   AdmissionStats stats = ctrl.stats();
   EXPECT_EQ(stats.batches_formed, 1u);
   EXPECT_EQ(stats.batch_members, 3u);
   EXPECT_EQ(stats.completed, 4u);
-  ctrl.Stop();
 }
 
-TEST(BatchAdmissionTest, LoneBatchableJobRunsSoloAndDisabledBatchingNeverGroups) {
-  // Lone job: no company arrives, the window closes, run() executes it.
-  {
-    AdmissionOptions opts;
-    opts.num_workers = 1;
-    opts.batch_window_seconds = 0.002;
-    AdmissionController ctrl(opts);
-    std::promise<void> done;
-    AdmissionController::Job job;
-    job.batch_key = "tbl:test";
-    job.run = [&done] { done.set_value(); };
-    job.run_batch = [](std::vector<AdmissionController::Job>&& jobs) {
-      for (auto& j : jobs) j.run();
-    };
-    ASSERT_TRUE(ctrl.Submit(1, std::move(job)).ok());
-    done.get_future().wait();
-    EXPECT_EQ(ctrl.stats().batches_formed, 0u);
-    ctrl.Stop();
-  }
-  // enable_batching = false: same-key jobs queued together still run solo.
-  {
-    Gate gate;
-    AdmissionOptions opts;
-    opts.num_workers = 1;
-    opts.enable_batching = false;
-    opts.worker_hook = gate.hook();
-    AdmissionController ctrl(opts);
-    std::atomic<int> batch_calls{0};
-    std::vector<std::promise<void>> done(3);
-    for (int i = 0; i < 3; ++i) {
-      AdmissionController::Job job;
-      job.batch_key = "tbl:test";
-      job.run = [&done, i] { done[static_cast<size_t>(i)].set_value(); };
-      job.run_batch = [&batch_calls](
-                          std::vector<AdmissionController::Job>&& jobs) {
-        batch_calls.fetch_add(1);
-        for (auto& j : jobs) j.run();
-      };
-      ASSERT_TRUE(
-          ctrl.Submit(static_cast<uint64_t>(i + 1), std::move(job)).ok());
-    }
-    gate.Open();
-    for (auto& d : done) d.get_future().wait();
-    EXPECT_EQ(batch_calls.load(), 0);
-    EXPECT_EQ(ctrl.stats().batches_formed, 0u);
-    ctrl.Stop();
-  }
+TEST(BatchAdmissionTest, LoneJobWaitsOutTheWindowThenRunsAsBatchOfOne) {
+  AdmissionOptions opts;
+  opts.num_workers = 1;
+  opts.batch_window_seconds = 0.002;
+  std::vector<size_t> batch_sizes;
+  AdmissionController ctrl(
+      opts, [&](std::vector<AdmissionController::Job>& batch) {
+        batch_sizes.push_back(batch.size());
+        testutil::RunClosures(batch);
+      });
+  std::promise<void> done;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(
+      ctrl.Submit(1, testutil::ClosureJob([&done] { done.set_value(); }))
+          .ok());
+  done.get_future().wait();
+  // No company arrived, so the worker held the window open in full.
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::duration<double>(opts.batch_window_seconds));
+  ctrl.Stop();
+  EXPECT_EQ(batch_sizes, (std::vector<size_t>{1}));
+  EXPECT_EQ(ctrl.stats().batches_formed, 0u);
+  EXPECT_EQ(ctrl.stats().batch_members, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,6 +282,72 @@ RangeQuery SumQuery() {
   q.predicate.Add({0, 13, 57});
   q.predicate.Add({1, 7, 23});
   return q;
+}
+
+// A lone request and a batch of queued ones take the same path: every OK
+// answer is bit-identical to a seeded engine execution of its canonical
+// query.
+TEST(ServiceBatchTest, LoneAndBatchedAnswersEqualSeededEngineExecution) {
+  auto table = testutil::MakeSynthetic({.rows = 20000});
+  auto engine = MakePreparedEngine(table);
+
+  Gate gate;
+  ServiceOptions sopts;
+  sopts.admission.num_workers = 1;
+  sopts.admission.batch_window_seconds = 0;
+  sopts.admission.worker_hook = gate.hook();
+  QueryService service(EngineRef(engine.get()), sopts);
+
+  std::vector<RangeQuery> queries;
+  for (AggregateFunction func :
+       {AggregateFunction::kSum, AggregateFunction::kCount,
+        AggregateFunction::kAvg, AggregateFunction::kVar,
+        AggregateFunction::kSum}) {
+    RangeQuery q = SumQuery();
+    q.func = func;
+    q.predicate = RangePredicate();
+    q.predicate.Add({0, 5 + static_cast<int64_t>(queries.size()), 71});
+    q.predicate.Add({1, 3, 40});
+    queries.push_back(q);
+  }
+  std::vector<QueryOutcome> outcomes(queries.size());
+  std::vector<std::thread> threads;
+  auto submit = [&](size_t i) {
+    auto session = service.sessions().Open("");
+    ASSERT_TRUE(session.ok());
+    threads.emplace_back([&, i, sid = (*session)->id()] {
+      outcomes[i] = service.Execute(sid, queries[i]);
+    });
+  };
+  // The first request parks the worker as a batch of one; the rest queue
+  // behind it and run as one batch.
+  submit(0);
+  ASSERT_TRUE(WaitFor([&] {
+    AdmissionStats s = service.stats().admission;
+    return s.admitted == 1 && s.queue_depth == 0;
+  }));
+  for (size_t i = 1; i < queries.size(); ++i) submit(i);
+  ASSERT_TRUE(WaitFor([&] {
+    return service.stats().admission.queue_depth == queries.size() - 1;
+  }));
+  gate.Open();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(service.stats().admission.batches_formed, 1u);
+  EXPECT_EQ(service.stats().admission.batch_members, queries.size() - 1);
+
+  QueryCanonicalizer canonicalizer(table.get());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].status.ok()) << outcomes[i].status.ToString();
+    CanonicalQuery canon = canonicalizer.Canonicalize(queries[i]);
+    ExecuteControl control;
+    control.seed = canon.seed;
+    control.record = false;
+    auto direct = engine->Execute(canon.query, control);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(Bits(outcomes[i].ci.estimate), Bits(direct->ci.estimate)) << i;
+    EXPECT_EQ(Bits(outcomes[i].ci.half_width), Bits(direct->ci.half_width))
+        << i;
+  }
 }
 
 TEST(SingleFlightTest, IdenticalInFlightQueryAttachesAndSharesTheOutcome) {
@@ -345,7 +438,7 @@ TEST(SingleFlightTest, FollowerReExecutesWhenLeaderFails) {
 
   Gate gate;
   ServiceOptions sopts;
-  sopts.enable_cache = false;
+  sopts.cache.capacity = 0;
   sopts.progressive_fallback = false;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = gate.hook();

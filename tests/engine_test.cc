@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,10 @@ namespace aqpp {
 namespace {
 
 using testutil::MakeSynthetic;
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -208,6 +213,72 @@ TEST_F(EngineTest, GroupByExecution) {
                 5 * (*results)[g].result.ci.half_width + 1e-6)
         << "group " << g;
   }
+}
+
+// GROUP BY estimates every group through the live synopsis. The AVG
+// difference estimate's default interval is a bootstrap that draws from the
+// seed; under "reservoir_closed" it is closed-form, so the answers cannot
+// depend on the seed.
+TEST_F(EngineTest, GroupByAnswersThroughTheSelectedSynopsis) {
+  Schema schema({{"c", DataType::kInt64},
+                 {"g", DataType::kInt64},
+                 {"a", DataType::kDouble}});
+  auto t = std::make_shared<Table>(schema);
+  Rng gen(9);
+  for (int i = 0; i < 40000; ++i) {
+    t->AddRow()
+        .Int64(gen.NextInt(1, 100))
+        .Int64(gen.NextInt(0, 3))
+        .Double(50.0 + 5.0 * gen.NextGaussian());
+  }
+  EngineOptions opts;
+  opts.sample_rate = 0.05;
+  opts.cube_budget = 200;
+  auto engine = std::move(AqppEngine::Create(t, opts)).value();
+  QueryTemplate tmpl;
+  tmpl.func = AggregateFunction::kAvg;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0};
+  tmpl.group_columns = {1};
+  ASSERT_TRUE(engine->Prepare(tmpl).ok());
+
+  RangeQuery q;
+  q.func = AggregateFunction::kAvg;
+  q.agg_column = 2;
+  q.predicate.Add({0, 23, 71});
+  q.group_by = {1};
+  auto run = [&](uint64_t seed) {
+    ExecuteControl control;
+    control.seed = seed;
+    auto groups = engine->ExecuteGroupBy(q, control);
+    AQPP_CHECK_OK(groups.status());
+    return std::move(groups).value();
+  };
+  auto same_answers = [](const std::vector<GroupApproximateResult>& a,
+                         const std::vector<GroupApproximateResult>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t g = 0; g < a.size(); ++g) {
+      if (a[g].key.values != b[g].key.values ||
+          !SameBits(a[g].result.ci.estimate, b[g].result.ci.estimate) ||
+          !SameBits(a[g].result.ci.half_width, b[g].result.ci.half_width)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto first = run(11);
+  ASSERT_EQ(first.size(), 4u);
+  for (const GroupApproximateResult& group : first) {
+    EXPECT_TRUE(group.result.used_pre) << group.result.pre_description;
+  }
+  EXPECT_FALSE(same_answers(first, run(12)));
+
+  ASSERT_TRUE(engine->SetSynopsis("reservoir_closed").ok());
+  first = run(11);
+  for (const GroupApproximateResult& group : first) {
+    EXPECT_TRUE(group.result.used_pre) << group.result.pre_description;
+  }
+  EXPECT_TRUE(same_answers(first, run(12)));
 }
 
 TEST_F(EngineTest, GroupByRejectsScalarPath) {

@@ -175,10 +175,7 @@ TEST(ResultCacheGenerationTest, TemplateInvalidationBumpsGeneration) {
 struct SaturatedServer {
   explicit SaturatedServer(double retry_floor_seconds = 0.01) {
     ServiceOptions sopts;
-    sopts.enable_cache = false;
-    // Saturation here depends on exactly one job parked and one queued;
-    // batch formation would (correctly) fuse the two and drain the slot.
-    sopts.enable_batching = false;
+    sopts.cache.capacity = 0;
     sopts.admission.num_workers = 1;
     sopts.admission.max_queue_depth = 1;
     sopts.admission.max_per_session = 1;
@@ -189,8 +186,10 @@ struct SaturatedServer {
       cv.wait(lock, [this] { return released; });
     };
     ts = std::make_unique<TestServer>(sopts);
-    // Two background requests: one parks on the worker latch, one fills the
-    // queue slot. Retries absorb the race where both race for the one slot.
+    // Two background requests with distinct queries: the first parks on
+    // the worker latch, the second fills the queue slot. The second starts
+    // only once the first is parked; a worker that found both queued would
+    // (correctly) take them as one batch and leave the slot empty.
     for (int i = 0; i < 2; ++i) {
       blockers.emplace_back([this, i] {
         auto client = ServiceClient::Connect("127.0.0.1", ts->server->port());
@@ -199,11 +198,12 @@ struct SaturatedServer {
                           std::to_string(60 + i) + " AND c1 <= 90";
         (void)client->QueryWithRetry(sql, /*max_attempts=*/100);
       });
+      if (i == 0) {
+        EXPECT_TRUE(WaitFor([this] { return parked.load() == 1; }));
+      }
     }
     // Saturation is only stable once the worker is parked holding one job
-    // AND the other job fills the queue slot; depth==1 alone can be observed
-    // transiently before the worker pops, leaving a window where a test
-    // query would be accepted and then wait forever on the parked worker.
+    // AND the other job fills the queue slot.
     EXPECT_TRUE(WaitFor([this] {
       return parked.load() == 1 &&
              ts->service->stats().admission.queue_depth == 1;

@@ -391,6 +391,44 @@ TEST_F(IngestManagerTest, AbsorbSerializesOnlyNonAlignedSynopses) {
   EXPECT_FALSE(engine_->active_synopsis()->engine_aligned());
 }
 
+// Regression: a "stratified" synopsis on this uniform engine sample is not
+// engine-aligned, so the absorber absorbs each batch into it — and it
+// refuses rows of a stratum it never saw. Such a batch used to be acked and
+// then fail every absorb cycle until Append answered ResourceExhausted. It
+// is now refused at Append with nothing committed.
+TEST_F(IngestManagerTest, BatchTheSynopsisCannotAbsorbIsRefusedAtAppend) {
+  ASSERT_TRUE(engine_->SetSynopsis("stratified").ok());
+  ASSERT_FALSE(engine_->active_synopsis()->engine_aligned());
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager mgr(engine_.get(), opts);
+
+  // Strata are the (c1, c2) pairs of the base table, whose c1 starts at 1.
+  auto batch = MakeBatch(64, testutil::TestSeed(740));
+  for (size_t r = 0; r < batch->num_rows(); ++r) {
+    batch->mutable_column(0).MutableInt64Data()[r] =
+        table_->column(0).GetInt64(r);
+    batch->mutable_column(1).MutableInt64Data()[r] =
+        table_->column(1).GetInt64(r);
+  }
+  batch->mutable_column(0).MutableInt64Data()[10] = 0;
+  Status st = mgr.Append(*batch);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("stratum"), std::string::npos);
+  IngestSnapshot snap = mgr.snapshot();
+  EXPECT_EQ(snap.rows_committed, 0u);
+  EXPECT_EQ(snap.delta_rows, 0u);
+  EXPECT_EQ(snap.committed_generation, 0u);
+
+  // The same batch with every row in a known stratum commits and absorbs.
+  batch->mutable_column(0).MutableInt64Data()[10] =
+      table_->column(0).GetInt64(10);
+  ASSERT_TRUE(mgr.Append(*batch).ok());
+  ASSERT_TRUE(mgr.AbsorbNow().ok());
+  EXPECT_EQ(mgr.snapshot().rows_absorbed, 64u);
+  EXPECT_STREQ(engine_->active_synopsis()->kind(), "stratified");
+}
+
 TEST_F(IngestManagerTest, EqualSchedulesProduceEqualBits) {
   // The soak fingerprint invariant: two engines fed the identical
   // batch/absorb schedule answer every query bit-identically under a fixed

@@ -19,6 +19,7 @@
 #include "kernels/binning.h"
 #include "kernels/elementwise.h"
 #include "kernels/kernels.h"
+#include "kernels/multi_scan.h"
 #include "kernels/scan.h"
 #include "test_util.h"
 
@@ -199,12 +200,33 @@ TEST(KernelScanTest, FullRangeElisionAndDisjointRanges) {
 TEST(KernelMaskTest, EvaluateMaskMatchesRowPredicate) {
   auto table = FuzzTable(10000, 11);
   Rng rng(5);
+  std::vector<std::vector<RangeCondition>> members;
   for (int iter = 0; iter < 10; ++iter) {
-    RangePredicate pred(FuzzConditions(rng));
+    members.push_back(FuzzConditions(rng));
+    RangePredicate pred(members.back());
     auto mask = *pred.EvaluateMask(*table);
     ASSERT_EQ(mask.size(), table->num_rows());
     for (size_t i = 0; i < table->num_rows(); ++i) {
       EXPECT_EQ(mask[i] != 0, pred.Matches(*table, i)) << "row " << i;
+    }
+  }
+
+  // The same ten predicates as one fused batch, with a member on a missing
+  // column in the middle: its error must leave the other masks intact.
+  const size_t bad = 5;
+  members.insert(members.begin() + bad,
+                 std::vector<RangeCondition>{{0, 10, 20}, {99, 0, 1}});
+  auto fused = kernels::MultiEvaluateMask(*table, members);
+  ASSERT_EQ(fused.size(), members.size());
+  EXPECT_EQ(fused[bad].status().code(), StatusCode::kInvalidArgument);
+  for (size_t m = 0; m < members.size(); ++m) {
+    if (m == bad) continue;
+    ASSERT_TRUE(fused[m].ok()) << "member " << m;
+    ASSERT_EQ(fused[m]->size(), table->num_rows());
+    RangePredicate pred(members[m]);
+    for (size_t i = 0; i < table->num_rows(); ++i) {
+      EXPECT_EQ((*fused[m])[i] != 0, pred.Matches(*table, i))
+          << "member " << m << " row " << i;
     }
   }
 }

@@ -25,6 +25,7 @@
 #include "service/service.h"
 #include "storage/extent_file.h"
 #include "storage/table.h"
+#include "admission_jobs.h"
 #include "test_util.h"
 
 // ---- Instrumented allocator ------------------------------------------------
@@ -541,19 +542,14 @@ TEST(BatchMetricsTest, BatchAndSingleFlightSeriesNamesArePinned) {
               std::string::npos);
   }
 
-  // A lone batchable admission job walks the window-wait path.
+  // A lone admission job walks the window-wait path.
   AdmissionOptions aopts;
   aopts.num_workers = 1;
   aopts.batch_window_seconds = 0.0001;
-  AdmissionController ctrl(aopts);
+  AdmissionController ctrl(aopts, testutil::RunClosures);
   std::promise<void> ran;
-  AdmissionController::Job job;
-  job.batch_key = "tbl:pin";
-  job.run = [&ran] { ran.set_value(); };
-  job.run_batch = [](std::vector<AdmissionController::Job>&& jobs) {
-    for (auto& j : jobs) j.run();
-  };
-  ASSERT_TRUE(ctrl.Submit(1, std::move(job)).ok());
+  ASSERT_TRUE(
+      ctrl.Submit(1, testutil::ClosureJob([&ran] { ran.set_value(); })).ok());
   ran.get_future().wait();
   ctrl.Stop();
 

@@ -16,12 +16,15 @@
 #include "core/engine.h"
 #include "service/admission.h"
 #include "service/service.h"
+#include "admission_jobs.h"
 #include "test_util.h"
 
 namespace aqpp {
 namespace {
 
 using namespace std::chrono_literals;
+using testutil::ClosureJob;
+using testutil::RunClosures;
 
 // Polls `pred` until it holds or ~5 seconds pass.
 bool WaitFor(const std::function<bool()>& pred) {
@@ -77,15 +80,13 @@ TEST(AdmissionControllerTest, GlobalBoundRejectsWithRetryAfter) {
   opts.max_queue_depth = 3;
   opts.max_per_session = 8;
   opts.retry_floor_seconds = 0.025;
+  // No window: the parked worker's batch is the first job alone.
+  opts.batch_window_seconds = 0;
   opts.worker_hook = gate.hook();
-  AdmissionController ctrl(opts);
+  AdmissionController ctrl(opts, RunClosures);
 
   std::atomic<int> ran{0};
-  auto make_job = [&ran] {
-    AdmissionController::Job job;
-    job.run = [&ran] { ran.fetch_add(1); };
-    return job;
-  };
+  auto make_job = [&ran] { return ClosureJob([&ran] { ran.fetch_add(1); }); };
 
   // The worker picks this up and parks in the hook.
   ASSERT_TRUE(ctrl.Submit(1, make_job()).ok());
@@ -120,15 +121,13 @@ TEST(AdmissionControllerTest, PerSessionBoundKeepsOtherSessionsAdmittable) {
   opts.num_workers = 1;
   opts.max_queue_depth = 64;
   opts.max_per_session = 2;
+  // No window: the parked worker's batch is the first job alone.
+  opts.batch_window_seconds = 0;
   opts.worker_hook = gate.hook();
-  AdmissionController ctrl(opts);
+  AdmissionController ctrl(opts, RunClosures);
 
   std::atomic<int> ran{0};
-  auto make_job = [&ran] {
-    AdmissionController::Job job;
-    job.run = [&ran] { ran.fetch_add(1); };
-    return job;
-  };
+  auto make_job = [&ran] { return ClosureJob([&ran] { ran.fetch_add(1); }); };
 
   ASSERT_TRUE(ctrl.Submit(1, make_job()).ok());
   ASSERT_TRUE(WaitFor([&] { return ctrl.stats().queue_depth == 0; }));
@@ -153,18 +152,17 @@ TEST(AdmissionControllerTest, DrainsSessionsRoundRobin) {
   Gate gate;
   AdmissionOptions opts;
   opts.num_workers = 1;
+  opts.batch_window_seconds = 0;
   opts.worker_hook = gate.hook();
-  AdmissionController ctrl(opts);
+  AdmissionController ctrl(opts, RunClosures);
 
   std::mutex mu;
   std::vector<uint64_t> order;
   auto make_job = [&](uint64_t sid) {
-    AdmissionController::Job job;
-    job.run = [&mu, &order, sid] {
+    return ClosureJob([&mu, &order, sid] {
       std::lock_guard<std::mutex> lock(mu);
       order.push_back(sid);
-    };
-    return job;
+    });
   };
 
   // Park the worker on a throwaway job, then queue 3 from A and 2 from B.
@@ -178,7 +176,8 @@ TEST(AdmissionControllerTest, DrainsSessionsRoundRobin) {
   ctrl.Stop();
 
   // One chatty session does not starve the other: strict alternation while
-  // both have work.
+  // both have work. The five queued jobs run as one batch, whose order is
+  // the round-robin pop order.
   std::vector<uint64_t> expected = {9, 1, 2, 1, 2, 1};
   EXPECT_EQ(order, expected);
 }
@@ -187,12 +186,11 @@ TEST(AdmissionControllerTest, StopCancelsAndRunsQueuedJobs) {
   Gate gate;
   AdmissionOptions opts;
   opts.num_workers = 1;
+  opts.batch_window_seconds = 0;
   opts.worker_hook = gate.hook();
-  AdmissionController ctrl(opts);
+  AdmissionController ctrl(opts, RunClosures);
 
-  AdmissionController::Job blocker;
-  blocker.run = [] {};
-  ASSERT_TRUE(ctrl.Submit(1, std::move(blocker)).ok());
+  ASSERT_TRUE(ctrl.Submit(1, ClosureJob([] {})).ok());
   ASSERT_TRUE(WaitFor([&] { return ctrl.stats().queue_depth == 0; }));
 
   std::mutex mu;
@@ -201,12 +199,12 @@ TEST(AdmissionControllerTest, StopCancelsAndRunsQueuedJobs) {
   for (uint64_t sid = 2; sid <= 4; ++sid) {
     auto token = std::make_shared<CancellationToken>();
     tokens.push_back(token);
-    AdmissionController::Job job;
-    job.token = token;
-    job.run = [&mu, &cancelled_at_run, token] {
-      std::lock_guard<std::mutex> lock(mu);
-      cancelled_at_run.push_back(token->cancelled());
-    };
+    AdmissionController::Job job = ClosureJob(
+        [&mu, &cancelled_at_run, token] {
+          std::lock_guard<std::mutex> lock(mu);
+          cancelled_at_run.push_back(token->cancelled());
+        },
+        token);
     ASSERT_TRUE(ctrl.Submit(sid, std::move(job)).ok());
   }
 
@@ -223,9 +221,7 @@ TEST(AdmissionControllerTest, StopCancelsAndRunsQueuedJobs) {
   EXPECT_EQ(ctrl.stats().drained, 3u);
 
   // And the controller refuses new work afterwards.
-  AdmissionController::Job late;
-  late.run = [] {};
-  EXPECT_EQ(ctrl.Submit(1, std::move(late)).code(),
+  EXPECT_EQ(ctrl.Submit(1, ClosureJob([] {})).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -246,11 +242,13 @@ std::shared_ptr<AqppEngine> MakePreparedEngine(
   return std::shared_ptr<AqppEngine>(std::move(*engine));
 }
 
-RangeQuery SumQuery() {
+// `lo` varies the query, so requests that must queue separately do not
+// share one execution through single-flight.
+RangeQuery SumQuery(int64_t lo = 13) {
   RangeQuery q;
   q.func = AggregateFunction::kSum;
   q.agg_column = 2;
-  q.predicate.Add({0, 13, 57});
+  q.predicate.Add({0, lo, 57});
   q.predicate.Add({1, 7, 23});
   return q;
 }
@@ -260,7 +258,7 @@ TEST(ServiceDeadlineTest, ExpiredDeadlineYieldsWidenedPartialAnswer) {
   auto engine = MakePreparedEngine(table);
 
   ServiceOptions sopts;
-  sopts.enable_cache = false;  // a hit would bypass the deadline path
+  sopts.cache.capacity = 0;  // a hit would bypass the deadline path
   sopts.admission.num_workers = 1;
   // Every job spends 30ms in the queue-to-run gap, so a 1ms deadline is
   // guaranteed to have burned out before the engine is touched.
@@ -295,7 +293,7 @@ TEST(ServiceDeadlineTest, FallbackDisabledReportsDeadlineExceeded) {
   auto engine = MakePreparedEngine(table);
 
   ServiceOptions sopts;
-  sopts.enable_cache = false;
+  sopts.cache.capacity = 0;
   sopts.progressive_fallback = false;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = [] { std::this_thread::sleep_for(30ms); };
@@ -315,11 +313,11 @@ TEST(ServiceBackpressureTest, SaturationRejectsWithRetryAfterNotHang) {
 
   Gate gate;
   ServiceOptions sopts;
-  sopts.enable_cache = false;
-  // This test pins per-query queue occupancy with identical queries: fusing
-  // or single-flight-attaching them would (correctly) keep the queue empty.
-  sopts.enable_batching = false;
-  sopts.enable_single_flight = false;
+  sopts.cache.capacity = 0;
+  // This test pins per-query queue occupancy: no window, so the parked
+  // worker's batch is the first request alone, and distinct queries, so
+  // single-flight attaches none of them.
+  sopts.admission.batch_window_seconds = 0;
   sopts.admission.num_workers = 1;
   sopts.admission.max_queue_depth = 1;
   sopts.admission.max_per_session = 4;
@@ -342,13 +340,13 @@ TEST(ServiceBackpressureTest, SaturationRejectsWithRetryAfterNotHang) {
   }));
 
   // Second request: fills the one queue slot.
-  std::thread t2([&] { out2 = service.Execute(sids[1], SumQuery()); });
+  std::thread t2([&] { out2 = service.Execute(sids[1], SumQuery(14)); });
   ASSERT_TRUE(WaitFor(
       [&] { return service.stats().admission.queue_depth == 1; }));
 
   // Third request: rejected synchronously with a retry hint — the explicit
   // backpressure contract, instead of an unbounded wait.
-  QueryOutcome out3 = service.Execute(sids[2], SumQuery());
+  QueryOutcome out3 = service.Execute(sids[2], SumQuery(15));
   EXPECT_EQ(out3.status.code(), StatusCode::kResourceExhausted);
   EXPECT_GT(out3.retry_after_seconds, 0.0);
 
@@ -372,11 +370,11 @@ TEST(ServiceBackpressureTest, StopResolvesQueuedRequestsAsCancelled) {
 
   Gate gate;
   ServiceOptions sopts;
-  sopts.enable_cache = false;
-  // Identical queries must queue solo here: the point is the queued job's
-  // Cancelled resolution, not sharing the leader's outcome.
-  sopts.enable_batching = false;
-  sopts.enable_single_flight = false;
+  sopts.cache.capacity = 0;
+  // The second request must stay queued, apart from the first: no window,
+  // and a distinct query. The point is the queued job's Cancelled
+  // resolution, not sharing the first one's outcome.
+  sopts.admission.batch_window_seconds = 0;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = gate.hook();
   QueryService service(EngineRef(engine.get()), sopts);
@@ -390,7 +388,8 @@ TEST(ServiceBackpressureTest, StopResolvesQueuedRequestsAsCancelled) {
     AdmissionStats s = service.stats().admission;
     return s.admitted == 1 && s.queue_depth == 0;
   }));
-  std::thread t2([&] { queued = service.Execute((*s2)->id(), SumQuery()); });
+  std::thread t2(
+      [&] { queued = service.Execute((*s2)->id(), SumQuery(14)); });
   ASSERT_TRUE(WaitFor(
       [&] { return service.stats().admission.queue_depth == 1; }));
 

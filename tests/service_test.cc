@@ -496,7 +496,7 @@ TEST(ServiceServerTest, SlowQueryLogCapturesPhaseBreakdown) {
 TEST(ServiceServerTest, ClientsRideOutBackpressureViaRetryAfter) {
   constexpr int kClients = 6;
   ServiceOptions sopts;
-  sopts.enable_cache = false;  // every request must take a worker slot
+  sopts.cache.capacity = 0;  // every request must take a worker slot
   sopts.admission.num_workers = 1;
   sopts.admission.max_queue_depth = 1;
   sopts.admission.max_per_session = 4;
