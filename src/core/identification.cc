@@ -77,18 +77,16 @@ AggregateIdentifier::AggregateIdentifier(const PrefixCube* cube,
   scorer_ = std::make_unique<BatchCandidateScorer>(
       &scoring_sample_, &cube_->scheme(), options_.confidence_level,
       /*bootstrap_resamples=*/40);
-  if (scoring_sample_.rows.get() == sample_->rows.get()) {
-    full_cells_ = &scorer_->cell_index();
-  } else {
-    full_cells_owned_ =
-        std::make_unique<CellIndex>(*sample_->rows, cube_->scheme());
-    full_cells_ = full_cells_owned_.get();
-  }
 }
 
 std::vector<uint8_t> AggregateIdentifier::PreMaskOnSample(
     const PreAggregate& pre) const {
-  return full_cells_->BoxMask(pre);
+  // The box's columns are cube dimensions, validated against the sample's
+  // schema when the cube was built: evaluation cannot fail.
+  Result<std::vector<uint8_t>> mask =
+      pre.ToPredicate(cube_->scheme()).EvaluateMask(*sample_->rows);
+  AQPP_CHECK(mask.ok()) << mask.status().ToString();
+  return std::move(mask).value();
 }
 
 void AggregateIdentifier::BracketQuery(

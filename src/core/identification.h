@@ -8,12 +8,12 @@
 // winner is used for the final full-sample estimate.
 //
 // Scoring runs through the batched pipeline of core/scoring.h: the query
-// mask and measure column are computed once per query, candidate pre-masks
-// are derived from a precomputed cell-id matrix, and candidates are scored
-// concurrently on the persistent thread pool. Every candidate's RNG is
-// seeded by CandidateSeed, a pure function of (query base seed, candidate
-// box), so results are bit-identical regardless of thread count or
-// schedule. The per-candidate reference scorer these scores are tested
+// mask and measure column are computed once per query, candidate supports
+// are derived from a cell-id matrix over the scoring subsample, and
+// candidates are scored concurrently on the persistent thread pool. Every
+// candidate's RNG is seeded by CandidateSeed, a pure function of (query base
+// seed, candidate box), so results are bit-identical regardless of thread
+// count or schedule. The per-candidate reference scorer these scores are tested
 // against lives in tests/identification_oracle.h.
 
 #ifndef AQPP_CORE_IDENTIFICATION_H_
@@ -85,9 +85,8 @@ struct ScoredCandidate {
 class AggregateIdentifier {
  public:
   // `cube` and `sample` must outlive the identifier. The subsample used for
-  // scoring is drawn once at construction (it is query-independent), and the
-  // cell-id matrices for both the scoring subsample and the full sample are
-  // built here too.
+  // scoring is drawn once at construction (it is query-independent), and
+  // the scorer's cell-id matrix over it is built here too.
   AggregateIdentifier(const PrefixCube* cube, const Sample* sample,
                       IdentificationOptions options, Rng& rng);
 
@@ -115,10 +114,10 @@ class AggregateIdentifier {
   Result<IdentifiedAggregate> IdentifyBruteForce(const RangeQuery& query,
                                                  Rng& rng) const;
 
-  // 0/1 mask of `pre` over the *full* estimation sample, derived from the
-  // cached cell-id matrix. Lets the engine feed the identified box straight
-  // into SampleEstimator::EstimateWithPreMasked without re-evaluating the
-  // box predicate.
+  // 0/1 mask of `pre` over the *full* estimation sample:
+  // pre.ToPredicate(scheme) through RangePredicate::EvaluateMask, the same
+  // predicate kernel that builds the query mask. Feeds the identified box
+  // into SampleEstimator::EstimateWithPreMasked.
   std::vector<uint8_t> PreMaskOnSample(const PreAggregate& pre) const;
 
   const Sample& scoring_sample() const { return scoring_sample_; }
@@ -164,10 +163,6 @@ class AggregateIdentifier {
   Sample scoring_sample_;
   // Batched scorer over the scoring subsample.
   std::unique_ptr<BatchCandidateScorer> scorer_;
-  // Cell-id matrix over the full sample (for PreMaskOnSample). Points into
-  // scorer_'s index when the scoring sample IS the full sample.
-  std::unique_ptr<CellIndex> full_cells_owned_;
-  const CellIndex* full_cells_ = nullptr;
 };
 
 }  // namespace aqpp

@@ -1,10 +1,8 @@
 #include "core/scoring.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
-#include "stats/descriptive.h"
 
 namespace aqpp {
 
@@ -26,34 +24,18 @@ CellIndex::CellIndex(const Table& rows, const PartitionScheme& scheme) {
   }
 }
 
-std::vector<uint8_t> CellIndex::BoxMask(const PreAggregate& pre) const {
-  const size_t n = num_rows();
-  std::vector<uint8_t> mask(n);
-  for (size_t r = 0; r < n; ++r) {
-    mask[r] = Contains(r, pre) ? 1 : 0;
-  }
-  return mask;
-}
-
 BatchCandidateScorer::BatchCandidateScorer(const Sample* sample,
                                            const PartitionScheme* scheme,
                                            double confidence_level,
                                            size_t bootstrap_resamples)
     : sample_(sample),
       scheme_(scheme),
-      confidence_level_(confidence_level),
-      bootstrap_resamples_(bootstrap_resamples),
-      lambda_(NormalCriticalValue(confidence_level)),
+      options_{.confidence_level = confidence_level,
+               .bootstrap_resamples = bootstrap_resamples},
       cells_(*sample->rows, *scheme),
       measures_(sample->rows.get()) {
   AQPP_CHECK(sample != nullptr);
   AQPP_CHECK_GT(sample->size(), 0u);
-  if (sample_->stratified()) {
-    stratum_rows_.assign(sample_->stratum_info.size(), 0.0);
-    for (size_t i = 0; i < sample_->size(); ++i) {
-      stratum_rows_[static_cast<size_t>(sample_->strata[i])] += 1.0;
-    }
-  }
 }
 
 BatchCandidateScorer::ActiveSet BatchCandidateScorer::ActiveRows(
@@ -134,152 +116,55 @@ Result<BatchCandidateScorer::QueryContext> BatchCandidateScorer::Prepare(
   return ctx;
 }
 
-namespace {
-
-// Per-thread per-stratum moment accumulators (stratified SumCI).
-std::vector<RunningMoments>& StratumScratch(size_t num_strata) {
-  static thread_local std::vector<RunningMoments> moments;
-  moments.assign(num_strata, RunningMoments());
-  return moments;
-}
-
-// Sample variance of the multiset formed by the values accumulated in `z`
-// plus (n - z.count()) exact zeros, folded in closed form: the zero block
-// shifts the mean to mean * m/n and contributes (n - m) * mean_all^2 to the
-// centered second moment. Equal to walking the zeros through Welford up to
-// the rounding of the moment arithmetic (~1 ulp).
-double SparseVarianceSample(const RunningMoments& z, double n) {
-  if (n <= 1.0) return 0.0;
-  const double m = z.count();
-  if (m <= 0.0) return 0.0;
-  if (m >= n) return z.variance_sample();
-  const double mean_nz = z.mean();
-  const double mean_all = mean_nz * (m / n);
-  const double shift = mean_nz - mean_all;
-  const double m2_all = z.variance_population() * m + m * shift * shift +
-                        (n - m) * mean_all * mean_all;
-  return m2_all / (n - 1.0);
-}
-
-}  // namespace
-
 Result<double> BatchCandidateScorer::Score(
     const QueryContext& ctx, const PreAggregate& pre, const PreValues& values,
     Rng& rng, const ActiveSet* active) const {
-  const size_t n = sample_->size();
   const std::vector<uint8_t>& q_mask = ctx.q_mask;
-  const std::vector<double>* measure = ctx.measure;
-  const std::vector<double>& weights = sample_->weights;
 
-  // Invokes fn(i, diff) for every row whose query-vs-box difference is
-  // nonzero (diff is exactly +1.0 or -1.0); every skipped row contributes
-  // an exact zero. With an active set, box membership is decided once per
-  // cell group; without one, the whole sample is swept row by row.
-  auto for_nonzero = [&](auto&& fn) {
-    if (active != nullptr && active->starts.empty()) {
-      // Ungrouped active set: membership test per row.
-      for (uint32_t r : active->rows) {
-        const size_t i = r;
-        const uint8_t inside = cells_.Contains(i, pre) ? 1 : 0;
-        if (q_mask[i] == inside) continue;
-        fn(i, MaskDifference(q_mask[i], inside));
-      }
-    } else if (active != nullptr) {
-      const size_t d = cells_.num_dims();
-      const size_t groups = active->num_groups();
-      for (size_t g = 0; g < groups; ++g) {
-        const uint32_t* cell = active->cells.data() + g * d;
-        uint8_t inside = 1;
-        for (size_t i = 0; i < d; ++i) {
-          if (cell[i] <= pre.lo[i] || cell[i] > pre.hi[i]) {
-            inside = 0;
-            break;
-          }
-        }
-        for (uint32_t k = active->starts[g]; k < active->starts[g + 1]; ++k) {
-          const size_t i = active->rows[k];
-          if (q_mask[i] == inside) continue;
-          fn(i, MaskDifference(q_mask[i], inside));
-        }
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const uint8_t inside = cells_.Contains(i, pre) ? 1 : 0;
-        if (q_mask[i] == inside) continue;
-        fn(i, MaskDifference(q_mask[i], inside));
-      }
+  // The support: every row whose query-vs-box difference is nonzero (every
+  // skipped row contributes an exact zero). With an active set, box
+  // membership is decided once per cell group; without one, the whole
+  // sample is swept row by row.
+  std::vector<SupportRow> support;
+  auto visit = [&](size_t i, uint8_t inside) {
+    if (q_mask[i] != inside) {
+      support.push_back(
+          {static_cast<uint32_t>(i), MaskDifference(q_mask[i], inside)});
     }
   };
-
-  switch (ctx.func) {
-    case AggregateFunction::kSum:
-    case AggregateFunction::kCount: {
-      // Fused SumDifferenceCI: y_i = A_i * (cond_q - cond_pre) accumulated
-      // straight into the moment sums. Rows with zero difference are not
-      // walked; their (exactly zero) contributions are folded back in closed
-      // form by SparseVarianceSample.
-      if (sample_->stratified()) {
-        std::vector<RunningMoments>& per_stratum =
-            StratumScratch(sample_->stratum_info.size());
-        for_nonzero([&](size_t i, double diff) {
-          double y = measure != nullptr ? (*measure)[i] * diff : 1.0 * diff;
-          per_stratum[static_cast<size_t>(sample_->strata[i])].Add(y);
-        });
-        double var = 0;
-        for (size_t h = 0; h < per_stratum.size(); ++h) {
-          const double n_h = stratum_rows_[h];
-          if (n_h <= 0.0) continue;
-          double num_pop =
-              static_cast<double>(sample_->stratum_info[h].population_rows);
-          var += num_pop * num_pop *
-                 SparseVarianceSample(per_stratum[h], n_h) / n_h;
+  if (active != nullptr && active->starts.empty()) {
+    // Ungrouped active set: membership test per row.
+    for (uint32_t r : active->rows) visit(r, cells_.Contains(r, pre) ? 1 : 0);
+  } else if (active != nullptr) {
+    const size_t d = cells_.num_dims();
+    const size_t groups = active->num_groups();
+    for (size_t g = 0; g < groups; ++g) {
+      const uint32_t* cell = active->cells.data() + g * d;
+      uint8_t inside = 1;
+      for (size_t i = 0; i < d; ++i) {
+        if (cell[i] <= pre.lo[i] || cell[i] > pre.hi[i]) {
+          inside = 0;
+          break;
         }
-        return lambda_ * std::sqrt(std::max(0.0, var));
       }
-      RunningMoments z;
-      const double dn = static_cast<double>(n);
-      for_nonzero([&](size_t i, double diff) {
-        double y = measure != nullptr ? (*measure)[i] * diff : 1.0 * diff;
-        z.Add(dn * weights[i] * y);
-      });
-      return lambda_ * std::sqrt(SparseVarianceSample(z, dn) / dn);
+      for (uint32_t k = active->starts[g]; k < active->starts[g + 1]; ++k) {
+        visit(active->rows[k], inside);
+      }
     }
-    case AggregateFunction::kAvg:
-    case AggregateFunction::kVar: {
-      AQPP_CHECK(measure != nullptr);
-      // The bootstrap support, built straight from the nonzero-difference
-      // rows in ascending row order (the order the estimator builds it in;
-      // a grouped active set walks rows by cell, so sort first).
-      std::vector<std::pair<uint32_t, double>> rows;  // (row, diff)
-      for_nonzero([&](size_t i, double diff) {
-        rows.emplace_back(static_cast<uint32_t>(i), diff);
-      });
-      if (active != nullptr && !active->starts.empty()) {
-        std::sort(rows.begin(), rows.end());
-      }
-      if (ctx.func == AggregateFunction::kAvg) {
-        SupportSeries<2> contrib(n);
-        for (const auto& [i, diff] : rows) {
-          contrib.Push(AvgContribution((*measure)[i], weights[i], diff));
-        }
-        return AvgDifferenceBootstrapCI(contrib, values, confidence_level_,
-                                        bootstrap_resamples_, rng)
-            .half_width;
-      }
-      SupportSeries<3> contrib(n);
-      for (const auto& [i, diff] : rows) {
-        contrib.Push(VarContribution((*measure)[i], weights[i], diff));
-      }
-      return VarDifferenceBootstrapCI(contrib, values, confidence_level_,
-                                      bootstrap_resamples_, rng)
-          .half_width;
+    // Grouped rows arrive by cell; the estimator's support is in row order.
+    std::sort(support.begin(), support.end(),
+              [](const SupportRow& a, const SupportRow& b) {
+                return a.row < b.row;
+              });
+  } else {
+    for (size_t i = 0; i < sample_->size(); ++i) {
+      visit(i, cells_.Contains(i, pre) ? 1 : 0);
     }
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      return Status::Unimplemented(
-          "AQP++ inherits AQP's aggregate support; MIN/MAX unsupported");
   }
-  return Status::Internal("unreachable");
+  AQPP_ASSIGN_OR_RETURN(ConfidenceInterval ci,
+                        DifferenceCI(ctx.func, *sample_, support, ctx.measure,
+                                     values, options_, rng));
+  return ci.half_width;
 }
 
 }  // namespace aqpp

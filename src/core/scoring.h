@@ -14,23 +14,20 @@
 //    compares per dimension instead of a predicate evaluation.
 //  * The query mask and measure column are computed once per query
 //    (QueryContext) and shared by all candidates (and scoring threads).
-//  * Candidate scoring fuses mask derivation with the moment accumulation
-//    (RunningMoments directly; no per-candidate y/mask vectors). AVG/VAR
-//    collect only the nonzero-difference rows as the compacted bootstrap
-//    support (stats/bootstrap.h).
+//  * Candidate scoring derives the candidate's support (the rows where the
+//    query mask and the box differ) straight from the cell ids, with no
+//    per-candidate mask or y vector, and hands it to the estimator's own
+//    DifferenceCI (synopsis/estimator.h).
 //  * The per-candidate sweep can be restricted to an active-row list (rows
 //    inside the query or inside the hull of all candidate boxes, computed
 //    once per batch): every excluded row has difference 0 for every
-//    candidate, and the zero block is folded into the moments in closed
-//    form instead of being walked row by row.
+//    candidate, and DifferenceCI folds the zero rows in closed form.
 //
-// AVG/VAR scores are bit-identical to SampleEstimator::EstimateWithPre on
-// the same sample and RNG state (identical support series in ascending row
-// order, identical RNG consumption); SUM/COUNT scores are algebraically
-// identical with the zero rows folded in closed form, equal to the legacy
-// path within ~1 ulp of the moment arithmetic (the equivalence suite
-// asserts 1e-9 relative). Either way the batched scorer changes
-// identification cost, not identification decisions.
+// Every score is bit-identical to SampleEstimator::EstimateWithPre's
+// half-width on the same sample and RNG state, for SUM/COUNT/AVG/VAR alike:
+// the same support in ascending row order through the same DifferenceCI,
+// with the same RNG consumption. The batched scorer changes identification
+// cost, not identification decisions.
 
 #ifndef AQPP_CORE_SCORING_H_
 #define AQPP_CORE_SCORING_H_
@@ -72,10 +69,6 @@ class CellIndex {
     }
     return true;
   }
-
-  // 0/1 membership mask of `pre` over all indexed rows — the batched
-  // replacement for RangePredicate::EvaluateMask on a pre-box predicate.
-  std::vector<uint8_t> BoxMask(const PreAggregate& pre) const;
 
  private:
   size_t num_dims_ = 0;
@@ -131,28 +124,20 @@ class BatchCandidateScorer {
                        bool group) const;
 
   // CI half-width of the query (in `ctx`) estimated against `pre` with the
-  // candidate's exact cube values. Equal to
+  // candidate's exact cube values. Bit-identical to
   // SampleEstimator::EstimateWithPre(query, pre.ToPredicate(scheme), values,
-  // rng).half_width for the same rng state — bit-identical for AVG/VAR,
-  // within ~1 ulp for SUM/COUNT (closed-form zero folding). `active`, when
+  // rng).half_width for the same rng state. `active`, when
   // non-null, must cover every row with a nonzero difference for `pre`
   // (see ActiveRows); null sweeps all rows.
   Result<double> Score(const QueryContext& ctx, const PreAggregate& pre,
                        const PreValues& values, Rng& rng,
                        const ActiveSet* active = nullptr) const;
 
-  const CellIndex& cell_index() const { return cells_; }
-
  private:
   const Sample* sample_;
   const PartitionScheme* scheme_;
-  double confidence_level_;
-  size_t bootstrap_resamples_;
-  double lambda_;
+  EstimatorOptions options_;
   CellIndex cells_;
-  // Row count per stratum of the scoring sample (empty when the sample is
-  // not stratified); lets the sparse sweep recover full-stratum moments.
-  std::vector<double> stratum_rows_;
   mutable MeasureCache measures_;
 };
 

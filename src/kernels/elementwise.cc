@@ -3,18 +3,6 @@
 namespace aqpp {
 namespace kernels {
 
-void MaskedMeasure(const double* v, const uint8_t* mask, size_t n, double* y) {
-  for (size_t i = 0; i < n; ++i) {
-    y[i] = mask[i] ? v[i] : 0.0;
-  }
-}
-
-void MaskToDouble(const uint8_t* mask, size_t n, double* y) {
-  for (size_t i = 0; i < n; ++i) {
-    y[i] = mask[i] ? 1.0 : 0.0;
-  }
-}
-
 void DifferenceSeries(const double* v, const uint8_t* q, const uint8_t* p,
                       size_t n, double* y) {
   for (size_t i = 0; i < n; ++i) {

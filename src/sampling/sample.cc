@@ -30,6 +30,28 @@ size_t Sample::MemoryUsage() const {
   return bytes;
 }
 
+Status ValidateStrata(const Sample& sample) {
+  std::vector<size_t> rows(sample.stratum_info.size(), 0);
+  for (int32_t s : sample.strata) {
+    if (s < 0 || static_cast<size_t>(s) >= rows.size()) {
+      return Status::InvalidArgument("stratum id out of range");
+    }
+    ++rows[static_cast<size_t>(s)];
+  }
+  if (!sample.stratified()) return Status::OK();
+  if (sample.strata.size() != sample.size()) {
+    return Status::InvalidArgument(
+        "a stratified sample needs one stratum id per row");
+  }
+  for (size_t h = 0; h < rows.size(); ++h) {
+    if (sample.stratum_info[h].sample_rows != rows[h]) {
+      return Status::InvalidArgument(
+          "stratum sample_rows differs from the stratum's row count");
+    }
+  }
+  return Status::OK();
+}
+
 Result<Sample> Subsample(const Sample& sample, double rate, Rng& rng) {
   if (rate <= 0.0 || rate > 1.0) {
     return Status::InvalidArgument("subsample rate must be in (0, 1]");

@@ -54,6 +54,12 @@ struct Sample {
   size_t MemoryUsage() const;
 };
 
+// Checks a sample read from outside the program against what estimation
+// relies on: every stratum id names an entry of `stratum_info`, and a
+// stratified sample has one id per row with each stratum's `sample_rows`
+// equal to its row count (the n_h of the stratified interval).
+Status ValidateStrata(const Sample& sample);
+
 // Uniformly thins `sample` to ceil(rate * |sample|) rows, rescaling weights
 // so estimates stay unbiased. Stratified samples are thinned per stratum.
 // Used by aggregate identification (Section 5.2): candidates are scored on a

@@ -134,6 +134,7 @@ Result<Sample> LoadSample(const std::string& path_prefix) {
   if (sample.weights.size() != sample.rows->num_rows()) {
     return Status::InvalidArgument("weights/rows size mismatch");
   }
+  AQPP_RETURN_NOT_OK(ValidateStrata(sample));
   return sample;
 }
 

@@ -556,10 +556,8 @@ Result<MergedAnswer> MergePartials(
     case MergeMode::kSample: {
       if (query.func == AggregateFunction::kSum ||
           query.func == AggregateFunction::kCount) {
-        // Verbatim SampleEstimator::SumCI stratified fold, one stratum per
-        // shard, in shard-index order: est += N_h * mean_h,
-        // var += N_h^2 * s_h^2 / n_h. Bit-identical to running the single
-        // estimator over the concatenated stratified sample.
+        // The stratified fold of SparseSumCI, one stratum per shard, in
+        // shard-index order: est += N_h * mean_h, var += N_h^2 * s_h^2 / n_h.
         double est = 0, var = 0, max_unit = 0;
         for (uint32_t i = 0; i < total; ++i) {
           if (!partials[i].has_value()) continue;

@@ -19,9 +19,10 @@
 //    Welford moments of the three per-row series c_i = match_i,
 //    s_i = match_i * A_i, q_i = match_i * A_i^2 over its sample, plus their
 //    pairwise sample covariances. The coordinator folds est/var per stratum
-//    exactly like SampleEstimator::SumCI's stratified branch — so merged
-//    SUM/COUNT estimates and CIs are bit-identical to running that estimator
-//    over the concatenated stratified sample. AVG/VAR come from the merged
+//    with the stratified formula of SparseSumCI (synopsis/estimator.h), so
+//    merged SUM/COUNT answers agree with that estimator over the
+//    concatenated stratified sample up to rounding (it folds the zero rows
+//    in closed form; the worker walks them). AVG/VAR come from the merged
 //    moment vector by the delta method (ratio / plug-in variance gradients).
 //
 //  * Engine partials: the shard's own AQP++ difference estimate (cube probe

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
-#include "kernels/elementwise.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
 
@@ -29,51 +29,9 @@ Result<const std::vector<double>*> MeasureCache::Get(size_t column) {
 
 SampleEstimator::SampleEstimator(const Sample* sample,
                                  EstimatorOptions options)
-    : sample_(sample),
-      options_(options),
-      lambda_(NormalCriticalValue(options.confidence_level)) {
+    : sample_(sample), options_(options) {
   AQPP_CHECK(sample != nullptr);
   AQPP_CHECK_GT(sample->size(), 0u);
-}
-
-ConfidenceInterval SampleEstimator::SumCI(
-    const std::vector<double>& y_values) const {
-  const size_t n = sample_->size();
-  AQPP_CHECK_EQ(y_values.size(), n);
-  ConfidenceInterval ci;
-  ci.level = options_.confidence_level;
-
-  if (sample_->stratified()) {
-    // est = sum_h N_h * mean_h(y); Var = sum_h N_h^2 * s_h^2 / n_h.
-    std::vector<RunningMoments> per_stratum(sample_->stratum_info.size());
-    for (size_t i = 0; i < n; ++i) {
-      per_stratum[static_cast<size_t>(sample_->strata[i])].Add(y_values[i]);
-    }
-    double est = 0, var = 0;
-    for (size_t h = 0; h < per_stratum.size(); ++h) {
-      const auto& m = per_stratum[h];
-      double num_pop = static_cast<double>(sample_->stratum_info[h].population_rows);
-      if (m.count() == 0) continue;
-      est += num_pop * m.mean();
-      var += num_pop * num_pop * m.variance_sample() / m.count();
-    }
-    ci.estimate = est;
-    ci.half_width = lambda_ * std::sqrt(std::max(0.0, var));
-    return ci;
-  }
-
-  // Non-stratified: per-row expansion contributions z_i = n * w_i * y_i;
-  // estimate = mean(z), Var(estimate) = s^2(z) / n. For a uniform sample
-  // (w_i = N/n) this reduces verbatim to Example 1's
-  // N * mean(A'), lambda * N * sqrt(Var(A') / n).
-  RunningMoments z;
-  const double dn = static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) {
-    z.Add(dn * sample_->weights[i] * y_values[i]);
-  }
-  ci.estimate = z.mean();
-  ci.half_width = lambda_ * std::sqrt(z.variance_sample() / dn);
-  return ci;
 }
 
 Result<std::vector<uint8_t>> SampleEstimator::Mask(
@@ -106,30 +64,88 @@ Result<const std::vector<double>*> SampleEstimator::MeasureRef(
   return it->second.get();
 }
 
+std::vector<SupportRow> DifferenceSupport(
+    const std::vector<uint8_t>& q_mask, const std::vector<uint8_t>* pre_mask) {
+  const size_t n = q_mask.size();
+  const uint8_t* q = q_mask.data();
+  const uint8_t* p = nullptr;
+  if (pre_mask != nullptr) {
+    AQPP_CHECK_EQ(pre_mask->size(), n);
+    p = pre_mask->data();
+  }
+  std::vector<SupportRow> support;
+  auto visit = [&](size_t i) {
+    const uint8_t pre = p != nullptr ? p[i] : 0;
+    if (q[i] != pre) {
+      support.push_back({static_cast<uint32_t>(i), MaskDifference(q[i], pre)});
+    }
+  };
+  // Eight mask bytes per compare: a word where the masks agree holds no
+  // support row.
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t qw = 0, pw = 0;
+    std::memcpy(&qw, q + i, 8);
+    if (p != nullptr) std::memcpy(&pw, p + i, 8);
+    if (qw == pw) continue;
+    for (size_t r = i; r < i + 8; ++r) visit(r);
+  }
+  for (; i < n; ++i) visit(i);
+  return support;
+}
+
 namespace {
 
-// y_i = measure_i * mask_i as doubles.
-std::vector<double> MaskedValues(const std::vector<double>& measure,
-                                 const std::vector<uint8_t>& mask) {
-  std::vector<double> y(measure.size());
-  kernels::MaskedMeasure(measure.data(), mask.data(), measure.size(),
-                         y.data());
-  return y;
+// Adds the sample's zero rows to the moments of the support rows in `m`:
+// `n - m.count()` exact zeros, merged as one block.
+void FoldZeroRows(RunningMoments* m, double n) {
+  RunningMoments zeros;
+  zeros.AddWeighted(0.0, n - m->count());
+  m->Merge(zeros);
 }
 
 }  // namespace
 
-ConfidenceInterval SampleEstimator::SumDifferenceCI(
-    const std::vector<double>& measure, const std::vector<uint8_t>& q_mask,
-    const std::vector<uint8_t>& pre_mask, double pre_value) const {
-  // y_i = A_i * (cond_q - cond_pre): Example 3's A * cond(C = 0) pattern.
-  std::vector<double> y(measure.size());
-  kernels::DifferenceSeries(measure.data(), q_mask.data(), pre_mask.data(),
-                            measure.size(), y.data());
-  obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-  ConfidenceInterval ci = SumCI(y);
-  ci_span.Stop();
-  ci.estimate += pre_value;  // pre(D) is a known constant
+ConfidenceInterval SparseSumCI(const Sample& sample,
+                               const std::vector<SupportRow>& support,
+                               const double* measure, double confidence_level,
+                               double center) {
+  auto y_of = [&](const SupportRow& s) {
+    return ((measure != nullptr ? measure[s.row] : 1.0) - center) * s.diff;
+  };
+  const double lambda = NormalCriticalValue(confidence_level);
+  ConfidenceInterval ci;
+  ci.level = confidence_level;
+
+  if (sample.stratified()) {
+    std::vector<RunningMoments> per_stratum(sample.stratum_info.size());
+    for (const SupportRow& s : support) {
+      per_stratum[static_cast<size_t>(sample.strata[s.row])].Add(y_of(s));
+    }
+    double est = 0, var = 0;
+    for (size_t h = 0; h < per_stratum.size(); ++h) {
+      const StratumInfo& info = sample.stratum_info[h];
+      if (info.sample_rows == 0) continue;
+      const double n_h = static_cast<double>(info.sample_rows);
+      const double num_pop = static_cast<double>(info.population_rows);
+      RunningMoments& m = per_stratum[h];
+      FoldZeroRows(&m, n_h);
+      est += num_pop * m.mean();
+      var += num_pop * num_pop * m.variance_sample() / n_h;
+    }
+    ci.estimate = est;
+    ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+    return ci;
+  }
+
+  RunningMoments z;
+  const double dn = static_cast<double>(sample.size());
+  for (const SupportRow& s : support) {
+    z.Add(dn * sample.weights[s.row] * y_of(s));
+  }
+  FoldZeroRows(&z, dn);
+  ci.estimate = z.mean();
+  ci.half_width = lambda * std::sqrt(z.variance_sample() / dn);
   return ci;
 }
 
@@ -168,6 +184,55 @@ ConfidenceInterval VarDifferenceBootstrapCI(const SupportSeries<3>& contrib,
   return ci;
 }
 
+Result<ConfidenceInterval> DifferenceCI(AggregateFunction func,
+                                        const Sample& sample,
+                                        const std::vector<SupportRow>& support,
+                                        const std::vector<double>* measure,
+                                        const PreValues& pre,
+                                        const EstimatorOptions& options,
+                                        Rng& rng) {
+  switch (func) {
+    case AggregateFunction::kSum: {
+      AQPP_CHECK(measure != nullptr);
+      ConfidenceInterval ci = SparseSumCI(sample, support, measure->data(),
+                                          options.confidence_level);
+      ci.estimate += pre.sum;  // pre(D) is a known constant
+      return ci;
+    }
+    case AggregateFunction::kCount: {
+      ConfidenceInterval ci =
+          SparseSumCI(sample, support, nullptr, options.confidence_level);
+      ci.estimate += pre.count;
+      return ci;
+    }
+    case AggregateFunction::kAvg: {
+      AQPP_CHECK(measure != nullptr);
+      SupportSeries<2> contrib(sample.size());
+      for (const SupportRow& s : support) {
+        contrib.Push(AvgContribution((*measure)[s.row], sample.weights[s.row],
+                                     s.diff));
+      }
+      return AvgDifferenceBootstrapCI(contrib, pre, options.confidence_level,
+                                      options.bootstrap_resamples, rng);
+    }
+    case AggregateFunction::kVar: {
+      AQPP_CHECK(measure != nullptr);
+      SupportSeries<3> contrib(sample.size());
+      for (const SupportRow& s : support) {
+        contrib.Push(VarContribution((*measure)[s.row], sample.weights[s.row],
+                                     s.diff));
+      }
+      return VarDifferenceBootstrapCI(contrib, pre, options.confidence_level,
+                                      options.bootstrap_resamples, rng);
+    }
+    case AggregateFunction::kMin:
+    case AggregateFunction::kMax:
+      return Status::Unimplemented(
+          "AQP++ inherits AQP's aggregate support; MIN/MAX unsupported");
+  }
+  return Status::Internal("unreachable");
+}
+
 Result<ConfidenceInterval> SampleEstimator::EstimateDirect(
     const RangeQuery& query, Rng& rng) const {
   if (!query.group_by.empty()) {
@@ -187,60 +252,54 @@ Result<ConfidenceInterval> SampleEstimator::EstimateDirectMasked(
   }
   const size_t n = sample_->size();
   AQPP_CHECK_EQ(mask.size(), n);
+  if (query.func == AggregateFunction::kMin ||
+      query.func == AggregateFunction::kMax) {
+    return Status::Unimplemented(
+        "AQP cannot estimate MIN/MAX from a sample (Section 8)");
+  }
+  const double* measure = nullptr;
+  if (query.func != AggregateFunction::kCount) {
+    AQPP_ASSIGN_OR_RETURN(const std::vector<double>* column,
+                          MeasureRef(query.agg_column));
+    measure = column->data();
+  }
+  // The query's own rows; every other row contributes an exact zero.
+  const std::vector<SupportRow> support = DifferenceSupport(mask, nullptr);
+  const std::vector<double>& weights = sample_->weights;
 
   switch (query.func) {
-    case AggregateFunction::kSum: {
-      AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure,
-                            MeasureRef(query.agg_column));
-      std::vector<double> y = MaskedValues(*measure, mask);
-      obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      return SumCI(y);
-    }
+    case AggregateFunction::kSum:
     case AggregateFunction::kCount: {
-      std::vector<double> y(n);
-      kernels::MaskToDouble(mask.data(), n, y.data());
       obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      return SumCI(y);
+      return SparseSumCI(*sample_, support, measure,
+                         options_.confidence_level);
     }
     case AggregateFunction::kAvg: {
-      AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure_ptr,
-                            MeasureRef(query.agg_column));
-      const std::vector<double>& measure = *measure_ptr;
       // Ratio estimator R = (sum w a cond) / (sum w cond), linearized CI:
       // Var(R) ≈ Var( sum_i w_i cond_i (a_i - R) ) / (sum w cond)^2.
       double num = 0, den = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (!mask[i]) continue;
-        num += sample_->weights[i] * measure[i];
-        den += sample_->weights[i];
+      for (const SupportRow& s : support) {
+        num += weights[s.row] * measure[s.row];
+        den += weights[s.row];
       }
       ConfidenceInterval ci;
       ci.level = options_.confidence_level;
       if (den <= 0) return ci;  // no matching rows observed
       double ratio = num / den;
-      std::vector<double> resid(n);
-      for (size_t i = 0; i < n; ++i) {
-        resid[i] = mask[i] ? (measure[i] - ratio) : 0.0;
-      }
       obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      ConfidenceInterval resid_ci = SumCI(resid);
+      ConfidenceInterval resid_ci = SparseSumCI(
+          *sample_, support, measure, options_.confidence_level, ratio);
       ci_span.Stop();
       ci.estimate = ratio;
       ci.half_width = resid_ci.half_width / den;
       return ci;
     }
     case AggregateFunction::kVar: {
-      AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure_ptr,
-                            MeasureRef(query.agg_column));
-      const std::vector<double>& measure = *measure_ptr;
       // Plug-in weighted population variance, bootstrap CI. The statistic
       // skips unmasked rows, so the masked rows are the resampling support.
-      std::vector<std::pair<double, double>> support;  // (A_i, w_i)
       RunningMoments full;
-      for (size_t i = 0; i < n; ++i) {
-        if (!mask[i]) continue;
-        support.emplace_back(measure[i], sample_->weights[i]);
-        full.AddWeighted(measure[i], sample_->weights[i]);
+      for (const SupportRow& s : support) {
+        full.AddWeighted(measure[s.row], weights[s.row]);
       }
       obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
       SupportResampler resampler(n, support.size());
@@ -248,7 +307,8 @@ Result<ConfidenceInterval> SampleEstimator::EstimateDirectMasked(
       for (double& e : estimates) {
         RunningMoments m;
         resampler.Draw(rng, [&](size_t j) {
-          m.AddWeighted(support[j].first, support[j].second);
+          const uint32_t r = support[j].row;
+          m.AddWeighted(measure[r], weights[r]);
         });
         e = m.variance_population();
       }
@@ -262,8 +322,7 @@ Result<ConfidenceInterval> SampleEstimator::EstimateDirectMasked(
     }
     case AggregateFunction::kMin:
     case AggregateFunction::kMax:
-      return Status::Unimplemented(
-          "AQP cannot estimate MIN/MAX from a sample (Section 8)");
+      break;
   }
   return Status::Internal("unreachable");
 }
@@ -291,49 +350,16 @@ Result<ConfidenceInterval> SampleEstimator::EstimateWithPreMasked(
   const size_t n = sample_->size();
   AQPP_CHECK_EQ(q_mask.size(), n);
   AQPP_CHECK_EQ(pre_mask.size(), n);
-
-  switch (query.func) {
-    case AggregateFunction::kSum: {
-      AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure,
-                            MeasureRef(query.agg_column));
-      return SumDifferenceCI(*measure, q_mask, pre_mask, pre.sum);
-    }
-    case AggregateFunction::kCount: {
-      std::vector<double> ones(n, 1.0);
-      return SumDifferenceCI(ones, q_mask, pre_mask, pre.count);
-    }
-    case AggregateFunction::kAvg: {
-      AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure_ptr,
-                            MeasureRef(query.agg_column));
-      const std::vector<double>& measure = *measure_ptr;
-      SupportSeries<2> contrib(n);
-      for (size_t i = 0; i < n; ++i) {
-        contrib.Push(AvgContribution(measure[i], sample_->weights[i],
-                                     MaskDifference(q_mask[i], pre_mask[i])));
-      }
-      obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      return AvgDifferenceBootstrapCI(contrib, pre, options_.confidence_level,
-                                      options_.bootstrap_resamples, rng);
-    }
-    case AggregateFunction::kVar: {
-      AQPP_ASSIGN_OR_RETURN(const std::vector<double>* measure_ptr,
-                            MeasureRef(query.agg_column));
-      const std::vector<double>& measure = *measure_ptr;
-      SupportSeries<3> contrib(n);
-      for (size_t i = 0; i < n; ++i) {
-        contrib.Push(VarContribution(measure[i], sample_->weights[i],
-                                     MaskDifference(q_mask[i], pre_mask[i])));
-      }
-      obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
-      return VarDifferenceBootstrapCI(contrib, pre, options_.confidence_level,
-                                      options_.bootstrap_resamples, rng);
-    }
-    case AggregateFunction::kMin:
-    case AggregateFunction::kMax:
-      return Status::Unimplemented(
-          "AQP++ inherits AQP's aggregate support; MIN/MAX unsupported");
+  const std::vector<double>* measure = nullptr;
+  if (query.func != AggregateFunction::kCount) {
+    AQPP_ASSIGN_OR_RETURN(measure, MeasureRef(query.agg_column));
   }
-  return Status::Internal("unreachable");
+  // y_i = A_i * (cond_q - cond_pre): Example 3's A * cond(C = 0) pattern,
+  // nonzero only where the masks differ.
+  const std::vector<SupportRow> support = DifferenceSupport(q_mask, &pre_mask);
+  obs::SpanTimer ci_span(obs::Phase::kCiConstruction, trace_);
+  return DifferenceCI(query.func, *sample_, support, measure, pre, options_,
+                      rng);
 }
 
 }  // namespace aqpp

@@ -8,10 +8,15 @@
 // the precomputed pre(D) is added back as a constant — which is exactly why
 // a highly correlated pre shrinks the interval (Section 4.2's
 // back-of-the-envelope analysis).
+//
+// y_i is zero on every row outside a support: the rows where the two masks
+// differ (AQP: the query's own rows). Every interval here walks only that
+// support and folds the zero rows in closed form.
 
 #ifndef AQPP_SYNOPSIS_ESTIMATOR_H_
 #define AQPP_SYNOPSIS_ESTIMATOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -58,17 +63,46 @@ class MeasureCache {
   std::unordered_map<size_t, std::unique_ptr<std::vector<double>>> columns_;
 };
 
-// ---- Shared difference-CI kernels ------------------------------------------
+// ---- The difference estimate -----------------------------------------------
 //
-// These are used verbatim by both SampleEstimator::EstimateWithPre and the
-// batched identification scorer, so the two paths produce bit-identical
-// intervals for the same per-row contributions and RNG state. Both paths
-// build the support series in ascending row order from the helpers below.
+// SampleEstimator::EstimateWithPreMasked and the batched identification
+// scorer (core/scoring.h) both hand their support to DifferenceCI, so an
+// estimate and a candidate's score are one computation: for the same
+// support rows in the same order and the same RNG state they are
+// bit-identical.
 
 // diff_i = cond_q(i) - cond_pre(i): exactly -1.0, 0.0 or +1.0.
 inline double MaskDifference(uint8_t q, uint8_t pre) {
   return static_cast<double>(q) - static_cast<double>(pre);
 }
+
+// A sample row where the query mask and the pre mask differ, with its
+// diff = cond_q - cond_pre (exactly +1.0 or -1.0).
+struct SupportRow {
+  uint32_t row;
+  double diff;
+};
+
+// The rows where `q_mask` and `pre_mask` differ, in ascending row order. A
+// null `pre_mask` counts as all zeros, so the support is the query's own
+// rows with diff +1 (the direct path).
+std::vector<SupportRow> DifferenceSupport(const std::vector<uint8_t>& q_mask,
+                                          const std::vector<uint8_t>* pre_mask);
+
+// CLT interval for the population sum of y_i = (A_i - center) * diff_i,
+// where y_i is zero off `support` (ascending rows) and A_i is
+// measure[row] (1.0 when `measure` is null: COUNT).
+//   Non-stratified: z_i = n w_i y_i; estimate mean(z), Var = s^2(z) / n —
+//     for a uniform sample Example 1's N mean(A'), lambda N sqrt(Var(A')/n).
+//   Stratified: estimate sum_h N_h mean_h(y), Var = sum_h N_h^2 s_h^2 / n_h,
+//     with n_h = StratumInfo::sample_rows (the stratum's row count).
+// Only the support rows are walked; the zero rows join the moments as one
+// block in closed form (RunningMoments::Merge). An empty support gives an
+// estimate and half-width of exactly 0.
+ConfidenceInterval SparseSumCI(const Sample& sample,
+                               const std::vector<SupportRow>& support,
+                               const double* measure, double confidence_level,
+                               double center = 0.0);
 
 // One row's AVG contributions {w A diff, w diff}.
 inline SupportSeries<2>::Row AvgContribution(double a, double w,
@@ -98,6 +132,19 @@ ConfidenceInterval VarDifferenceBootstrapCI(const SupportSeries<3>& contrib,
                                             double confidence_level,
                                             size_t resamples, Rng& rng);
 
+// The AQP++ estimate of `func` as pre(D) + (q̂(S) - p̂re(S)) from the
+// difference support: SUM/COUNT through SparseSumCI plus pre.sum /
+// pre.count; AVG/VAR push each support row's contributions into a
+// SupportSeries for the bootstrap above. `measure` may be null only for
+// COUNT. MIN/MAX: Unimplemented.
+Result<ConfidenceInterval> DifferenceCI(AggregateFunction func,
+                                        const Sample& sample,
+                                        const std::vector<SupportRow>& support,
+                                        const std::vector<double>* measure,
+                                        const PreValues& pre,
+                                        const EstimatorOptions& options,
+                                        Rng& rng);
+
 class SampleEstimator {
  public:
   // `sample` must outlive the estimator.
@@ -117,16 +164,11 @@ class SampleEstimator {
   // histogram is observed regardless).
   void set_trace(obs::QueryTrace* trace) { trace_ = trace; }
 
-  // ---- Generic primitive --------------------------------------------------
-
-  // CI for the population sum of y, where y_values[i] is y evaluated on
-  // sample row i. Handles stratified samples per stratum.
-  ConfidenceInterval SumCI(const std::vector<double>& y_values) const;
-
   // ---- AQP (direct) path ---------------------------------------------------
 
   // Estimates `query` (scalar, no group-by) directly from the sample.
-  // SUM/COUNT: closed-form CLT interval. AVG: linearized ratio estimator.
+  // SUM/COUNT: SparseSumCI over the query's rows. AVG: linearized ratio
+  // estimator, its residual CI through SparseSumCI.
   // VAR: plug-in estimate with bootstrap CI. MIN/MAX: Unimplemented (the
   // paper notes AQP cannot handle them; see Section 8).
   Result<ConfidenceInterval> EstimateDirect(const RangeQuery& query,
@@ -148,7 +190,8 @@ class SampleEstimator {
                                              const PreValues& pre,
                                              Rng& rng) const;
 
-  // Same, with both row masks already computed (no predicate re-evaluation).
+  // Same, with both row masks already computed (no predicate
+  // re-evaluation): DifferenceCI over the rows where the masks differ.
   Result<ConfidenceInterval> EstimateWithPreMasked(
       const RangeQuery& query, const std::vector<uint8_t>& q_mask,
       const std::vector<uint8_t>& pre_mask, const PreValues& pre,
@@ -166,15 +209,8 @@ class SampleEstimator {
   // Borrowed (cached) or lazily materialized measure column.
   Result<const std::vector<double>*> MeasureRef(size_t column) const;
 
-  // Shared implementation of the SUM/COUNT closed-form difference CI.
-  ConfidenceInterval SumDifferenceCI(const std::vector<double>& measure,
-                                     const std::vector<uint8_t>& q_mask,
-                                     const std::vector<uint8_t>& pre_mask,
-                                     double pre_value) const;
-
   const Sample* sample_;
   EstimatorOptions options_;
-  double lambda_;
   MeasureCache* measure_cache_ = nullptr;
   obs::QueryTrace* trace_ = nullptr;
   // Fallback materialization when no external cache is attached.

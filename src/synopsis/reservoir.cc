@@ -4,7 +4,6 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "kernels/elementwise.h"
 #include "sampling/samplers.h"
 #include "synopsis/closed_form.h"
 #include "synopsis/serialize_util.h"

@@ -420,11 +420,6 @@ Result<Sample> GetSample(ByteReader* r) {
     info.population_rows = static_cast<size_t>(pop);
     info.sample_rows = static_cast<size_t>(sam);
   }
-  for (int32_t s : sample.strata) {
-    if (static_cast<size_t>(s) >= sample.stratum_info.size()) {
-      return Status::InvalidArgument("stratum id out of range");
-    }
-  }
   uint64_t pop = 0, method = 0;
   if (!r->GetU64(&pop) || !r->GetF64(&sample.sampling_fraction) ||
       !r->GetU64(&method) || method > 4) {
@@ -432,6 +427,7 @@ Result<Sample> GetSample(ByteReader* r) {
   }
   sample.population_size = static_cast<size_t>(pop);
   sample.method = static_cast<SamplingMethod>(method);
+  AQPP_RETURN_NOT_OK(ValidateStrata(sample));
   return sample;
 }
 

@@ -1,27 +1,69 @@
-// Dense bootstrap oracle: the percentile bootstrap as it ran before the
-// support-sparse resampler (stats/bootstrap.h). Every resample draws n row
-// indices with replacement and gathers all n of them, zero contributions
-// included. Tests hold the sparse path to it (bit-identical point
-// estimates, equal resampling distributions); bench_kernels times it as the
-// baseline. Not linked into any production target.
+// Dense oracles: the sample intervals as they ran before the support-sparse
+// paths. DenseSumCI walks every sample row of the y series, zeros included,
+// through Welford moments (the sparse SparseSumCI of synopsis/estimator.h
+// must agree with it up to rounding). The dense bootstrap draws n row
+// indices with replacement per resample and gathers all n of them (the
+// support-sparse resampler of stats/bootstrap.h must give bit-identical
+// point estimates and equal resampling distributions); bench_kernels times
+// it as the baseline. Not linked into any production target.
 
 #ifndef AQPP_TESTS_DENSE_BOOTSTRAP_ORACLE_H_
 #define AQPP_TESTS_DENSE_BOOTSTRAP_ORACLE_H_
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
 #include "common/random.h"
+#include "sampling/sample.h"
 #include "stats/bootstrap.h"
 #include "stats/confidence.h"
+#include "stats/descriptive.h"
 #include "synopsis/estimator.h"
 
 namespace aqpp {
 namespace oracle {
+
+// CLT interval for the population sum of y, y[i] evaluated on sample row i,
+// every row walked. Stratified: est = sum_h N_h * mean_h(y),
+// Var = sum_h N_h^2 * s_h^2 / n_h. Otherwise z_i = n * w_i * y_i,
+// estimate = mean(z), Var(estimate) = s^2(z) / n.
+inline ConfidenceInterval DenseSumCI(const Sample& sample,
+                                     const std::vector<double>& y,
+                                     double confidence_level) {
+  const size_t n = sample.size();
+  const double lambda = NormalCriticalValue(confidence_level);
+  ConfidenceInterval ci;
+  ci.level = confidence_level;
+  if (sample.stratified()) {
+    std::vector<RunningMoments> per_stratum(sample.stratum_info.size());
+    for (size_t i = 0; i < n; ++i) {
+      per_stratum[static_cast<size_t>(sample.strata[i])].Add(y[i]);
+    }
+    double est = 0, var = 0;
+    for (size_t h = 0; h < per_stratum.size(); ++h) {
+      const RunningMoments& m = per_stratum[h];
+      const double num_pop =
+          static_cast<double>(sample.stratum_info[h].population_rows);
+      if (m.count() == 0) continue;
+      est += num_pop * m.mean();
+      var += num_pop * num_pop * m.variance_sample() / m.count();
+    }
+    ci.estimate = est;
+    ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+    return ci;
+  }
+  RunningMoments z;
+  const double dn = static_cast<double>(n);
+  for (size_t i = 0; i < n; ++i) z.Add(dn * sample.weights[i] * y[i]);
+  ci.estimate = z.mean();
+  ci.half_width = lambda * std::sqrt(z.variance_sample() / dn);
+  return ci;
+}
 
 // Sum of v[idx[j]] for j in [0, k), accumulated in index order.
 inline double GatherSum(const double* v, const uint32_t* idx, size_t k) {

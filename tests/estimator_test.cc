@@ -1,6 +1,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -44,7 +47,7 @@ class EstimatorTest : public ::testing::Test {
 // ---- Direct (AQP) path -----------------------------------------------------
 
 TEST_F(EstimatorTest, DirectSumMatchesExample1Formula) {
-  // Verify SumCI reduces to Example 1 for a uniform sample:
+  // Verify the direct SUM interval reduces to Example 1 for a uniform sample:
   // est = N * mean(A'), eps = lambda * N * sqrt(Var(A') / n).
   SampleEstimator est(&sample_);
   RangeQuery q = SumQuery(10, 40);
@@ -558,10 +561,206 @@ TEST_F(EstimatorTest, DifferenceEstimateBitIdenticalToDenseOracle) {
   }
 }
 
+// ---- Support-sparse SUM interval vs the dense oracle -----------------------
+
+enum class BatteryKind { kUniform, kWeighted, kStratified };
+
+// An n-row sample over one double column. Uniform: w = N / n. Weighted:
+// Bernoulli inclusion with per-row probability p_i, w_i = 1 / p_i.
+// Stratified: 2-6 strata of random size, w_h = N_h / n_h, n_h the stratum's
+// row count.
+Sample BatterySample(BatteryKind kind, size_t n, Rng& rng) {
+  Sample sample;
+  sample.rows = std::make_shared<Table>(
+      Schema(std::vector<ColumnSchema>{{"a", DataType::kDouble}}));
+  for (size_t i = 0; i < n; ++i) sample.rows->AddRow().Double(0.0);
+  sample.population_size = 40 * n;
+  switch (kind) {
+    case BatteryKind::kUniform:
+      sample.weights.assign(n, 40.0);
+      break;
+    case BatteryKind::kWeighted:
+      sample.method = SamplingMethod::kBernoulli;
+      for (size_t i = 0; i < n; ++i) {
+        sample.weights.push_back(1.0 / (0.005 + 0.3 * rng.NextDouble()));
+      }
+      break;
+    case BatteryKind::kStratified: {
+      sample.method = SamplingMethod::kStratified;
+      const size_t strata = 2 + rng.NextBounded(5);
+      sample.stratum_info.resize(strata);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t h = rng.NextBounded(strata);
+        sample.strata.push_back(static_cast<int32_t>(h));
+        ++sample.stratum_info[h].sample_rows;
+      }
+      for (StratumInfo& info : sample.stratum_info) {
+        info.population_rows = info.sample_rows * (5 + rng.NextBounded(80));
+      }
+      for (size_t i = 0; i < n; ++i) {
+        const StratumInfo& info =
+            sample.stratum_info[static_cast<size_t>(sample.strata[i])];
+        sample.weights.push_back(static_cast<double>(info.population_rows) /
+                                 static_cast<double>(info.sample_rows));
+      }
+      break;
+    }
+  }
+  return sample;
+}
+
+// Distance in units in the last place between two same-signed doubles.
+uint64_t UlpShift(double a, double b) {
+  if (a == b || (std::isnan(a) && std::isnan(b))) return 0;
+  const int64_t ia = std::bit_cast<int64_t>(a);
+  const int64_t ib = std::bit_cast<int64_t>(b);
+  return ia > ib ? static_cast<uint64_t>(ia - ib)
+                 : static_cast<uint64_t>(ib - ia);
+}
+
+TEST(SparseSumCITest, MatchesDenseOracleOnRandomizedSeries) {
+  Rng gen = testutil::MakeTestRng(340);
+  const double kFracs[] = {0.0, 0.005, 0.05, 0.5, 1.0};
+  uint64_t max_est_ulps = 0, max_half_ulps = 0;
+  for (BatteryKind kind : {BatteryKind::kUniform, BatteryKind::kWeighted,
+                           BatteryKind::kStratified}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const size_t n = 1 + gen.NextBounded(3000);
+      const double frac = kFracs[trial % 5];
+      const Sample sample = BatterySample(kind, n, gen);
+      // Measures of mixed sign and scale, with some -0.0 rows.
+      std::vector<double> measure(n);
+      for (double& a : measure) {
+        a = 100.0 + 30.0 * gen.NextGaussian();
+        if (gen.NextBernoulli(0.05)) a = -0.0;
+        if (gen.NextBernoulli(0.3)) a = -a;
+      }
+      // Masks: about `frac` of the rows differ; frac = 1 puts every row on
+      // the support. In a stratified sample stratum 0 never differs.
+      std::vector<uint8_t> q(n), pre(n);
+      for (size_t i = 0; i < n; ++i) {
+        const bool quiet = kind == BatteryKind::kStratified &&
+                           sample.strata[i] == 0;
+        q[i] = gen.NextBernoulli(0.5);
+        pre[i] = q[i];
+        if (!quiet && (frac == 1.0 || gen.NextBernoulli(frac))) {
+          pre[i] = 1 - q[i];
+        }
+      }
+      const std::vector<SupportRow> support = DifferenceSupport(q, &pre);
+      if (frac == 1.0 && kind != BatteryKind::kStratified) {
+        ASSERT_EQ(support.size(), n);
+      }
+
+      // The difference series (center 0) and a direct-path residual series
+      // over the query's rows (center = the AVG ratio's role).
+      const double center = 97.5 + gen.NextDouble();
+      const std::vector<SupportRow> direct = DifferenceSupport(q, nullptr);
+      std::vector<double> y(n, 0.0), resid(n, 0.0);
+      for (const SupportRow& s : support) y[s.row] = measure[s.row] * s.diff;
+      for (const SupportRow& s : direct) {
+        resid[s.row] = measure[s.row] - center;
+      }
+      const struct {
+        const std::vector<SupportRow>* rows;
+        const std::vector<double>* dense;
+        double center;
+      } kCases[] = {{&support, &y, 0.0}, {&direct, &resid, center}};
+      for (const auto& c : kCases) {
+        const ConfidenceInterval dense =
+            oracle::DenseSumCI(sample, *c.dense, 0.95);
+        const ConfidenceInterval sparse =
+            SparseSumCI(sample, *c.rows, measure.data(), 0.95, c.center);
+        if (c.rows->empty()) {
+          // k = 0: nothing to estimate, exactly on both paths.
+          EXPECT_EQ(sparse.estimate, 0.0);
+          EXPECT_EQ(sparse.half_width, 0.0);
+          EXPECT_EQ(dense.estimate, 0.0);
+          EXPECT_EQ(dense.half_width, 0.0);
+          continue;
+        }
+        // The estimate may cancel toward 0; its rounding is measured
+        // against the interval's scale.
+        const double est_scale = std::max(
+            {std::abs(dense.estimate), dense.half_width, 1e-300});
+        EXPECT_LE(std::abs(sparse.estimate - dense.estimate),
+                  1e-9 * est_scale)
+            << "n=" << n << " k=" << c.rows->size();
+        EXPECT_LE(std::abs(sparse.half_width - dense.half_width),
+                  1e-9 * std::max(dense.half_width, 1e-300))
+            << "n=" << n << " k=" << c.rows->size();
+        max_est_ulps =
+            std::max(max_est_ulps, UlpShift(sparse.estimate, dense.estimate));
+        max_half_ulps = std::max(
+            max_half_ulps, UlpShift(sparse.half_width, dense.half_width));
+      }
+    }
+  }
+  std::printf("SparseSumCI vs DenseSumCI: largest shift %llu ulp (estimate), "
+              "%llu ulp (half-width)\n",
+              static_cast<unsigned long long>(max_est_ulps),
+              static_cast<unsigned long long>(max_half_ulps));
+}
+
+TEST(SparseSumCITest, NanMeasureOnTheSupportGivesNanOnBothPaths) {
+  for (BatteryKind kind : {BatteryKind::kUniform, BatteryKind::kWeighted,
+                           BatteryKind::kStratified}) {
+    Rng gen(350 + static_cast<uint64_t>(kind));
+    const size_t n = 500;
+    const Sample sample = BatterySample(kind, n, gen);
+    std::vector<double> measure(n);
+    for (double& a : measure) a = 50.0 + gen.NextGaussian();
+    std::vector<uint8_t> q(n, 0), pre(n, 0);
+    for (size_t i = 0; i < n; i += 7) q[i] = 1;
+    measure[14] = std::nan("");  // row 14 is on the support
+    const std::vector<SupportRow> support = DifferenceSupport(q, &pre);
+    std::vector<double> y(n, 0.0);
+    for (const SupportRow& s : support) y[s.row] = measure[s.row] * s.diff;
+    const ConfidenceInterval dense = oracle::DenseSumCI(sample, y, 0.95);
+    const ConfidenceInterval sparse =
+        SparseSumCI(sample, support, measure.data(), 0.95);
+    EXPECT_TRUE(std::isnan(dense.estimate));
+    EXPECT_TRUE(std::isnan(sparse.estimate));
+    EXPECT_EQ(std::isnan(dense.half_width), std::isnan(sparse.half_width));
+    if (!std::isnan(dense.half_width)) {
+      EXPECT_EQ(Bits(sparse.half_width), Bits(dense.half_width));
+    }
+  }
+}
+
+TEST(SparseSumCITest, DifferenceSupportListsDifferingRowsInOrder) {
+  // Lengths around the 8-byte word, both mask kinds.
+  Rng gen(360);
+  for (size_t n : {0u, 1u, 7u, 8u, 9u, 17u, 64u, 1001u}) {
+    std::vector<uint8_t> q(n), pre(n);
+    for (size_t i = 0; i < n; ++i) {
+      q[i] = gen.NextBernoulli(0.3);
+      pre[i] = gen.NextBernoulli(0.3);
+    }
+    const std::vector<uint8_t>* pre_masks[] = {&pre, nullptr};
+    for (const std::vector<uint8_t>* p : pre_masks) {
+      std::vector<SupportRow> expected;
+      for (size_t i = 0; i < n; ++i) {
+        const uint8_t pi = p != nullptr ? (*p)[i] : 0;
+        if (q[i] != pi) {
+          expected.push_back({static_cast<uint32_t>(i),
+                              MaskDifference(q[i], pi)});
+        }
+      }
+      const std::vector<SupportRow> got = DifferenceSupport(q, p);
+      ASSERT_EQ(got.size(), expected.size()) << "n=" << n;
+      for (size_t j = 0; j < got.size(); ++j) {
+        EXPECT_EQ(got[j].row, expected[j].row);
+        EXPECT_EQ(got[j].diff, expected[j].diff);
+      }
+    }
+  }
+}
+
 TEST(SupportBootstrapScorerTest, BatchedMatchesLegacyBitForBitWithGroupedSet) {
   // Enough candidates that ScoreBatch groups the active set by cell (12 or
   // more jobs), so the batched scorer walks rows out of row order and must
-  // sort its support before resampling.
+  // sort its support before folding moments or resampling.
   auto table = testutil::MakeSynthetic({.rows = 40000, .seed = 320});
   std::vector<DimensionPartition> dims = {
       DimensionPartition{0, {20, 40, 60, 80, 100}},
@@ -581,7 +780,8 @@ TEST(SupportBootstrapScorerTest, BatchedMatchesLegacyBitForBitWithGroupedSet) {
   // 4^2 + 1 candidates.
   Rng qrng(323);
   for (AggregateFunction func :
-       {AggregateFunction::kAvg, AggregateFunction::kVar}) {
+       {AggregateFunction::kSum, AggregateFunction::kCount,
+        AggregateFunction::kAvg, AggregateFunction::kVar}) {
     for (int trial = 0; trial < 4; ++trial) {
       RangeQuery q;
       q.func = func;

@@ -104,6 +104,25 @@ TEST_F(PersistenceTest, StratifiedSampleRoundTrip) {
   }
 }
 
+TEST_F(PersistenceTest, SampleLoadRejectsStrataThatDisagreeWithRows) {
+  // The stratified interval divides by each stratum's sample_rows and
+  // indexes per-stratum moments by stratum id, so a file that breaks either
+  // is refused at load.
+  Rng rng(4);
+  const Sample sample =
+      std::move(CreateStratifiedSample(*table_, {1}, 0.05, rng)).value();
+  Sample miscounted = sample;
+  ++miscounted.stratum_info[0].sample_rows;
+  Sample bad_id = sample;
+  bad_id.strata[0] = static_cast<int32_t>(sample.stratum_info.size());
+  for (const Sample* bad : {&miscounted, &bad_id}) {
+    ASSERT_TRUE(SaveSample(*bad, Path("bad_strata")).ok());
+    auto loaded = LoadSample(Path("bad_strata"));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(PersistenceTest, SampleLoadErrors) {
   EXPECT_FALSE(LoadSample(Path("absent")).ok());
   Rng rng(3);

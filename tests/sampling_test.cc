@@ -1,5 +1,6 @@
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -254,6 +255,16 @@ TEST(SubsampleTest, PreservesStratificationStructure) {
   // Every stratum remains represented.
   std::set<int32_t> present(sub->strata.begin(), sub->strata.end());
   EXPECT_EQ(present.size(), 3u);
+  // n_h (StratumInfo::sample_rows) stays each stratum's row count, before
+  // and after thinning: the stratified SUM interval divides by it.
+  for (const Sample* sample : {&*s, &*sub}) {
+    std::vector<size_t> rows(sample->stratum_info.size(), 0);
+    for (int32_t h : sample->strata) ++rows[static_cast<size_t>(h)];
+    for (size_t h = 0; h < rows.size(); ++h) {
+      EXPECT_EQ(sample->stratum_info[h].sample_rows, rows[h])
+          << "stratum " << h;
+    }
+  }
   // Weighted total still estimates the population.
   double truth = TrueSum(*t, 1);
   EXPECT_NEAR(WeightedSum(*sub, 1), truth, truth * 0.35);

@@ -1,13 +1,16 @@
 // Equivalence and determinism tests for the batched candidate-scoring
 // pipeline (core/scoring.h):
-//  * the cell-id matrix reproduces predicate-based box masks exactly,
+//  * the cell-id matrix's box membership matches the predicate kernel's box
+//    masks exactly,
 //  * batched identification picks the same winning pre as the
-//    per-candidate oracle (identification_oracle.h) with CI half-widths
-//    equal within 1e-9, for d in {1, 2, 3} and every supported aggregate
+//    per-candidate oracle (identification_oracle.h) with bit-identical CI
+//    half-widths, for d in {1, 2, 3} and every supported aggregate
 //    function,
 //  * parallel scoring is bit-identical at 1, 4 and 8 threads.
 
-#include <cmath>
+#include <bit>
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -24,6 +27,8 @@
 
 namespace aqpp {
 namespace {
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 // A d-dimensional table: condition columns d0..d{d-1} uniform in [1, 32],
 // measure column `a` (index d) Gaussian.
@@ -69,7 +74,7 @@ RangeQuery MakeQuery(AggregateFunction func, size_t d, Rng& qrng) {
 
 // ---- Cell-id matrix equivalence ---------------------------------------------
 
-TEST(CellIndexTest, BoxMaskMatchesPredicateMask) {
+TEST(CellIndexTest, ContainsMatchesPredicateMask) {
   for (size_t d : {1u, 2u, 3u}) {
     auto table = MakeTable(d, 5000, 900 + d);
     auto cube = MakeCube(*table, d);
@@ -87,9 +92,11 @@ TEST(CellIndexTest, BoxMaskMatchesPredicateMask) {
         auto predicate_mask =
             pre.ToPredicate(cube->scheme()).EvaluateMask(*sample.rows);
         ASSERT_TRUE(predicate_mask.ok());
-        EXPECT_EQ(cells.BoxMask(pre), *predicate_mask)
-            << "d=" << d << " box " << pre.ToString(cube->scheme(),
-                                                    table->schema());
+        for (size_t r = 0; r < sample.size(); ++r) {
+          ASSERT_EQ(cells.Contains(r, pre) ? 1 : 0, (*predicate_mask)[r])
+              << "d=" << d << " row " << r << " box "
+              << pre.ToString(cube->scheme(), table->schema());
+        }
       }
     }
   }
@@ -141,8 +148,8 @@ TEST(BatchedScoringTest, MatchesLegacyPathAllFunctionsAndDims) {
         EXPECT_EQ(b->pre.lo, l->pre.lo) << "d=" << d << " trial=" << trial;
         EXPECT_EQ(b->pre.hi, l->pre.hi) << "d=" << d << " trial=" << trial;
         EXPECT_EQ(b->num_candidates, l->num_candidates);
-        EXPECT_NEAR(b->scored_error, l->scored_error,
-                    1e-9 * std::max(1.0, std::abs(l->scored_error)));
+        EXPECT_EQ(Bits(b->scored_error), Bits(l->scored_error))
+            << "d=" << d << " trial=" << trial;
       }
     }
   }
@@ -169,8 +176,8 @@ TEST(BatchedScoringTest, ScoreAllMatchesLegacyPath) {
   for (size_t i = 0; i < b->size(); ++i) {
     EXPECT_EQ((*b)[i].pre.lo, (*l)[i].pre.lo);
     EXPECT_EQ((*b)[i].pre.hi, (*l)[i].pre.hi);
-    EXPECT_NEAR((*b)[i].scored_error, (*l)[i].scored_error,
-                1e-9 * std::max(1.0, std::abs((*l)[i].scored_error)));
+    EXPECT_EQ(Bits((*b)[i].scored_error), Bits((*l)[i].scored_error))
+        << "candidate " << i;
   }
 }
 
@@ -197,8 +204,7 @@ TEST(BatchedScoringTest, GreedyPathMatchesLegacy) {
   EXPECT_EQ(b->pre.lo, l->pre.lo);
   EXPECT_EQ(b->pre.hi, l->pre.hi);
   EXPECT_EQ(b->num_candidates, l->num_candidates);
-  EXPECT_NEAR(b->scored_error, l->scored_error,
-              1e-9 * std::max(1.0, std::abs(l->scored_error)));
+  EXPECT_EQ(Bits(b->scored_error), Bits(l->scored_error));
 }
 
 // ---- Schedule independence --------------------------------------------------

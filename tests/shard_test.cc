@@ -257,7 +257,8 @@ TEST_F(ShardGroupTest, ExactMergeIsBitIdenticalToSingleTableScan) {
 TEST_F(ShardGroupTest, SampleMergeMatchesStratifiedFoldWitness) {
   // Recompute the documented stratified-by-shard fold from the raw stratum
   // moments and demand bitwise agreement with MergePartials — pins the merge
-  // to SampleEstimator::SumCI's arithmetic, term order included.
+  // to the stratified formula (est = sum N_h mean_h, var = sum N_h^2 s_h^2 /
+  // n_h), term order included.
   const RangeQuery sum_q = MakeQuery(AggregateFunction::kSum, 20, 85);
   const RangeQuery count_q = MakeQuery(AggregateFunction::kCount, 20, 85);
   for (size_t shards : {2, 4}) {
