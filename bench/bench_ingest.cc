@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
     AQPP_CHECK_OK(engine->Prepare(tmpl));
     Catalog catalog;
     AQPP_CHECK_OK(catalog.Register("t", table));
-    QueryService service{EngineRef(engine.get())};
+    QueryService service{engine.get()};
     IngestOptions iopts;
     iopts.background = true;
     iopts.absorb_threshold_rows = 4096;

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "core/allocation.h"
 #include "sampling/sample_io.h"
 #include "sampling/workload_sampler.h"
 #include "common/string_util.h"
@@ -68,12 +69,12 @@ Status AqppEngine::EnsureSample() {
                                       options_.sample_rate, rng_);
       break;
     case SamplingMethod::kMeasureBiased:
-      if (!template_.has_value()) {
+      if (slots_.empty()) {
         return Status::FailedPrecondition(
             "measure-biased sampling requires a prepared template (the "
             "measure attribute)");
       }
-      sample = CreateMeasureBiasedSample(*table_, template_->agg_column,
+      sample = CreateMeasureBiasedSample(*table_, slots_[0].tmpl.agg_column,
                                          options_.sample_rate, rng_);
       break;
     case SamplingMethod::kWorkloadAware:
@@ -98,64 +99,136 @@ Status AqppEngine::InstallSample(Sample sample) {
   return BuildSynopsis(syn != nullptr ? syn->kind() : "");
 }
 
-void AqppEngine::InstallCube(std::shared_ptr<PrefixCube> cube) {
-  cube_ = std::move(cube);
-  if (cube_ == nullptr) {
-    identifier_.reset();
-    return;
-  }
-  prepare_stats_.cube_bytes = cube_->MemoryUsage();
-  prepare_stats_.cube_cells = cube_->NumCells();
-  prepare_stats_.shape.clear();
-  for (const auto& dim : cube_->scheme().dims()) {
-    prepare_stats_.shape.push_back(dim.num_cuts());
-  }
+void AqppEngine::InstallCubes(std::vector<std::shared_ptr<PrefixCube>> cubes) {
+  AQPP_CHECK(cubes.size() == slots_.size());
   IdentificationOptions iopts = options_.identification;
   iopts.confidence_level = options_.confidence_level;
-  identifier_ =
-      std::make_unique<AggregateIdentifier>(cube_.get(), &sample_, iopts, rng_);
+  prepare_stats_.cube_bytes = 0;
+  prepare_stats_.cube_cells = 0;
+  prepare_stats_.shape.clear();
+  for (size_t t = 0; t < slots_.size(); ++t) {
+    Slot& slot = slots_[t];
+    slot.cube = std::move(cubes[t]);
+    if (slot.cube == nullptr) {
+      slot.identifier.reset();
+      continue;
+    }
+    slot.identifier = std::make_unique<AggregateIdentifier>(
+        slot.cube.get(), &sample_, iopts, rng_);
+    prepare_stats_.cube_bytes += slot.cube->MemoryUsage();
+    if (slot.extrema != nullptr) {
+      prepare_stats_.cube_bytes += slot.extrema->MemoryUsage();
+    }
+    prepare_stats_.cube_cells += slot.cube->NumCells();
+    if (t == 0) {
+      for (const auto& dim : slot.cube->scheme().dims()) {
+        prepare_stats_.shape.push_back(dim.num_cuts());
+      }
+    }
+  }
 }
 
-Status AqppEngine::Prepare(const QueryTemplate& tmpl) {
-  if (tmpl.condition_columns.empty() && tmpl.group_columns.empty()) {
-    return Status::InvalidArgument("template has no condition attributes");
+void AqppEngine::ResetSlots(const std::vector<QueryTemplate>& templates) {
+  slots_.clear();
+  for (const QueryTemplate& tmpl : templates) slots_.emplace_back().tmpl = tmpl;
+}
+
+Status AqppEngine::Prepare(const std::vector<QueryTemplate>& templates) {
+  if (templates.empty()) return Status::InvalidArgument("no templates given");
+  for (const QueryTemplate& tmpl : templates) {
+    if (tmpl.condition_columns.empty() && tmpl.group_columns.empty()) {
+      return Status::InvalidArgument("template has no condition attributes");
+    }
+    if (!tmpl.group_columns.empty() && templates.size() > 1) {
+      return Status::Unimplemented(
+          "a template with group-by attributes must be the only template");
+    }
   }
-  template_ = tmpl;
+  ResetSlots(templates);
   AQPP_RETURN_NOT_OK(EnsureSample());
+  std::vector<std::shared_ptr<PrefixCube>> cubes(slots_.size());
   if (!options_.enable_precompute) {
-    InstallCube(nullptr);
+    InstallCubes(std::move(cubes));
     return BuildSynopsis(options_.synopsis);
   }
 
-  // Group-by attributes become exhaustive cube dimensions (Appendix C).
   PrecomputeOptions popts = options_.precompute;
   popts.shape.hill_climb.confidence_level = options_.confidence_level;
-  std::vector<size_t> all_columns = tmpl.condition_columns;
-  for (size_t g : tmpl.group_columns) {
-    if (std::find(all_columns.begin(), all_columns.end(), g) ==
-        all_columns.end()) {
-      all_columns.push_back(g);
+  // One template takes the whole budget; several split it by equalizing
+  // their predicted errors (Appendix C).
+  std::vector<size_t> budgets = {options_.cube_budget};
+  if (templates.size() > 1) {
+    std::vector<TemplateSpec> specs;
+    for (const QueryTemplate& tmpl : templates) {
+      specs.push_back({tmpl.agg_column, tmpl.condition_columns});
     }
-    popts.exhaustive_columns.push_back(g);
+    MultiTemplateAllocator allocator(sample_.rows.get(),
+                                     sample_.population_size, popts.shape);
+    AQPP_ASSIGN_OR_RETURN(auto allocation,
+                          allocator.Allocate(specs, options_.cube_budget));
+    budgets = std::move(allocation.budgets);
   }
 
-  Precomputer precomputer(table_.get(), &sample_, tmpl.agg_column, popts);
-  AQPP_ASSIGN_OR_RETURN(auto pre,
-                        precomputer.Precompute(all_columns,
-                                               options_.cube_budget));
-  prepare_stats_.stage1_seconds = pre.stage1_seconds;
-  prepare_stats_.stage2_seconds = pre.stage2_seconds;
-  InstallCube(pre.cube);
-
-  if (options_.enable_extrema) {
-    AQPP_ASSIGN_OR_RETURN(
-        extrema_, ExtremaGrid::Build(*table_, cube_->scheme(),
-                                     tmpl.agg_column));
-    prepare_stats_.cube_bytes += extrema_->MemoryUsage();
-  } else {
-    extrema_.reset();
+  prepare_stats_.stage1_seconds = 0;
+  prepare_stats_.stage2_seconds = 0;
+  for (size_t t = 0; t < slots_.size(); ++t) {
+    Slot& slot = slots_[t];
+    slot.budget = std::max<size_t>(1, budgets[t]);
+    // Group-by attributes become exhaustive cube dimensions (Appendix C).
+    PrecomputeOptions slot_opts = popts;
+    std::vector<size_t> all_columns = slot.tmpl.condition_columns;
+    for (size_t g : slot.tmpl.group_columns) {
+      if (std::find(all_columns.begin(), all_columns.end(), g) ==
+          all_columns.end()) {
+        all_columns.push_back(g);
+      }
+      slot_opts.exhaustive_columns.push_back(g);
+    }
+    Precomputer precomputer(table_.get(), &sample_, slot.tmpl.agg_column,
+                            slot_opts);
+    AQPP_ASSIGN_OR_RETURN(auto pre,
+                          precomputer.Precompute(all_columns, slot.budget));
+    prepare_stats_.stage1_seconds += pre.stage1_seconds;
+    prepare_stats_.stage2_seconds += pre.stage2_seconds;
+    cubes[t] = pre.cube;
+    if (options_.enable_extrema) {
+      AQPP_ASSIGN_OR_RETURN(
+          slot.extrema, ExtremaGrid::Build(*table_, cubes[t]->scheme(),
+                                           slot.tmpl.agg_column));
+    }
   }
+  InstallCubes(std::move(cubes));
   return BuildSynopsis(options_.synopsis);
+}
+
+int AqppEngine::RouteFor(const RangeQuery& query) const {
+  int best = -1;
+  double best_score = -std::numeric_limits<double>::infinity();
+  for (size_t t = 0; t < slots_.size(); ++t) {
+    const Slot& slot = slots_[t];
+    if (slot.cube == nullptr) continue;
+    if (query.func != AggregateFunction::kCount &&
+        slot.tmpl.agg_column != query.agg_column) {
+      continue;
+    }
+    const std::vector<size_t>& cols = slot.tmpl.condition_columns;
+    size_t covered = 0;
+    for (size_t c : cols) {
+      for (const RangeCondition& cond : query.predicate.conditions()) {
+        if (cond.column == c) {
+          ++covered;
+          break;
+        }
+      }
+    }
+    double score = static_cast<double>(covered) -
+                   0.25 * static_cast<double>(cols.size() - covered);
+    if (score > best_score) {
+      best_score = score;
+      best = static_cast<int>(t);
+    }
+  }
+  return best;
 }
 
 Status AqppEngine::SetSynopsis(const std::string& kind) {
@@ -174,14 +247,14 @@ Status AqppEngine::BuildSynopsis(const std::string& kind) {
   sopts.bootstrap_resamples = options_.bootstrap_resamples;
   sopts.sample_rate = options_.sample_rate;
   sopts.seed = options_.seed;
-  // Key columns: explicit stratification wins, else the template's condition
-  // attributes (the columns queries actually constrain).
+  // Key columns: explicit stratification wins, else the first template's
+  // condition attributes (the columns queries actually constrain).
   if (!options_.stratify_columns.empty()) {
     sopts.key_columns = options_.stratify_columns;
-  } else if (template_.has_value()) {
-    sopts.key_columns = template_->condition_columns;
+  } else if (!slots_.empty()) {
+    sopts.key_columns = slots_[0].tmpl.condition_columns;
   }
-  if (template_.has_value()) sopts.measure_column = template_->agg_column;
+  if (!slots_.empty()) sopts.measure_column = slots_[0].tmpl.agg_column;
   AQPP_ASSIGN_OR_RETURN(
       auto syn, synopsis::BuildSynopsisFor(kind, sopts, sample_, *table_));
   AdoptSynopsis(std::move(syn));
@@ -203,7 +276,7 @@ std::vector<RangeQuery> AqppEngine::recorded_workload() const {
 }
 
 Status AqppEngine::AdaptToWorkload() {
-  if (!template_.has_value()) {
+  if (slots_.empty()) {
     return Status::FailedPrecondition("no prepared template to adapt");
   }
   std::vector<RangeQuery> history = recorded_workload();
@@ -213,58 +286,9 @@ Status AqppEngine::AdaptToWorkload() {
   options_.sampling = SamplingMethod::kWorkloadAware;
   options_.workload_history = std::move(history);
   has_sample_ = false;  // force a redraw with the boosted probabilities
-  return Prepare(*template_);
-}
-
-Result<ApproximateResult> AqppEngine::Execute(const RangeQuery& query) {
-  return Execute(query, ExecuteControl{});
-}
-
-Result<ApproximateResult> AqppEngine::Execute(const RangeQuery& query,
-                                              const ExecuteControl& control) {
-  if (!query.group_by.empty()) {
-    return Status::InvalidArgument("use ExecuteGroupBy for group-by queries");
-  }
-  AQPP_RETURN_NOT_OK(EnsureSample());
-  if (control.record) RecordQuery(query);
-  AQPP_RETURN_IF_STOPPED(control.cancel);
-  // A seeded call runs on its own RNG (thread-safe, replayable); an
-  // unseeded one consumes the engine's session RNG as before.
-  Rng local_rng(control.seed.value_or(0));
-  Rng& rng = control.seed.has_value() ? local_rng : rng_;
-  ApproximateResult out;
-
-  // MIN/MAX: sampling cannot estimate extrema; the extrema grid returns
-  // deterministic bounds instead (Section 8 extension).
-  if (query.func == AggregateFunction::kMin ||
-      query.func == AggregateFunction::kMax) {
-    if (extrema_ == nullptr) {
-      return Status::Unimplemented(
-          "MIN/MAX require enable_extrema (deterministic block bounds); "
-          "sampling cannot estimate extrema");
-    }
-    Timer timer;
-    auto bounds = query.func == AggregateFunction::kMax
-                      ? extrema_->MaxBounds(query.predicate)
-                      : extrema_->MinBounds(query.predicate);
-    if (!bounds.ok()) return bounds.status();
-    if (!bounds->has_lower) {
-      return Status::FailedPrecondition(
-          "query narrower than one block: no two-sided extrema bound "
-          "available at this cube granularity");
-    }
-    out.ci.level = 1.0;  // deterministic interval
-    out.ci.estimate = (bounds->lower + bounds->upper) / 2.0;
-    out.ci.half_width = (bounds->upper - bounds->lower) / 2.0;
-    out.used_pre = true;
-    out.pre_description = bounds->exact ? "extrema grid (exact)"
-                                        : "extrema grid (bounds)";
-    out.estimation_seconds = timer.ElapsedSeconds();
-    return out;
-  }
-
-  return EstimateScalar(query, control, *active_synopsis(),
-                       identifier_.get(), table_->schema(), rng);
+  std::vector<QueryTemplate> templates;
+  for (const Slot& slot : slots_) templates.push_back(slot.tmpl);
+  return Prepare(templates);
 }
 
 namespace {
@@ -317,8 +341,11 @@ Status EstimateAgainstPre(const RangeQuery& query,
   return Status::OK();
 }
 
-}  // namespace
-
+// The one scalar estimation path. With an identifier, aggregate
+// identification (Section 5) picks pre and `syn` answers the difference
+// estimate (Equation 4), or the direct one when phi wins or `syn` has no
+// difference path; without one, `syn` answers the direct estimate (plain
+// AQP). An engine-aligned `syn` reuses the identifier's sample-row masks.
 Result<ApproximateResult> EstimateScalar(const RangeQuery& query,
                                          const ExecuteControl& control,
                                          const synopsis::Synopsis& syn,
@@ -348,9 +375,72 @@ Result<ApproximateResult> EstimateScalar(const RangeQuery& query,
   return out;
 }
 
+}  // namespace
+
+Result<ApproximateResult> AqppEngine::Execute(const RangeQuery& query) {
+  return Execute(query, ExecuteControl{});
+}
+
+Result<ApproximateResult> AqppEngine::Execute(const RangeQuery& query,
+                                              const ExecuteControl& control) {
+  if (!query.group_by.empty()) {
+    return Status::InvalidArgument("use ExecuteGroupBy for group-by queries");
+  }
+  AQPP_RETURN_NOT_OK(EnsureSample());
+  if (control.record) RecordQuery(query);
+  AQPP_RETURN_IF_STOPPED(control.cancel);
+  // A seeded call runs on its own RNG (thread-safe, replayable); an
+  // unseeded one consumes the engine's session RNG as before.
+  Rng local_rng(control.seed.value_or(0));
+  Rng& rng = control.seed.has_value() ? local_rng : rng_;
+  const int route = RouteFor(query);
+  const Slot* slot = route >= 0 ? &slots_[static_cast<size_t>(route)] : nullptr;
+  ApproximateResult out;
+
+  // MIN/MAX: sampling cannot estimate extrema; the extrema grid on the
+  // query's measure returns deterministic bounds instead (Section 8
+  // extension).
+  if (query.func == AggregateFunction::kMin ||
+      query.func == AggregateFunction::kMax) {
+    if (slot == nullptr || slot->extrema == nullptr) {
+      return Status::Unimplemented(
+          "MIN/MAX require enable_extrema and a template on the query's "
+          "measure (deterministic block bounds); sampling cannot estimate "
+          "extrema");
+    }
+    Timer timer;
+    const ExtremaGrid& extrema = *slot->extrema;
+    auto bounds = query.func == AggregateFunction::kMax
+                      ? extrema.MaxBounds(query.predicate)
+                      : extrema.MinBounds(query.predicate);
+    if (!bounds.ok()) return bounds.status();
+    if (!bounds->has_lower) {
+      return Status::FailedPrecondition(
+          "query narrower than one block: no two-sided extrema bound "
+          "available at this cube granularity");
+    }
+    out.ci.level = 1.0;  // deterministic interval
+    out.ci.estimate = (bounds->lower + bounds->upper) / 2.0;
+    out.ci.half_width = (bounds->upper - bounds->lower) / 2.0;
+    out.used_pre = true;
+    out.pre_description = bounds->exact ? "extrema grid (exact)"
+                                        : "extrema grid (bounds)";
+    out.estimation_seconds = timer.ElapsedSeconds();
+    return out;
+  }
+
+  return EstimateScalar(query, control, *active_synopsis(),
+                        slot != nullptr ? slot->identifier.get() : nullptr,
+                        table_->schema(), rng);
+}
+
 namespace {
 
-constexpr char kStateMagic[8] = {'A', 'Q', 'P', 'P', 'E', 'N', 'G', '1'};
+// Version 2 carries a template count and one cube_<t>.bin per template;
+// version 1 held one template and cube.bin.
+constexpr char kStateMagic[8] = {'A', 'Q', 'P', 'P', 'E', 'N', 'G', '2'};
+constexpr char kStateMagicV1[8] = {'A', 'Q', 'P', 'P', 'E', 'N', 'G', '1'};
+constexpr uint64_t kMaxStateTemplates = 1024;
 
 template <typename T>
 void WritePod(std::ofstream& out, const T& v) {
@@ -368,38 +458,58 @@ void WriteIndexVector(std::ofstream& out, const std::vector<size_t>& v) {
   for (size_t x : v) WritePod<uint64_t>(out, x);
 }
 
-bool ReadIndexVector(std::ifstream& in, std::vector<size_t>* v) {
+// Reads a column-index list written by WriteIndexVector. A list longer than
+// the table is wide, or naming a column past its last, is corrupt state.
+Status ReadIndexVector(std::ifstream& in, size_t num_columns,
+                       std::vector<size_t>* v) {
   uint64_t size = 0;
-  if (!ReadPod(in, &size)) return false;
+  if (!ReadPod(in, &size)) return Status::IOError("truncated template state");
+  if (size > num_columns) {
+    return Status::InvalidArgument("corrupt column list in engine state");
+  }
   v->resize(size);
   for (auto& x : *v) {
     uint64_t value = 0;
-    if (!ReadPod(in, &value)) return false;
+    if (!ReadPod(in, &value)) {
+      return Status::IOError("truncated template state");
+    }
+    if (value >= num_columns) {
+      return Status::InvalidArgument("corrupt column index in engine state");
+    }
     x = value;
   }
-  return true;
+  return Status::OK();
+}
+
+std::string CubePath(const std::string& dir, size_t t) {
+  return dir + "/cube_" + std::to_string(t) + ".bin";
 }
 
 }  // namespace
 
 Status AqppEngine::SaveState(const std::string& dir) const {
-  if (!has_sample_ || !template_.has_value()) {
+  if (!has_sample_ || slots_.empty()) {
     return Status::FailedPrecondition("nothing prepared to save");
   }
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   AQPP_RETURN_NOT_OK(SaveSample(sample_, dir + "/sample"));
-  if (cube_ != nullptr) {
-    AQPP_RETURN_NOT_OK(cube_->WriteTo(dir + "/cube.bin"));
+  for (size_t t = 0; t < slots_.size(); ++t) {
+    if (slots_[t].cube != nullptr) {
+      AQPP_RETURN_NOT_OK(slots_[t].cube->WriteTo(CubePath(dir, t)));
+    }
   }
   std::ofstream out(dir + "/template.bin", std::ios::binary);
   if (!out) return Status::IOError("cannot write template state");
   out.write(kStateMagic, sizeof(kStateMagic));
-  WritePod<int32_t>(out, static_cast<int32_t>(template_->func));
-  WritePod<uint64_t>(out, template_->agg_column);
-  WriteIndexVector(out, template_->condition_columns);
-  WriteIndexVector(out, template_->group_columns);
-  WritePod<uint8_t>(out, cube_ != nullptr ? 1 : 0);
+  WritePod<uint64_t>(out, slots_.size());
+  for (const Slot& slot : slots_) {
+    WritePod<int32_t>(out, static_cast<int32_t>(slot.tmpl.func));
+    WritePod<uint64_t>(out, slot.tmpl.agg_column);
+    WriteIndexVector(out, slot.tmpl.condition_columns);
+    WriteIndexVector(out, slot.tmpl.group_columns);
+    WritePod<uint8_t>(out, slot.cube != nullptr ? 1 : 0);
+  }
   if (!out) return Status::IOError("write failed for template state");
   return Status::OK();
 }
@@ -409,33 +519,58 @@ Status AqppEngine::LoadState(const std::string& dir) {
   if (!in) return Status::IOError("cannot open '" + dir + "/template.bin'");
   char magic[8];
   in.read(magic, sizeof(magic));
+  if (in && std::memcmp(magic, kStateMagicV1, sizeof(magic)) == 0) {
+    return Status::FailedPrecondition(
+        "'" + dir + "' holds single-template engine state from an older "
+        "version; prepare it again");
+  }
   if (!in || std::memcmp(magic, kStateMagic, sizeof(magic)) != 0) {
     return Status::InvalidArgument("not an engine state directory");
   }
-  QueryTemplate tmpl;
-  int32_t func = 0;
-  uint64_t agg_column = 0;
-  uint8_t has_cube = 0;
-  if (!ReadPod(in, &func) || !ReadPod(in, &agg_column) ||
-      !ReadIndexVector(in, &tmpl.condition_columns) ||
-      !ReadIndexVector(in, &tmpl.group_columns) || !ReadPod(in, &has_cube)) {
+  uint64_t num_templates = 0;
+  if (!ReadPod(in, &num_templates)) {
     return Status::IOError("truncated template state");
   }
-  tmpl.func = static_cast<AggregateFunction>(func);
-  tmpl.agg_column = agg_column;
+  if (num_templates == 0 || num_templates > kMaxStateTemplates) {
+    return Status::InvalidArgument("corrupt template count in engine state");
+  }
+  std::vector<QueryTemplate> templates(num_templates);
+  std::vector<uint8_t> has_cube(num_templates, 0);
+  for (size_t t = 0; t < num_templates; ++t) {
+    QueryTemplate& tmpl = templates[t];
+    int32_t func = 0;
+    uint64_t agg_column = 0;
+    if (!ReadPod(in, &func) || !ReadPod(in, &agg_column)) {
+      return Status::IOError("truncated template state");
+    }
+    if (agg_column >= table_->num_columns()) {
+      return Status::InvalidArgument("corrupt measure column in engine state");
+    }
+    AQPP_RETURN_NOT_OK(
+        ReadIndexVector(in, table_->num_columns(), &tmpl.condition_columns));
+    AQPP_RETURN_NOT_OK(
+        ReadIndexVector(in, table_->num_columns(), &tmpl.group_columns));
+    if (!ReadPod(in, &has_cube[t])) {
+      return Status::IOError("truncated template state");
+    }
+    tmpl.func = static_cast<AggregateFunction>(func);
+    tmpl.agg_column = agg_column;
+  }
 
   AQPP_ASSIGN_OR_RETURN(auto sample, LoadSample(dir + "/sample"));
   if (sample.rows->schema().ToString() != table_->schema().ToString()) {
     return Status::InvalidArgument(
         "saved sample schema does not match the engine's table");
   }
-  std::shared_ptr<PrefixCube> cube;
-  if (has_cube != 0) {
-    AQPP_ASSIGN_OR_RETURN(cube, PrefixCube::ReadFrom(dir + "/cube.bin"));
+  std::vector<std::shared_ptr<PrefixCube>> cubes(num_templates);
+  for (size_t t = 0; t < num_templates; ++t) {
+    if (has_cube[t] != 0) {
+      AQPP_ASSIGN_OR_RETURN(cubes[t], PrefixCube::ReadFrom(CubePath(dir, t)));
+    }
   }
-  template_ = tmpl;
+  ResetSlots(templates);
   AQPP_RETURN_NOT_OK(InstallSample(std::move(sample)));
-  InstallCube(std::move(cube));
+  InstallCubes(std::move(cubes));
   return BuildSynopsis(options_.synopsis);
 }
 
@@ -448,14 +583,14 @@ Status AqppEngine::AdoptPrepared(const QueryTemplate& tmpl, Sample sample,
     return Status::InvalidArgument(
         "adopted sample schema does not match the engine's table");
   }
-  template_ = tmpl;
+  ResetSlots({tmpl});
   AQPP_RETURN_NOT_OK(InstallSample(std::move(sample)));
-  InstallCube(std::move(cube));
+  InstallCubes({std::move(cube)});
   return BuildSynopsis(options_.synopsis);
 }
 
-Status AqppEngine::PublishMaintained(Sample sample,
-                                     std::shared_ptr<PrefixCube> cube) {
+Status AqppEngine::PublishMaintained(
+    Sample sample, std::vector<std::shared_ptr<PrefixCube>> cubes) {
   if (sample.rows == nullptr || sample.size() == 0) {
     return Status::InvalidArgument("cannot publish an empty sample");
   }
@@ -463,8 +598,12 @@ Status AqppEngine::PublishMaintained(Sample sample,
     return Status::InvalidArgument(
         "published sample schema does not match the engine's table");
   }
+  if (cubes.size() != slots_.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "published %zu cubes for %zu templates", cubes.size(), slots_.size()));
+  }
   AQPP_RETURN_NOT_OK(InstallSample(std::move(sample)));
-  InstallCube(std::move(cube));
+  InstallCubes(std::move(cubes));
   return Status::OK();
 }
 
@@ -474,20 +613,27 @@ Result<std::string> AqppEngine::Explain(const RangeQuery& query) {
   out += StrFormat("sample: %zu rows (%s, rate %.4g%%)\n", sample_.size(),
                    SamplingMethodToString(sample_.method),
                    sample_.sampling_fraction * 100);
-  if (cube_ == nullptr || identifier_ == nullptr) {
-    out += "plan: direct AQP estimate (no BP-Cube prepared)\n";
+  const int route = RouteFor(query);
+  if (route < 0) {
+    out += has_cube() ? "plan: direct AQP estimate (no BP-Cube on this "
+                        "query's measure)\n"
+                      : "plan: direct AQP estimate (no BP-Cube prepared)\n";
     return out;
   }
-  out += StrFormat("cube: %zu cells, shape", cube_->NumCells());
-  for (const auto& dim : cube_->scheme().dims()) {
+  const Slot& slot = slots_[static_cast<size_t>(route)];
+  const PrefixCube& cube = *slot.cube;
+  out += StrFormat("template %d: %s\n", route,
+                   slot.tmpl.ToString(table_->schema()).c_str());
+  out += StrFormat("cube: %zu cells, shape", cube.NumCells());
+  for (const auto& dim : cube.scheme().dims()) {
     out += StrFormat(" %zu", dim.num_cuts());
   }
   out += "\ncandidates (P-, best first):\n";
-  AQPP_ASSIGN_OR_RETURN(auto scored, identifier_->ScoreAll(query, rng_));
+  AQPP_ASSIGN_OR_RETURN(auto scored, slot.identifier->ScoreAll(query, rng_));
   for (size_t i = 0; i < scored.size(); ++i) {
     out += StrFormat(
         "  %2zu. %-50s est. error %.6g%s\n", i + 1,
-        scored[i].pre.ToString(cube_->scheme(), table_->schema()).c_str(),
+        scored[i].pre.ToString(cube.scheme(), table_->schema()).c_str(),
         scored[i].scored_error, i == 0 ? "  <- chosen" : "");
   }
   if (!scored.empty()) {
@@ -521,14 +667,25 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
   Rng local_rng(control.seed.value_or(0));
   Rng& rng = control.seed.has_value() ? local_rng : rng_;
 
+  // The group-stripped query picks the template (Appendix C's heuristic
+  // identifies on it once, below).
+  RangeQuery scalar = query;
+  scalar.group_by.clear();
+  const int route = RouteFor(scalar);
+  const PrefixCube* cube =
+      route >= 0 ? slots_[static_cast<size_t>(route)].cube.get() : nullptr;
+  const AggregateIdentifier* identifier =
+      route >= 0 ? slots_[static_cast<size_t>(route)].identifier.get()
+                 : nullptr;
+
   // Locate each group-by column as a cube dimension (when a cube exists).
   std::vector<size_t> group_dims(query.group_by.size(),
                                  std::numeric_limits<size_t>::max());
-  bool cube_covers_groups = cube_ != nullptr;
-  if (cube_ != nullptr) {
+  bool cube_covers_groups = cube != nullptr;
+  if (cube != nullptr) {
     for (size_t g = 0; g < query.group_by.size(); ++g) {
-      for (size_t i = 0; i < cube_->scheme().num_dims(); ++i) {
-        if (cube_->scheme().dim(i).column == query.group_by[g]) {
+      for (size_t i = 0; i < cube->scheme().num_dims(); ++i) {
+        if (cube->scheme().dim(i).column == query.group_by[g]) {
           group_dims[g] = i;
         }
       }
@@ -560,15 +717,13 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
   group_control.query_mask = nullptr;
 
   // Identify once on the group-stripped query (Appendix C's heuristic).
-  RangeQuery scalar = query;
-  scalar.group_by.clear();
   IdentifiedAggregate identified;
   double ident_seconds = 0;
-  if (cube_covers_groups && identifier_ != nullptr) {
+  if (cube_covers_groups) {
     Timer t;
     obs::SpanTimer ident_span(obs::Phase::kIdentification, control.trace);
     AQPP_ASSIGN_OR_RETURN(identified,
-                          identifier_->Identify(scalar, rng, control.trace));
+                          identifier->Identify(scalar, rng, control.trace));
     ident_span.Stop();
     ident_seconds = t.ElapsedSeconds();
   }
@@ -590,19 +745,18 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
 
     Timer est_timer;
     PreAggregate pre = identified.pre;
-    if (options_.per_group_identification && cube_covers_groups &&
-        identifier_ != nullptr) {
+    if (options_.per_group_identification && cube_covers_groups) {
       // Appendix C's "more effective" variant: identify against the
       // group-pinned query itself. The group dimensions are exhaustive, so
       // the group value's slice is always exactly bracketable.
-      auto per_group = identifier_->Identify(group_query, rng);
+      auto per_group = identifier->Identify(group_query, rng);
       if (per_group.ok()) pre = std::move(per_group->pre);
     }
     if (!pre.IsEmpty()) {
       // Pin the pre box to the group's cube slice on each group dimension.
       bool sliceable = true;
       for (size_t g = 0; g < query.group_by.size(); ++g) {
-        const auto& dim = cube_->scheme().dim(group_dims[g]);
+        const auto& dim = cube->scheme().dim(group_dims[g]);
         // The slice (v-1, v] exists iff v is a cut and its predecessor
         // boundary is the previous cut (exhaustive dims guarantee this).
         size_t upper = dim.UpperBracket(vals[g]);
@@ -618,12 +772,12 @@ Result<std::vector<GroupApproximateResult>> AqppEngine::ExecuteGroupBy(
     }
     PreValues values;
     if (!pre.IsEmpty()) {
-      values.sum = cube_->BoxValue(pre, 0);
-      values.count = cube_->num_measures() > 1 ? cube_->BoxValue(pre, 1) : 0;
-      values.sum_sq = cube_->num_measures() > 2 ? cube_->BoxValue(pre, 2) : 0;
+      values.sum = cube->BoxValue(pre, 0);
+      values.count = cube->num_measures() > 1 ? cube->BoxValue(pre, 1) : 0;
+      values.sum_sq = cube->num_measures() > 2 ? cube->BoxValue(pre, 2) : 0;
     }
     AQPP_RETURN_NOT_OK(EstimateAgainstPre(group_query, group_control, *syn,
-                                          identifier_.get(), pre, values,
+                                          identifier, pre, values,
                                           table_->schema(), rng, &gr.result));
     gr.result.estimation_seconds = est_timer.ElapsedSeconds();
     gr.result.identification_seconds =

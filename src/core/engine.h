@@ -2,13 +2,20 @@
 //
 // Usage mirrors the paper's workflow:
 //   1. Create(table, options)          — registers the data
-//   2. Prepare(template)               — draws the sample and precomputes the
-//                                        BP-Cube for the template (Section 6)
-//   3. Execute(query)                  — aggregate identification (Section 5)
-//                                        + difference estimation (Section 4)
+//   2. Prepare(templates)              — draws the sample and precomputes one
+//                                        BP-Cube per template (Section 6;
+//                                        Appendix C for several templates)
+//   3. Execute(query)                  — routing, aggregate identification
+//                                        (Section 5) + difference estimation
+//                                        (Section 4)
 //
-// With `enable_precompute = false` (or without Prepare) the engine degrades
-// to plain AQP — the `pre = phi` special case of Equation 4.
+// Several templates share one sample and one synopsis; each owns a cube
+// (with its identifier and optional extrema grid), and the cube budget is
+// split across them by the error-equalizing allocator. RouteFor picks the
+// template that answers a query, and only a template on the query's measure
+// may answer it. With `enable_precompute = false`, without Prepare, or when
+// no template has the query's measure, the engine is plain AQP — the
+// `pre = phi` special case of Equation 4.
 //
 // Every estimate, scalar or per GROUP BY group, goes through the engine's
 // synopsis. By default that is the engine-aligned "reservoir" over the
@@ -65,7 +72,8 @@ struct EngineOptions {
   // per-row inclusion boost).
   std::vector<RangeQuery> workload_history;
 
-  // BP-Cube budget |P| <= k.
+  // Total BP-Cube budget |P| <= k. One template gets all of it; several
+  // split it with the error-equalizing allocator (core/allocation.h).
   size_t cube_budget = 10000;
 
   double confidence_level = 0.95;
@@ -95,6 +103,8 @@ struct EngineOptions {
   uint64_t seed = 42;
 };
 
+// Cube figures sum over every template's cube (extrema grids included in
+// cube_bytes); `shape` is template 0's.
 struct PrepareStats {
   double sample_seconds = 0.0;
   double stage1_seconds = 0.0;  // shape search + hill climbing (sample-side)
@@ -134,13 +144,25 @@ class AqppEngine {
   static Result<std::unique_ptr<AqppEngine>> Create(
       std::shared_ptr<Table> table, EngineOptions options);
 
-  // Draws the sample (first call only) and precomputes the BP-Cube for
-  // `tmpl`. May be called again with a different template; the cube is
-  // replaced, the sample is kept.
-  Status Prepare(const QueryTemplate& tmpl);
+  // Draws the sample (first call only) and precomputes one BP-Cube per
+  // template over it, splitting `cube_budget` across the templates. May be
+  // called again; the templates and cubes are replaced, the sample is kept.
+  // A template with group-by attributes must be the only one.
+  Status Prepare(const std::vector<QueryTemplate>& templates);
+  Status Prepare(const QueryTemplate& tmpl) {
+    return Prepare(std::vector<QueryTemplate>{tmpl});
+  }
 
-  // Scalar query: identification + estimation. Works with or without a
-  // prepared cube (without, it is plain AQP).
+  // The template that answers `query`, or -1 for plain AQP. Only templates
+  // with a cube on the query's measure are candidates (any template for
+  // COUNT); among them the score is covered condition columns minus 0.25 per
+  // template column the query leaves unconstrained, and the first template
+  // wins ties. A template on the measure answers even a query it covers no
+  // column of (PRE[ALL] keeps full-table queries exact).
+  int RouteFor(const RangeQuery& query) const;
+
+  // Scalar query: routing, identification + estimation. Works with or
+  // without a prepared cube (without, it is plain AQP).
   Result<ApproximateResult> Execute(const RangeQuery& query);
 
   // Scalar query with per-call control (cancellation, deterministic seed,
@@ -153,7 +175,8 @@ class AqppEngine {
 
   // Group-by query (Appendix C): one identification pass on the
   // group-stripped query, then per-group difference estimation against the
-  // group-pinned cube slice, through the live synopsis like a scalar query.
+  // group-pinned slice of the routed cube, through the live synopsis like a
+  // scalar query.
   Result<std::vector<GroupApproximateResult>> ExecuteGroupBy(
       const RangeQuery& query);
 
@@ -162,8 +185,9 @@ class AqppEngine {
   Result<std::vector<GroupApproximateResult>> ExecuteGroupBy(
       const RangeQuery& query, const ExecuteControl& control);
 
-  // Human-readable plan: the candidate set P- with per-candidate scored
-  // errors (best first) and the execution strategy the engine would pick.
+  // Human-readable plan: the routed template, the candidate set P- with
+  // per-candidate scored errors (best first) and the execution strategy the
+  // engine would pick.
   Result<std::string> Explain(const RangeQuery& query);
 
   // The query log recorded by Execute/ExecuteGroupBy (bounded; newest
@@ -173,38 +197,41 @@ class AqppEngine {
   std::vector<RangeQuery> recorded_workload() const;
 
   // Redraws the sample with workload-aware boosting from the recorded log
-  // and re-prepares the cube for the current template — the Section 8
+  // and re-prepares every template's cube — the Section 8
   // "workload-driven sample creation" loop, closed. Requires a prepared
   // template and a non-empty log.
   Status AdaptToWorkload();
 
-  // Warm-start support: persists the prepared state (sample + cube +
-  // template) into `dir`, and restores it without re-sampling or
-  // re-precomputing. LoadState requires the engine to have been created
-  // over the same table contents.
+  // Warm-start support: persists the prepared state (sample + every
+  // template and its cube) into `dir`, and restores it without re-sampling
+  // or re-precomputing. LoadState requires the engine to have been created
+  // over the same table contents, and refuses a directory in an older state
+  // format with FailedPrecondition.
   Status SaveState(const std::string& dir) const;
   Status LoadState(const std::string& dir);
 
-  // Adopts already-built prepared state (e.g. from the one-pass streaming
-  // builder) instead of re-sampling and re-precomputing — the shard-worker
-  // path, where cube and sample come out of BuildCubeAndSampleFromSource
-  // over the shard's slab. Wiring matches LoadState: the sample's schema
-  // must match the engine's table, and a null cube leaves the engine in
-  // plain-AQP mode.
+  // Adopts already-built prepared state for one template (e.g. from the
+  // one-pass streaming builder) instead of re-sampling and re-precomputing —
+  // the shard-worker path, where cube and sample come out of
+  // BuildCubeAndSampleFromSource over the shard's slab. Wiring matches
+  // LoadState: the sample's schema must match the engine's table, and a null
+  // cube leaves the engine in plain-AQP mode.
   Status AdoptPrepared(const QueryTemplate& tmpl, Sample sample,
                        std::shared_ptr<PrefixCube> cube);
 
   // Publishes maintained state (the streaming-ingest absorber's commit): the
-  // absorbed sample and cube replace the current ones, the identifier is
+  // absorbed sample and cubes (one per template, in template order; null
+  // where a template has none) replace the current ones, the identifiers are
   // rebuilt, an engine-aligned synopsis is re-adopted over the new sample,
-  // and the prepared template is kept. A synopsis that is
-  // not engine-aligned is left alone — the absorber publishes its own
-  // absorbed clone via AdoptSynopsis. NOT internally synchronized:
-  // the caller serializes against concurrent Execute (IngestManager holds
-  // its state mutex exclusively here while queries hold it shared).
-  // Validation happens before any member is assigned, so a failed publish
-  // leaves the engine untouched.
-  Status PublishMaintained(Sample sample, std::shared_ptr<PrefixCube> cube);
+  // and the templates and extrema grids are kept. A synopsis that is not
+  // engine-aligned is left alone — the absorber publishes its own absorbed
+  // clone via AdoptSynopsis. NOT internally synchronized: the caller
+  // serializes against concurrent Execute (IngestManager holds its state
+  // mutex exclusively here while queries hold it shared). Validation happens
+  // before any member is assigned, so a failed publish leaves the engine
+  // untouched.
+  Status PublishMaintained(Sample sample,
+                           std::vector<std::shared_ptr<PrefixCube>> cubes);
 
   // Swaps the live synopsis pointer (thread-safe, never rebuilds; `s` must
   // be non-null). The ingest absorber publishes its absorbed clone of a
@@ -214,8 +241,10 @@ class AqppEngine {
     synopsis_ = std::move(s);
   }
 
-  // Shared handle the ingest absorber clones the live cube through.
-  std::shared_ptr<PrefixCube> shared_cube() const { return cube_; }
+  // Shared handle the ingest absorber clones template t's cube through.
+  std::shared_ptr<PrefixCube> shared_cube(size_t t) const {
+    return slots_[t].cube;
+  }
 
   // Selects the synopsis that answers scalar estimates and builds it over
   // the engine's state ("" or "off" restores the default "reservoir").
@@ -235,18 +264,43 @@ class AqppEngine {
 
   const Table& table() const { return *table_; }
   const Sample& sample() const { return sample_; }
-  bool has_cube() const { return cube_ != nullptr; }
-  const PrefixCube* cube() const { return cube_.get(); }
-  // Identification over the prepared cube; nullptr in plain-AQP mode.
-  const AggregateIdentifier* identifier() const { return identifier_.get(); }
-  const ExtremaGrid* extrema_grid() const { return extrema_.get(); }
   const PrepareStats& prepare_stats() const { return prepare_stats_; }
   const EngineOptions& options() const { return options_; }
-  const std::optional<QueryTemplate>& prepared_template() const {
-    return template_;
+
+  // Prepared templates, in Prepare order; template t owns cube_of(t).
+  size_t num_templates() const { return slots_.size(); }
+  // Null when template t has no cube (enable_precompute = false).
+  const PrefixCube* cube_of(size_t t) const { return slots_[t].cube.get(); }
+  // Cell budget Prepare allotted to template t.
+  size_t budget_of(size_t t) const { return slots_[t].budget; }
+
+  // Template 0's state (the single-template view).
+  std::optional<QueryTemplate> prepared_template() const {
+    if (slots_.empty()) return std::nullopt;
+    return slots_[0].tmpl;
+  }
+  bool has_cube() const { return cube() != nullptr; }
+  const PrefixCube* cube() const {
+    return slots_.empty() ? nullptr : slots_[0].cube.get();
+  }
+  // Identification over template 0's cube; nullptr in plain-AQP mode.
+  const AggregateIdentifier* identifier() const {
+    return slots_.empty() ? nullptr : slots_[0].identifier.get();
+  }
+  const ExtremaGrid* extrema_grid() const {
+    return slots_.empty() ? nullptr : slots_[0].extrema.get();
   }
 
  private:
+  // One prepared template: its cube and what is derived from it.
+  struct Slot {
+    QueryTemplate tmpl;
+    size_t budget = 0;
+    std::shared_ptr<PrefixCube> cube;
+    std::shared_ptr<ExtremaGrid> extrema;
+    std::unique_ptr<AggregateIdentifier> identifier;
+  };
+
   AqppEngine(std::shared_ptr<Table> table, EngineOptions options)
       : table_(std::move(table)), options_(std::move(options)),
         rng_(options_.seed) {}
@@ -258,23 +312,23 @@ class AqppEngine {
   // the default one on the first install).
   Status InstallSample(Sample sample);
 
-  // The one place a cube is installed: sets the cube, its prepare stats and
-  // the identifier over the current sample; a null cube leaves the engine
-  // in plain-AQP mode.
-  void InstallCube(std::shared_ptr<PrefixCube> cube);
+  // The one place cubes are installed, one per slot: sets each cube and its
+  // identifier over the current sample (a null cube leaves that template in
+  // plain-AQP mode), then recounts the cube figures of prepare_stats_.
+  void InstallCubes(std::vector<std::shared_ptr<PrefixCube>> cubes);
 
   // Builds `kind` over the engine's state and makes it the live synopsis.
   Status BuildSynopsis(const std::string& kind);
+
+  // Replaces the slots by one per template (no cubes yet).
+  void ResetSlots(const std::vector<QueryTemplate>& templates);
 
   std::shared_ptr<Table> table_;
   EngineOptions options_;
   Rng rng_;
   Sample sample_;
   bool has_sample_ = false;
-  std::optional<QueryTemplate> template_;
-  std::shared_ptr<PrefixCube> cube_;
-  std::shared_ptr<ExtremaGrid> extrema_;
-  std::unique_ptr<AggregateIdentifier> identifier_;
+  std::vector<Slot> slots_;
   PrepareStats prepare_stats_;
   // Live synopsis (null only before the first sample). Guarded: SET
   // SYNOPSIS may arrive from a service admin connection while seeded
@@ -289,18 +343,6 @@ class AqppEngine {
   // Appends to the bounded query log (thread-safe).
   void RecordQuery(const RangeQuery& query);
 };
-
-// The one scalar estimation path, shared by AqppEngine and
-// MultiTemplateEngine. With an identifier, aggregate identification
-// (Section 5) picks pre and `syn` answers the difference estimate
-// (Equation 4), or the direct one when phi wins or `syn` has no difference
-// path; without one, `syn` answers the direct estimate (plain AQP). An
-// engine-aligned `syn` reuses the identifier's sample-row masks.
-Result<ApproximateResult> EstimateScalar(const RangeQuery& query,
-                                         const ExecuteControl& control,
-                                         const synopsis::Synopsis& syn,
-                                         const AggregateIdentifier* identifier,
-                                         const Schema& schema, Rng& rng);
 
 }  // namespace aqpp
 

@@ -211,11 +211,13 @@ Status IngestManager::ValidateBatch(const Table& batch) const {
       syn != nullptr && !syn->engine_aligned()) {
     AQPP_RETURN_NOT_OK(syn->ValidateAbsorb(batch));
   }
-  // Cube-domain guard (footnote 5): a value past a dimension's last cut
-  // would silently break the cube's coverage guarantee — reject up front so
-  // the absorber can never fail on it later.
-  if (engine_->has_cube()) {
-    for (const auto& dim : engine_->cube()->scheme().dims()) {
+  // Cube-domain guard (footnote 5): a value past a dimension's last cut of
+  // any template's cube would silently break that cube's coverage guarantee
+  // — reject up front so the absorber can never fail on it later.
+  for (size_t t = 0; t < engine_->num_templates(); ++t) {
+    const PrefixCube* cube = engine_->cube_of(t);
+    if (cube == nullptr) continue;
+    for (const auto& dim : cube->scheme().dims()) {
       const Column& base_col = base.column(dim.column);
       const Column& batch_col = batch.column(dim.column);
       for (size_t r = 0; r < batch.num_rows(); ++r) {
@@ -361,15 +363,19 @@ Status IngestManager::AbsorbCycle() {
   AQPP_RETURN_NOT_OK(
       synopsis::ContinueReservoir(&sample, &rows_seen, *batch, rng));
 
-  // Cube: a delta cube over the (validated, dictionary-coded) delta, added
-  // onto a clone — exact, because prefix summation is linear.
-  std::shared_ptr<PrefixCube> cube_candidate;
-  if (std::shared_ptr<PrefixCube> live = engine_->shared_cube()) {
+  // Cubes: per template, a delta cube over the (validated,
+  // dictionary-coded) delta, added onto a clone — exact, because prefix
+  // summation is linear.
+  std::vector<std::shared_ptr<PrefixCube>> cube_candidates(
+      engine_->num_templates());
+  for (size_t t = 0; t < cube_candidates.size(); ++t) {
+    std::shared_ptr<PrefixCube> live = engine_->shared_cube(t);
+    if (live == nullptr) continue;
     AQPP_ASSIGN_OR_RETURN(
         auto delta_cube,
         PrefixCube::Build(*batch, live->scheme(), live->measures()));
-    cube_candidate = live->Clone();
-    AQPP_RETURN_NOT_OK(cube_candidate->MergeFrom(*delta_cube));
+    cube_candidates[t] = live->Clone();
+    AQPP_RETURN_NOT_OK(cube_candidates[t]->MergeFrom(*delta_cube));
   }
 
   // A non-aligned synopsis summarizes the table, not the engine sample:
@@ -393,8 +399,8 @@ Status IngestManager::AbsorbCycle() {
     if (auto fired = AQPP_FAILPOINT_EVAL("ingest/swap")) {
       if (fired->kind == fail::ActionKind::kReturnError) return fired->error;
     }
-    AQPP_RETURN_NOT_OK(
-        engine_->PublishMaintained(std::move(sample), cube_candidate));
+    AQPP_RETURN_NOT_OK(engine_->PublishMaintained(
+        std::move(sample), std::move(cube_candidates)));
     // A concurrent SET SYNOPSIS may have swapped kinds mid-cycle; never
     // clobber the newer selection with a stale clone.
     if (synopsis_candidate != nullptr &&

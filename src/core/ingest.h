@@ -1,12 +1,13 @@
 // Streaming ingest (Appendix C, "Data updates"): an in-memory delta of
 // appended rows kept exactly, plus a background absorber that folds the delta
-// into the engine's prepared state (cube + reservoir + active synopsis).
+// into the engine's prepared state (every template's cube + reservoir +
+// active synopsis).
 // `Append` is the only way appended rows reach that state.
 //
 // The consistency model has two layers:
 //
 //  * The delta. `Append` stage-validates a batch (schema, dictionary
-//    membership, cube-domain last-cut guard, finite doubles, and a
+//    membership, every cube's domain last-cut guard, finite doubles, and a
 //    non-aligned synopsis's ValidateAbsorb) and then commits
 //    it by publishing a new immutable delta table — copy-on-write, so a
 //    reader that snapshotted the previous delta keeps scanning a stable
@@ -16,10 +17,11 @@
 //    committed batch is visible to the very next query.
 //
 //  * The absorber. A background thread (or AbsorbNow in manual mode) takes a
-//    delta snapshot, prepares *candidate* state outside any lock — a cloned
-//    cube plus a delta cube built over the snapshot (a linear prefix-cube
-//    merge), a copy of the sample continued by synopsis::ContinueReservoir
-//    (Vitter's algorithm R), and, when the active synopsis is not
+//    delta snapshot, prepares *candidate* state outside any lock — per
+//    template, a cloned cube plus a delta cube built over the snapshot (a
+//    linear prefix-cube merge), a copy of the sample continued by
+//    synopsis::ContinueReservoir (Vitter's algorithm R), and, when the
+//    active synopsis is not
 //    engine-aligned, a serialized clone of it absorbed via
 //    Synopsis::Absorb — and then publishes all of them under one exclusive
 //    acquisition of `state_mutex()` (an engine-aligned synopsis is re-adopted
@@ -115,7 +117,7 @@ class IngestManager {
 
   // Stage-validates `batch` and commits it to the delta. All-or-nothing: a
   // batch that fails any check (non-uniform engine sample, schema, unknown
-  // dictionary value, value past a cube dimension's last cut, non-finite
+  // dictionary value, value past any cube dimension's last cut, non-finite
   // double, a batch a non-aligned synopsis would refuse to absorb,
   // size/backpressure bound) leaves no trace. Thread-safe.
   Status Append(const Table& batch);

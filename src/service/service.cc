@@ -67,6 +67,20 @@ struct BatchServiceMetrics {
   }
 };
 
+// The progressive executor for `query` over the engine's sample, with the
+// routed template's cube (plain AQP when no template has the query's
+// measure).
+ProgressiveExecutor ProgressiveFor(const AqppEngine& engine,
+                                   const RangeQuery& query) {
+  ProgressiveOptions popts;
+  popts.confidence_level = engine.options().confidence_level;
+  const int route = engine.RouteFor(query);
+  return ProgressiveExecutor(
+      &engine.sample(),
+      route >= 0 ? engine.cube_of(static_cast<size_t>(route)) : nullptr,
+      popts);
+}
+
 // Per-query context parked on the admission job (Job.payload). RunBatch
 // fills `out` and fires `done`, which the Execute() call blocks on.
 struct BatchItem {
@@ -90,61 +104,14 @@ struct QueryService::Flight {
   QueryOutcome out;
 };
 
-Result<ApproximateResult> EngineRef::Execute(
-    const RangeQuery& query, const ExecuteControl& control) const {
-  if (single_ != nullptr) return single_->Execute(query, control);
-  return multi_->Execute(query, control);
-}
-
-int EngineRef::TemplateFor(const RangeQuery& query) const {
-  if (single_ != nullptr) return single_->has_cube() ? 0 : -1;
-  return multi_->RouteFor(query);
-}
-
-const Table& EngineRef::table() const {
-  if (single_ != nullptr) return single_->table();
-  return multi_->table();
-}
-
-const Sample& EngineRef::sample() const {
-  if (single_ != nullptr) return single_->sample();
-  return multi_->sample();
-}
-
-const PrefixCube* EngineRef::ProgressiveCube(const RangeQuery& query) const {
-  if (single_ != nullptr) return single_->cube();
-  int route = multi_->RouteFor(query);
-  return route >= 0 ? &multi_->cube_of(static_cast<size_t>(route)) : nullptr;
-}
-
-double EngineRef::confidence_level() const {
-  if (single_ != nullptr) return single_->options().confidence_level;
-  return multi_->options().confidence_level;
-}
-
-Status EngineRef::SetSynopsis(const std::string& kind) const {
-  if (single_ != nullptr) return single_->SetSynopsis(kind);
-  return Status::Unimplemented(
-      "multi-template sessions select synopses per template at Prepare time");
-}
-
-void EngineRef::Warmup() const {
-  if (single_ == nullptr) return;  // MultiTemplateEngine: Prepare() draws it
-  RangeQuery count_all;
-  count_all.func = AggregateFunction::kCount;
-  ExecuteControl control;
-  control.record = false;
-  (void)single_->Execute(count_all, control);
-}
-
-QueryService::QueryService(EngineRef engine, ServiceOptions options)
+QueryService::QueryService(AqppEngine* engine, ServiceOptions options)
     : engine_(engine),
       options_(std::move(options)),
       slow_log_(options_.slow_query_threshold_seconds > 0
                     ? options_.slow_query_threshold_seconds
                     : std::numeric_limits<double>::infinity(),
                 options_.slow_query_capacity),
-      canonicalizer_(&engine_.table()),
+      canonicalizer_(&engine_->table()),
       sessions_(options_.sessions),
       cache_(options_.cache),
       admission_(options_.admission,
@@ -152,7 +119,13 @@ QueryService::QueryService(EngineRef engine, ServiceOptions options)
                    RunBatch(jobs);
                  }) {
   (void)BatchServiceMetrics::Get();
-  engine_.Warmup();
+  // One throwaway COUNT(*) draws the sample of an unprepared engine here:
+  // the draw is not safe to race from workers.
+  RangeQuery count_all;
+  count_all.func = AggregateFunction::kCount;
+  ExecuteControl control;
+  control.record = false;
+  (void)engine_->Execute(count_all, control);
   latencies_.resize(std::max<size_t>(1, options_.latency_window), 0.0);
 }
 
@@ -191,7 +164,7 @@ Status QueryService::SetSynopsis(const std::string& kind) {
       !synopsis::IsSynopsisRegistered(kind)) {
     return Status::NotFound("unknown synopsis kind '" + kind + "'");
   }
-  AQPP_RETURN_NOT_OK(engine_.SetSynopsis(kind));
+  AQPP_RETURN_NOT_OK(engine_->SetSynopsis(kind));
   cache_.InvalidateAll();
   return Status::OK();
 }
@@ -367,15 +340,16 @@ QueryOutcome QueryService::Execute(uint64_t session_id,
   auto token = std::make_shared<CancellationToken>(
       timeout > 0 ? Deadline::After(timeout) : Deadline::Infinite());
 
-  // TemplateFor peeks at the published cube; under ingest the absorber may be
-  // swapping it, so the peek needs the same shared state lock the workers use.
+  // RouteFor peeks at the published cubes; under ingest the absorber may be
+  // swapping them, so the peek needs the same shared state lock the workers
+  // use.
   int template_id;
   {
     std::shared_lock<std::shared_mutex> state_lock;
     if (ingest_ != nullptr) {
       state_lock = std::shared_lock<std::shared_mutex>(ingest_->state_mutex());
     }
-    template_id = engine_.TemplateFor(canon.query);
+    template_id = engine_->RouteFor(canon.query);
   }
   auto item = std::make_shared<BatchItem>();
   item->canon = canon;
@@ -437,7 +411,7 @@ QueryOutcome QueryService::RunOnWorker(const CanonicalQuery& canon,
     control.record = false;
     control.trace = trace;
     control.query_mask = query_mask;
-    auto result = engine_.Execute(canon.query, control);
+    auto result = engine_->Execute(canon.query, control);
     if (result.ok()) {
       out.ci = result->ci;
       out.used_pre = result->used_pre;
@@ -512,7 +486,7 @@ void QueryService::RunBatch(std::vector<AdmissionController::Job>& jobs) {
   // joins the pass. A member whose mask fails to bind simply runs without
   // one — the engine's own mask pass reproduces the identical error, and no
   // sibling is poisoned.
-  const Table& sample_rows = *engine_.sample().rows;
+  const Table& sample_rows = *engine_->sample().rows;
   std::vector<size_t> mask_idx;
   std::vector<std::vector<RangeCondition>> conds;
   for (size_t i = 0; i < items.size(); ++i) {
@@ -560,10 +534,7 @@ Status QueryService::OnlineRounds(uint64_t session_id, const RangeQuery& query,
   if (ingest_ != nullptr) {
     state_lock = std::shared_lock<std::shared_mutex>(ingest_->state_mutex());
   }
-  ProgressiveOptions popts;
-  popts.confidence_level = engine_.confidence_level();
-  ProgressiveExecutor executor(&engine_.sample(),
-                               engine_.ProgressiveCube(canon.query), popts);
+  ProgressiveExecutor executor = ProgressiveFor(*engine_, canon.query);
   Rng rng(canon.seed);
   auto steps = executor.Run(canon.query, rng);
   // Queries the progressive executor cannot answer (non-SUM/COUNT aggregates,
@@ -579,7 +550,7 @@ Status QueryService::OnlineRounds(uint64_t session_id, const RangeQuery& query,
                             IngestManager::FoldValue(*delta, canon.query));
     }
   }
-  const size_t sample_rows = engine_.sample().size();
+  const size_t sample_rows = engine_->sample().size();
   double tightest = std::numeric_limits<double>::infinity();
   for (ProgressiveStep step : *steps) {
     step.ci.estimate += shift;
@@ -601,10 +572,7 @@ Status QueryService::OnlineRounds(uint64_t session_id, const RangeQuery& query,
 
 Result<ProgressiveStep> QueryService::RunProgressive(
     const CanonicalQuery& canon, const CancellationToken* token) {
-  ProgressiveOptions popts;
-  popts.confidence_level = engine_.confidence_level();
-  ProgressiveExecutor executor(&engine_.sample(),
-                               engine_.ProgressiveCube(canon.query), popts);
+  ProgressiveExecutor executor = ProgressiveFor(*engine_, canon.query);
   Rng rng(canon.seed);
   AQPP_ASSIGN_OR_RETURN(auto steps, executor.Run(canon.query, rng, token));
   if (steps.empty()) {

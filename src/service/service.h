@@ -24,10 +24,11 @@
 // wide interval instead of an error whenever the sample supports it
 // (uniform/Bernoulli, SUM/COUNT; anything else reports DeadlineExceeded).
 //
-// EngineRef adapts AqppEngine (one template, group-by capable) and
-// MultiTemplateEngine (several templates, scalar) behind the one surface the
-// service needs. Service execution bypasses the engine's workload log
-// (record = false); sessions keep their own bounded logs instead.
+// The engine's router picks each query's template: its id keys per-template
+// cache invalidation, and its cube backs the progressive fallback (none when
+// no template has the query's measure). Service execution bypasses the
+// engine's workload log (record = false); sessions keep their own bounded
+// logs instead.
 
 #ifndef AQPP_SERVICE_SERVICE_H_
 #define AQPP_SERVICE_SERVICE_H_
@@ -43,7 +44,6 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/ingest.h"
-#include "core/multi_engine.h"
 #include "core/progressive.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
@@ -53,35 +53,9 @@
 
 namespace aqpp {
 
-// Non-owning view over either engine flavor. The engine must be prepared
-// (sample drawn) before concurrent service traffic; see QueryService ctor.
-class EngineRef {
- public:
-  explicit EngineRef(AqppEngine* engine) : single_(engine) {}
-  explicit EngineRef(MultiTemplateEngine* engine) : multi_(engine) {}
-
-  Result<ApproximateResult> Execute(const RangeQuery& query,
-                                    const ExecuteControl& control) const;
-  // Template the query would be answered from: 0 for a prepared AqppEngine,
-  // the route index for MultiTemplateEngine, -1 for the plain-AQP path.
-  int TemplateFor(const RangeQuery& query) const;
-  const Table& table() const;
-  const Sample& sample() const;
-  // Cube backing the progressive fallback for `query` (null = plain AQP).
-  const PrefixCube* ProgressiveCube(const RangeQuery& query) const;
-  double confidence_level() const;
-  // Draws the sample on an unprepared single engine by running one throwaway
-  // COUNT(*) — EnsureSample is not safe to race from workers.
-  void Warmup() const;
-  // Live synopsis selection on a single engine ("" / "off" restores the
-  // default). MultiTemplateEngine selects per template at Prepare time
-  // and reports Unimplemented here.
-  Status SetSynopsis(const std::string& kind) const;
-
- private:
-  AqppEngine* single_ = nullptr;
-  MultiTemplateEngine* multi_ = nullptr;
-};
+// Kept only for perfbench/, which spells `QueryService{EngineRef(engine)}`;
+// drop it once a benchmark change updates that spelling.
+using EngineRef = AqppEngine*;
 
 struct ServiceOptions {
   AdmissionOptions admission;
@@ -153,9 +127,9 @@ struct ServiceStats {
 class QueryService {
  public:
   // `engine` is borrowed and must outlive the service. Prepare it first;
-  // for an unprepared single engine the ctor warms the sample up so workers
-  // never race the draw.
-  QueryService(EngineRef engine, ServiceOptions options = {});
+  // for an unprepared engine the ctor draws the sample so workers never race
+  // the draw.
+  QueryService(AqppEngine* engine, ServiceOptions options = {});
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
@@ -163,7 +137,7 @@ class QueryService {
 
   SessionManager& sessions() { return sessions_; }
   ResultCache& cache() { return cache_; }
-  const EngineRef& engine() const { return engine_; }
+  const AqppEngine& engine() const { return *engine_; }
 
   // Executes `query` for `session_id`, blocking until the outcome is known
   // (admitted work runs on the admission workers). `timeout_seconds` < 0
@@ -239,7 +213,7 @@ class QueryService {
   void RecordLatency(double seconds);
   void AccountOutcome(const QueryOutcome& outcome, Session& session);
 
-  EngineRef engine_;
+  AqppEngine* engine_;
   ServiceOptions options_;
   IngestManager* ingest_ = nullptr;
   obs::SlowQueryLog slow_log_;

@@ -549,7 +549,7 @@ Result<MergedAnswer> MergePartials(
           break;
       }
       out.ci.estimate = est;
-      out.ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+      out.ci.half_width = HalfWidthFromVariance(lambda, var);
       return out;
     }
 
@@ -583,7 +583,7 @@ Result<MergedAnswer> MergePartials(
                      miss.per_shard_rows * max_unit);
         }
         out.ci.estimate = est;
-        out.ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+        out.ci.half_width = HalfWidthFromVariance(lambda, var);
         return out;
       }
       // AVG / VAR: merge the three moment series (c, s, q), then the delta
@@ -632,7 +632,7 @@ Result<MergedAnswer> MergePartials(
         var = penalty * (var + miss.fraction * miss.fraction * est * est);
       }
       out.ci.estimate = est;
-      out.ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+      out.ci.half_width = HalfWidthFromVariance(lambda, var);
       return out;
     }
 
@@ -664,7 +664,7 @@ Result<MergedAnswer> MergePartials(
                    miss.per_shard_rows * max_unit);
       }
       out.ci.estimate = est;
-      out.ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+      out.ci.half_width = HalfWidthFromVariance(lambda, var);
       return out;
     }
   }

@@ -3,6 +3,7 @@
 #ifndef AQPP_STATS_CONFIDENCE_H_
 #define AQPP_STATS_CONFIDENCE_H_
 
+#include <cmath>
 #include <string>
 
 namespace aqpp {
@@ -14,6 +15,13 @@ double InverseNormalCdf(double p);
 // The CLT multiplier lambda for a two-sided confidence interval at `level`
 // (e.g. level=0.95 -> 1.959964). Matches the paper's lambda in Example 1.
 double NormalCriticalValue(double level);
+
+// lambda * sqrt(var) for a variance that rounding may leave slightly below
+// zero: a negative variance clamps to 0, a NaN one stays NaN
+// (std::max(0.0, NaN) would read 0 and report a NaN estimate as certain).
+inline double HalfWidthFromVariance(double lambda, double var) {
+  return lambda * std::sqrt(var < 0.0 ? 0.0 : var);
+}
 
 // An interval estimate `estimate ± half_width` at confidence `level`.
 struct ConfidenceInterval {

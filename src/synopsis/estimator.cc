@@ -134,7 +134,7 @@ ConfidenceInterval SparseSumCI(const Sample& sample,
       var += num_pop * num_pop * m.variance_sample() / n_h;
     }
     ci.estimate = est;
-    ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+    ci.half_width = HalfWidthFromVariance(lambda, var);
     return ci;
   }
 

@@ -102,7 +102,7 @@ inline ConfidenceInterval FoldStrata(AggregateFunction func,
       var += num_pop * num_pop * v / f.n;
     }
     ci.estimate = est + (func == AggregateFunction::kSum ? pre.sum : pre.count);
-    ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+    ci.half_width = HalfWidthFromVariance(lambda, var);
     return ci;
   }
 
@@ -144,7 +144,7 @@ inline ConfidenceInterval FoldStrata(AggregateFunction func,
           2.0 * gc * gq * ccq + 2.0 * gs * gq * csq;
   }
   ci.estimate = est;
-  ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+  ci.half_width = HalfWidthFromVariance(lambda, var);
   return ci;
 }
 

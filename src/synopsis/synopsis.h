@@ -8,9 +8,9 @@
 // answers a canonical scalar query with a point + confidence interval,
 // Absorb keeps the summary fresh under appends, and Serialize/Deserialize
 // plug into the warm-handoff seam so prepared state can move between
-// processes. Engines select a synopsis per template (EngineOptions::synopsis
-// / MultiEngineOptions), the service exposes it over SET SYNOPSIS, and the
-// shard PARTIAL wire carries the kind so coordinator and workers agree.
+// processes. An engine keeps one synopsis for all its templates
+// (EngineOptions::synopsis), the service exposes it over SET SYNOPSIS, and
+// the shard PARTIAL wire carries the kind so coordinator and workers agree.
 //
 // Registered kinds (see docs/synopses.md for selection guidance):
 //   "reservoir"        the default (kDefaultSynopsis): sample + bootstrap

@@ -266,7 +266,7 @@ ChaosReport ChaosRunner::Run() {
 
   ServiceOptions sopts;
   sopts.admission.num_workers = options_.admission_workers;
-  QueryService service{EngineRef(engine.get()), sopts};
+  QueryService service{engine.get(), sopts};
   ServiceServer server(&service, &catalog);
   AQPP_CHECK_OK(server.Start());
 

@@ -296,7 +296,7 @@ TEST(ServiceBatchTest, LoneAndBatchedAnswersEqualSeededEngineExecution) {
   sopts.admission.num_workers = 1;
   sopts.admission.batch_window_seconds = 0;
   sopts.admission.worker_hook = gate.hook();
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
 
   std::vector<RangeQuery> queries;
   for (AggregateFunction func :
@@ -358,7 +358,7 @@ TEST(SingleFlightTest, IdenticalInFlightQueryAttachesAndSharesTheOutcome) {
   ServiceOptions sopts;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = gate.hook();
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
   auto s1 = service.sessions().Open("");
   auto s2 = service.sessions().Open("");
   ASSERT_TRUE(s1.ok() && s2.ok());
@@ -399,7 +399,7 @@ TEST(SingleFlightTest, StaleInsertAfterMidFlightInvalidationIsDropped) {
   ServiceOptions sopts;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = gate.hook();
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
   auto s1 = service.sessions().Open("");
   auto s2 = service.sessions().Open("");
   ASSERT_TRUE(s1.ok() && s2.ok());
@@ -442,7 +442,7 @@ TEST(SingleFlightTest, FollowerReExecutesWhenLeaderFails) {
   sopts.progressive_fallback = false;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = gate.hook();
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
   auto s1 = service.sessions().Open("");
   auto s2 = service.sessions().Open("");
   ASSERT_TRUE(s1.ok() && s2.ok());

@@ -235,7 +235,7 @@ TEST(OnlineCoverageTest, RoundsRefineDeterministicallyAndFinalRoundCovers) {
     opts.seed = master.Next();
     auto engine = std::move(AqppEngine::Create(table, opts)).value();
     ASSERT_TRUE(engine->Prepare(tmpl).ok());
-    QueryService service{EngineRef(engine.get())};
+    QueryService service{engine.get()};
     auto session = service.sessions().Open("online-coverage");
     ASSERT_TRUE(session.ok());
     const uint64_t sid = (*session)->id();

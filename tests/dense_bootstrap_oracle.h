@@ -54,7 +54,7 @@ inline ConfidenceInterval DenseSumCI(const Sample& sample,
       var += num_pop * num_pop * m.variance_sample() / m.count();
     }
     ci.estimate = est;
-    ci.half_width = lambda * std::sqrt(std::max(0.0, var));
+    ci.half_width = HalfWidthFromVariance(lambda, var);
     return ci;
   }
   RunningMoments z;

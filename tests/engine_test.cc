@@ -342,5 +342,115 @@ TEST_F(EngineTest, PrepareRejectsEmptyTemplate) {
   EXPECT_FALSE(engine->Prepare(t).ok());
 }
 
+// ---- A query on a measure no template has --------------------------------
+
+// Two measures over one condition column; the engine's template covers `a`
+// only, so a query on `b` has no cube to lean on.
+class EngineMeasureTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Schema schema({{"c1", DataType::kInt64},
+                   {"a", DataType::kDouble},
+                   {"b", DataType::kDouble}});
+    table_ = std::make_shared<Table>(schema);
+    Rng gen(testutil::TestSeed(2409));
+    for (int i = 0; i < 60000; ++i) {
+      table_->AddRow()
+          .Int64(gen.NextInt(1, 1000))
+          .Double(100.0 + 20.0 * gen.NextGaussian())
+          .Double(10000.0 + 50.0 * gen.NextGaussian());
+    }
+    executor_ = std::make_unique<ExactExecutor>(table_.get());
+  }
+
+  EngineOptions Options() {
+    EngineOptions opts;
+    opts.sample_rate = 0.05;
+    opts.cube_budget = 128;
+    opts.seed = 5;
+    return opts;
+  }
+
+  static QueryTemplate SumOfA() {
+    QueryTemplate t;
+    t.agg_column = 1;
+    t.condition_columns = {0};
+    return t;
+  }
+
+  static RangeQuery On(AggregateFunction func, size_t measure) {
+    RangeQuery q;
+    q.func = func;
+    q.agg_column = measure;
+    q.predicate.Add({0, 100, 700});
+    return q;
+  }
+
+  std::shared_ptr<Table> table_;
+  std::unique_ptr<ExactExecutor> executor_;
+};
+
+TEST_F(EngineMeasureTest, OtherMeasureIsAnsweredByPlainAqp) {
+  auto engine = std::move(AqppEngine::Create(table_, Options())).value();
+  ASSERT_TRUE(engine->Prepare(SumOfA()).ok());
+  // The same sample and synopsis without a cube: the plain-AQP answer.
+  EngineOptions plain_opts = Options();
+  plain_opts.enable_precompute = false;
+  auto plain = std::move(AqppEngine::Create(table_, plain_opts)).value();
+  ASSERT_TRUE(plain->Prepare(SumOfA()).ok());
+
+  uint64_t seed = 90;
+  for (auto f : {AggregateFunction::kSum, AggregateFunction::kAvg,
+                 AggregateFunction::kVar}) {
+    const RangeQuery q = On(f, 2);
+    EXPECT_EQ(engine->RouteFor(q), -1);
+    ExecuteControl control;
+    control.seed = seed++;
+    auto got = engine->Execute(q, control);
+    auto want = plain->Execute(q, control);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_FALSE(got->used_pre) << AggregateFunctionToString(f);
+    EXPECT_TRUE(SameBits(got->ci.estimate, want->ci.estimate))
+        << AggregateFunctionToString(f);
+    EXPECT_TRUE(SameBits(got->ci.half_width, want->ci.half_width))
+        << AggregateFunctionToString(f);
+    // Near the truth on the scale of its own interval: a 95% interval may
+    // miss it, while an answer built on another measure's cube is off by
+    // orders of magnitude.
+    const double truth = *executor_->Execute(q);
+    EXPECT_NEAR(got->ci.estimate, truth, 3 * got->ci.half_width)
+        << AggregateFunctionToString(f) << ": " << got->ci.ToString();
+  }
+}
+
+TEST_F(EngineMeasureTest, ExtremaOfAnotherMeasureAreUnimplemented) {
+  EngineOptions opts = Options();
+  opts.enable_extrema = true;
+  auto engine = std::move(AqppEngine::Create(table_, opts)).value();
+  ASSERT_TRUE(engine->Prepare(SumOfA()).ok());
+  auto other = engine->Execute(On(AggregateFunction::kMax, 2));
+  EXPECT_EQ(other.status().code(), StatusCode::kUnimplemented);
+  // The template's own measure keeps its deterministic bounds.
+  auto own = engine->Execute(On(AggregateFunction::kMax, 1));
+  ASSERT_TRUE(own.ok()) << own.status();
+  EXPECT_EQ(own->ci.level, 1.0);
+}
+
+TEST_F(EngineMeasureTest, FullTableQueryOnTheTemplateMeasureStaysExact) {
+  auto engine = std::move(AqppEngine::Create(table_, Options())).value();
+  ASSERT_TRUE(engine->Prepare(SumOfA()).ok());
+  RangeQuery all;
+  all.func = AggregateFunction::kSum;
+  all.agg_column = 1;
+  EXPECT_EQ(engine->RouteFor(all), 0);
+  auto r = engine->Execute(all);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->used_pre);
+  EXPECT_EQ(r->ci.half_width, 0.0);
+  const double truth = *executor_->Execute(all);
+  EXPECT_NEAR(r->ci.estimate, truth, 1e-9 * std::fabs(truth));
+}
+
 }  // namespace
 }  // namespace aqpp

@@ -719,12 +719,12 @@ TEST(SparseSumCITest, NanMeasureOnTheSupportGivesNanOnBothPaths) {
     const ConfidenceInterval dense = oracle::DenseSumCI(sample, y, 0.95);
     const ConfidenceInterval sparse =
         SparseSumCI(sample, support, measure.data(), 0.95);
+    // A NaN measure leaves the interval NaN on every path; the variance
+    // clamp must not turn it into a certain (zero-width) answer.
     EXPECT_TRUE(std::isnan(dense.estimate));
     EXPECT_TRUE(std::isnan(sparse.estimate));
-    EXPECT_EQ(std::isnan(dense.half_width), std::isnan(sparse.half_width));
-    if (!std::isnan(dense.half_width)) {
-      EXPECT_EQ(Bits(sparse.half_width), Bits(dense.half_width));
-    }
+    EXPECT_TRUE(std::isnan(dense.half_width));
+    EXPECT_TRUE(std::isnan(sparse.half_width));
   }
 }
 

@@ -66,7 +66,7 @@ struct TestServer {
     tmpl.condition_columns = {0, 1};
     AQPP_CHECK_OK(engine->Prepare(tmpl));
     AQPP_CHECK_OK(catalog.Register("t", table));
-    service = std::make_unique<QueryService>(EngineRef(engine.get()), sopts);
+    service = std::make_unique<QueryService>(engine.get(), sopts);
     server = std::make_unique<ServiceServer>(service.get(), &catalog);
     AQPP_CHECK_OK(server->Start());
   }

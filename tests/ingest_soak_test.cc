@@ -119,7 +119,7 @@ struct SoakStack {
     tmpl.condition_columns = {0, 1};
     AQPP_CHECK_OK(engine->Prepare(tmpl));
     AQPP_CHECK_OK(catalog.Register("t", table));
-    service = std::make_unique<QueryService>(EngineRef(engine.get()));
+    service = std::make_unique<QueryService>(engine.get());
     IngestOptions iopts;
     iopts.background = background_absorber;
     iopts.absorb_threshold_rows = 512;
@@ -329,7 +329,7 @@ uint64_t RunDeterministicSchedule(uint64_t seed) {
   tmpl.agg_column = 2;
   tmpl.condition_columns = {0, 1};
   AQPP_CHECK_OK(engine->Prepare(tmpl));
-  QueryService service{EngineRef(engine.get())};
+  QueryService service{engine.get()};
   IngestOptions iopts;
   iopts.background = false;  // manual absorbs: the deterministic-replay mode
   iopts.seed = seed ^ 0x5eed;

@@ -521,6 +521,116 @@ TEST_F(IngestManagerTest, CountAndSumSquaresPlanesMaintained) {
   EXPECT_NEAR(cube.BoxValue(all, 2), ss, std::fabs(ss) * 1e-12);
 }
 
+// ---------------------------------------------------------------------------
+// Two templates: every template's cube is maintained on absorb.
+// ---------------------------------------------------------------------------
+
+// Row-wise concatenation of synthetic-schema tables (c1, c2 INT64; a DOUBLE).
+std::shared_ptr<Table> Concat(const std::vector<const Table*>& parts) {
+  auto out = std::make_shared<Table>(parts.front()->schema());
+  for (const Table* part : parts) {
+    for (size_t c = 0; c < 2; ++c) {
+      auto& dst = out->mutable_column(c).MutableInt64Data();
+      const auto& src = part->column(c).Int64Data();
+      dst.insert(dst.end(), src.begin(), src.end());
+    }
+    auto& dst = out->mutable_column(2).MutableDoubleData();
+    const auto& src = part->column(2).DoubleData();
+    dst.insert(dst.end(), src.begin(), src.end());
+  }
+  out->SetRowCountFromColumns();
+  return out;
+}
+
+// Every prefix cell of every plane of `got` equals the cube rebuilt over
+// `data` on the same scheme (up to summation order).
+void ExpectCubeEqualsRebuild(const PrefixCube& got, const Table& data) {
+  auto want = PrefixCube::Build(data, got.scheme(), got.measures());
+  ASSERT_TRUE(want.ok()) << want.status();
+  const auto& dims = got.scheme().dims();
+  std::vector<size_t> idx(dims.size(), 0);
+  size_t cells = 0;
+  while (true) {
+    for (size_t m = 0; m < got.num_measures(); ++m) {
+      const double w = (*want)->PrefixValue(idx, m);
+      ASSERT_NEAR(got.PrefixValue(idx, m), w,
+                  1e-9 * std::max(1.0, std::fabs(w)))
+          << "measure " << m << ", cell " << cells;
+    }
+    ++cells;
+    size_t d = 0;
+    while (d < dims.size() && ++idx[d] > dims[d].num_cuts()) idx[d++] = 0;
+    if (d == dims.size()) break;
+  }
+  EXPECT_GT(cells, 1u);
+}
+
+std::shared_ptr<AqppEngine> MakeTwoTemplateEngine(
+    const std::shared_ptr<Table>& table) {
+  EngineOptions eopts;
+  eopts.sample_rate = 0.05;
+  eopts.cube_budget = 800;
+  auto created = AqppEngine::Create(table, eopts);
+  AQPP_CHECK_OK(created.status());
+  std::shared_ptr<AqppEngine> engine(std::move(*created));
+  QueryTemplate sum_a;  // SUM(a) over c1, c2
+  sum_a.agg_column = 2;
+  sum_a.condition_columns = {0, 1};
+  QueryTemplate sum_c1;  // SUM(c1) over c2
+  sum_c1.agg_column = 0;
+  sum_c1.condition_columns = {1};
+  AQPP_CHECK_OK(engine->Prepare({sum_a, sum_c1}));
+  return engine;
+}
+
+TEST(IngestTwoTemplateTest, AbsorbMaintainsEveryTemplatesCube) {
+  auto table = testutil::MakeSynthetic(
+      {.rows = 20000, .seed = testutil::TestSeed(4243)});
+  auto engine = MakeTwoTemplateEngine(table);
+  ASSERT_EQ(engine->num_templates(), 2u);
+  IngestOptions opts;
+  opts.background = false;
+  IngestManager mgr(engine.get(), opts);
+  auto b1 = MakeBatch(500, testutil::TestSeed(811));
+  auto b2 = MakeBatch(700, testutil::TestSeed(812));
+  ASSERT_TRUE(mgr.Append(*b1).ok());
+  ASSERT_TRUE(mgr.Append(*b2).ok());
+  ASSERT_TRUE(mgr.AbsorbNow().ok());
+  EXPECT_EQ(mgr.snapshot().rows_absorbed, 1200u);
+
+  auto all = Concat({table.get(), b1.get(), b2.get()});
+  for (size_t t = 0; t < engine->num_templates(); ++t) {
+    SCOPED_TRACE(t);
+    ASSERT_NE(engine->cube_of(t), nullptr);
+    ExpectCubeEqualsRebuild(*engine->cube_of(t), *all);
+  }
+}
+
+TEST(IngestTwoTemplateTest, ServiceSelectsTheSynopsisOfATwoTemplateEngine) {
+  auto table = testutil::MakeSynthetic(
+      {.rows = 20000, .seed = testutil::TestSeed(4244)});
+  auto engine = MakeTwoTemplateEngine(table);
+  QueryService service(engine.get());
+  ASSERT_TRUE(service.SetSynopsis("reservoir_closed").ok());
+  EXPECT_STREQ(engine->active_synopsis()->kind(), "reservoir_closed");
+
+  auto session = service.sessions().Open("two-templates");
+  ASSERT_TRUE(session.ok());
+  RangeQuery on_a = MakeQuery(AggregateFunction::kSum, 10, 60);
+  RangeQuery on_c1;
+  on_c1.func = AggregateFunction::kSum;
+  on_c1.agg_column = 0;
+  on_c1.predicate.Add({1, 5, 30});
+  EXPECT_EQ(engine->RouteFor(on_a), 0);
+  EXPECT_EQ(engine->RouteFor(on_c1), 1);
+  for (const RangeQuery& q : {on_a, on_c1}) {
+    QueryOutcome out = service.Execute((*session)->id(), q);
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    const double truth = ExactOver(*table, q);
+    EXPECT_NEAR(out.ci.estimate, truth, 5 * out.ci.half_width + 1e-9);
+  }
+}
+
 // Regression: Algorithm R continues uniform samples only. A stratified
 // engine used to accept the batch and then abort the process in the absorb
 // cycle (the background absorber would take a daemon down the same way).
@@ -767,7 +877,7 @@ class IngestServiceTest : public IngestManagerTest {
     IngestOptions iopts;
     iopts.background = false;
     ingest_ = std::make_unique<IngestManager>(engine_.get(), iopts);
-    service_ = std::make_unique<QueryService>(EngineRef(engine_.get()));
+    service_ = std::make_unique<QueryService>(engine_.get());
     service_->AttachIngest(ingest_.get());
     auto session = service_->sessions().Open("ingest-test");
     AQPP_CHECK_OK(session.status());
@@ -917,7 +1027,7 @@ class IngestTcpTest : public ::testing::Test {
     tmpl.condition_columns = {0, 1};
     AQPP_CHECK_OK(engine_->Prepare(tmpl));
     AQPP_CHECK_OK(catalog_.Register("t", table_));
-    service_ = std::make_unique<QueryService>(EngineRef(engine_.get()));
+    service_ = std::make_unique<QueryService>(engine_.get());
     IngestOptions iopts;
     iopts.background = false;  // absorbs are driven by the tests
     ingest_ = std::make_unique<IngestManager>(engine_.get(), iopts);

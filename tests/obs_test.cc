@@ -533,7 +533,7 @@ TEST(BatchMetricsTest, BatchAndSingleFlightSeriesNamesArePinned) {
   // any batch forms.
   auto engine = AqppEngine::Create(table, {});
   ASSERT_TRUE(engine.ok());
-  QueryService service(EngineRef(engine->get()), {});
+  QueryService service(engine->get(), {});
   {
     std::string text = obs::Registry::Global().RenderPrometheus();
     EXPECT_NE(text.find("# TYPE aqpp_batch_queries_fused_total counter\n"),

@@ -193,6 +193,17 @@ TEST_F(PersistenceTest, EngineStateErrors) {
   other_table->AddRow().Int64(1).Double(2.0);
   auto mismatched = std::move(AqppEngine::Create(other_table, opts)).value();
   EXPECT_FALSE(mismatched->LoadState(Path("state2")).ok());
+  // A corrupt column-list length is refused, not allocated: it sits after
+  // the magic, the template count, the aggregate and the measure column.
+  {
+    std::fstream f(Path("state2") + "/template.bin",
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(28);
+    const uint64_t huge = uint64_t{1} << 60;
+    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_EQ(engine->LoadState(Path("state2")).code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ---- Explain -----------------------------------------------------------------

@@ -263,7 +263,7 @@ TEST(ServiceDeadlineTest, ExpiredDeadlineYieldsWidenedPartialAnswer) {
   // Every job spends 30ms in the queue-to-run gap, so a 1ms deadline is
   // guaranteed to have burned out before the engine is touched.
   sopts.admission.worker_hook = [] { std::this_thread::sleep_for(30ms); };
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
   auto session = service.sessions().Open("deadline");
   ASSERT_TRUE(session.ok());
   uint64_t sid = (*session)->id();
@@ -288,6 +288,41 @@ TEST(ServiceDeadlineTest, ExpiredDeadlineYieldsWidenedPartialAnswer) {
   EXPECT_EQ((*session)->counters().timed_out, 1u);
 }
 
+TEST(ServiceDeadlineTest, FallbackOnAnotherMeasureAnswersWithoutACube) {
+  auto table = testutil::MakeSynthetic({.rows = 20000});
+  auto engine = MakePreparedEngine(table);  // its one cube is on `a`
+
+  ServiceOptions sopts;
+  sopts.cache.capacity = 0;
+  sopts.admission.num_workers = 1;
+  sopts.admission.worker_hook = [] { std::this_thread::sleep_for(30ms); };
+  QueryService service(engine.get(), sopts);
+  auto session = service.sessions().Open("deadline");
+  ASSERT_TRUE(session.ok());
+  uint64_t sid = (*session)->id();
+
+  RangeQuery q = SumQuery();
+  q.agg_column = 1;  // SUM(c2): no template has this measure
+  QueryOutcome timed = service.Execute(sid, q, 0.001);
+  ASSERT_TRUE(timed.status.ok()) << timed.status.ToString();
+  ASSERT_TRUE(timed.partial);
+
+  // The fallback is the plain progressive prefix over the sample (the first
+  // checkpoint, since the token had already stopped), never a difference
+  // against the cube's sums of `a`.
+  CanonicalQuery canon = QueryCanonicalizer(table.get()).Canonicalize(q);
+  ProgressiveExecutor plain(&engine->sample(), nullptr);
+  Rng rng(canon.seed);
+  CancellationToken stopped;
+  stopped.Cancel();
+  auto steps = plain.Run(canon.query, rng, &stopped);
+  ASSERT_TRUE(steps.ok()) << steps.status();
+  ASSERT_EQ(steps->size(), 1u);
+  EXPECT_EQ(timed.partial_rows_used, steps->back().rows_used);
+  EXPECT_EQ(timed.ci.estimate, steps->back().ci.estimate);
+  EXPECT_EQ(timed.ci.half_width, steps->back().ci.half_width);
+}
+
 TEST(ServiceDeadlineTest, FallbackDisabledReportsDeadlineExceeded) {
   auto table = testutil::MakeSynthetic({.rows = 20000});
   auto engine = MakePreparedEngine(table);
@@ -297,7 +332,7 @@ TEST(ServiceDeadlineTest, FallbackDisabledReportsDeadlineExceeded) {
   sopts.progressive_fallback = false;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = [] { std::this_thread::sleep_for(30ms); };
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
   auto session = service.sessions().Open("");
   ASSERT_TRUE(session.ok());
 
@@ -322,7 +357,7 @@ TEST(ServiceBackpressureTest, SaturationRejectsWithRetryAfterNotHang) {
   sopts.admission.max_queue_depth = 1;
   sopts.admission.max_per_session = 4;
   sopts.admission.worker_hook = gate.hook();
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
 
   uint64_t sids[3];
   for (auto& sid : sids) {
@@ -377,7 +412,7 @@ TEST(ServiceBackpressureTest, StopResolvesQueuedRequestsAsCancelled) {
   sopts.admission.batch_window_seconds = 0;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = gate.hook();
-  QueryService service(EngineRef(engine.get()), sopts);
+  QueryService service(engine.get(), sopts);
   auto s1 = service.sessions().Open("");
   auto s2 = service.sessions().Open("");
   ASSERT_TRUE(s1.ok() && s2.ok());

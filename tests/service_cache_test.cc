@@ -9,7 +9,6 @@
 
 #include "core/engine.h"
 #include "core/ingest.h"
-#include "core/multi_engine.h"
 #include "service/result_cache.h"
 #include "service/service.h"
 #include "test_util.h"
@@ -176,7 +175,7 @@ TEST(ServiceCacheTest, HitsAreBitIdenticalToFreshExecution) {
 
   ServiceOptions sopts;
   sopts.admission.num_workers = 2;
-  QueryService service(EngineRef(engine->get()), sopts);
+  QueryService service(engine->get(), sopts);
   auto session = service.sessions().Open("cache-test");
   ASSERT_TRUE(session.ok());
   uint64_t sid = (*session)->id();
@@ -225,7 +224,7 @@ TEST(ServiceCacheTest, MaintenanceObserverInvalidatesOnAppend) {
   auto engine = AqppEngine::Create(table, opts);
   ASSERT_TRUE(engine.ok());
 
-  QueryService service(EngineRef(engine->get()), {});
+  QueryService service(engine->get(), {});
   auto session = service.sessions().Open("");
   ASSERT_TRUE(session.ok());
   uint64_t sid = (*session)->id();
@@ -247,12 +246,12 @@ TEST(ServiceCacheTest, MaintenanceObserverInvalidatesOnAppend) {
   EXPECT_GE(service.cache().stats().invalidated, 1u);
 }
 
-TEST(ServiceCacheTest, PerTemplateInvalidationWithMultiEngine) {
+TEST(ServiceCacheTest, PerTemplateInvalidationWithTwoTemplates) {
   auto table = testutil::MakeSynthetic({.rows = 20000});
-  MultiEngineOptions mopts;
-  mopts.sample_rate = 0.05;
-  mopts.total_cube_budget = 800;
-  auto engine = MultiTemplateEngine::Create(table, mopts);
+  EngineOptions opts;
+  opts.sample_rate = 0.05;
+  opts.cube_budget = 800;
+  auto engine = AqppEngine::Create(table, opts);
   ASSERT_TRUE(engine.ok());
   QueryTemplate t0;
   t0.agg_column = 2;
@@ -262,7 +261,7 @@ TEST(ServiceCacheTest, PerTemplateInvalidationWithMultiEngine) {
   t1.condition_columns = {1};
   ASSERT_TRUE((*engine)->Prepare({t0, t1}).ok());
 
-  QueryService service(EngineRef(engine->get()), {});
+  QueryService service(engine->get(), {});
   auto session = service.sessions().Open("");
   ASSERT_TRUE(session.ok());
   uint64_t sid = (*session)->id();

@@ -254,6 +254,24 @@ TEST_F(ShardGroupTest, ExactMergeIsBitIdenticalToSingleTableScan) {
   }
 }
 
+TEST_F(ShardGroupTest, EngineMergeOnAnotherMeasureLeansOnNoCube) {
+  // Every shard engine's cube is on `a`; a SUM over `c2` must be each
+  // shard's plain-AQP answer, not a difference against sums of `a`.
+  RangeQuery q = MakeQuery(AggregateFunction::kSum, 20, 85);
+  q.agg_column = 1;
+  auto truth = ExactExecutor(table_.get()).Execute(q);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  for (size_t shards : {1, 2, 4}) {
+    auto merged = GroupOf(shards).Query(q, {.engine = true}, /*seed=*/13,
+                                        {.mode = MergeMode::kEngine});
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    EXPECT_FALSE(merged->used_pre) << shards << " shards";
+    EXPECT_TRUE(merged->ci.Contains(*truth))
+        << shards << " shards: " << merged->ci.ToString() << " vs truth "
+        << *truth;
+  }
+}
+
 TEST_F(ShardGroupTest, SampleMergeMatchesStratifiedFoldWitness) {
   // Recompute the documented stratified-by-shard fold from the raw stratum
   // moments and demand bitwise agreement with MergePartials — pins the merge
@@ -355,6 +373,20 @@ TEST_F(ShardGroupTest, MergeRejectsMisshapenPartials) {
   grouped.group_by = {1};
   EXPECT_FALSE(
       MergePartials(grouped, partials, {.mode = MergeMode::kSample}).ok());
+}
+
+TEST_F(ShardGroupTest, NanStratumVarianceGivesNanHalfWidth) {
+  // A NaN variance must surface as a NaN interval, never as a certain one:
+  // clamping it to 0 would report a NaN estimate with half-width 0.
+  const RangeQuery q = MakeQuery(AggregateFunction::kSum, 0, 99);
+  auto partials = GroupOf(2).Scatter(q, {.sample = true}, 3);
+  ASSERT_TRUE(partials[1].has_value());
+  partials[1]->stratum.mean_s = std::nan("");
+  partials[1]->stratum.var_s = std::nan("");
+  auto merged = MergePartials(q, partials, {.mode = MergeMode::kSample});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_TRUE(std::isnan(merged->ci.estimate));
+  EXPECT_TRUE(std::isnan(merged->ci.half_width));
 }
 
 TEST_F(ShardGroupTest, DegradedMergeIsFlaggedAndNeverTighter) {

@@ -1,11 +1,19 @@
 // aqppd — the AQP++ query daemon.
 //
-//   aqppd --table t.bin [--state DIR | --measure COL --dims C1,C2]
+//   aqppd --table t.bin [--state DIR | --measure COL[;COL...]
+//                                     --dims C1,C2[;C3...]]
 //         [--host 127.0.0.1] [--port 7878] [--rate 0.02] [--k 50000]
 //         [--workers 4] [--queue 64] [--per-session 16]
 //         [--timeout-ms 0] [--cache 1024]
 //         [--ingest] [--absorb-rows 4096] [--absorb-ms 250]
 //         [--slow-ms 500] [--metrics] [--no-obs]
+//
+// Each `;`-separated group of --dims is one query template (Appendix C's
+// multi-template session: one shared sample, one cube per template, and
+// the cube budget --k split across them). --measure names one column for
+// every template, or one per group in the same `;` order. A query is
+// answered from the template on its measure that covers the most of its
+// columns; a query on a measure no template has gets plain AQP.
 //
 // --ingest enables the streaming-ingest subsystem (docs/ingest.md): the
 // INGEST verb appends row batches into an exact in-memory delta, and a
@@ -76,8 +84,8 @@ std::string FlagOr(const Args& args, const std::string& key,
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  aqppd --table t.bin [--state DIR | --measure COL "
-               "--dims C1,C2]\n"
+               "  aqppd --table t.bin [--state DIR | --measure COL[;COL...] "
+               "--dims C1,C2[;C3...]]\n"
                "        [--host 127.0.0.1] [--port 7878] [--rate 0.02] "
                "[--k 50000]\n"
                "        [--workers 4] [--queue 64] [--per-session 16]\n"
@@ -90,6 +98,37 @@ int Usage() {
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+// One SUM template per `;` group of `dims`; `measures` holds one column for
+// every group or one per group.
+Result<std::vector<QueryTemplate>> ParseTemplates(const Table& table,
+                                                  const std::string& measures,
+                                                  const std::string& dims) {
+  std::vector<std::string> groups = SplitString(dims, ';');
+  std::vector<std::string> measure_names = SplitString(measures, ';');
+  if (measure_names.size() != 1 && measure_names.size() != groups.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "--measure lists %zu columns for %zu --dims groups; give one, or one "
+        "per group", measure_names.size(), groups.size()));
+  }
+  std::vector<QueryTemplate> templates;
+  for (size_t t = 0; t < groups.size(); ++t) {
+    QueryTemplate tmpl;
+    tmpl.func = AggregateFunction::kSum;
+    const std::string& measure =
+        measure_names[measure_names.size() == 1 ? 0 : t];
+    AQPP_ASSIGN_OR_RETURN(
+        tmpl.agg_column,
+        table.GetColumnIndex(std::string(TrimWhitespace(measure))));
+    for (const std::string& name : SplitString(groups[t], ',')) {
+      AQPP_ASSIGN_OR_RETURN(
+          size_t idx, table.GetColumnIndex(std::string(TrimWhitespace(name))));
+      tmpl.condition_columns.push_back(idx);
+    }
+    templates.push_back(std::move(tmpl));
+  }
+  return templates;
 }
 
 }  // namespace
@@ -130,20 +169,17 @@ int main(int argc, char** argv) {
     std::printf("warm-started from %s in %s\n", state.c_str(),
                 FormatDuration(prep_timer.ElapsedSeconds()).c_str());
   } else if (!measure.empty() && !dims.empty()) {
-    QueryTemplate tmpl;
-    tmpl.func = AggregateFunction::kSum;
-    auto agg_idx = (*table)->GetColumnIndex(measure);
-    if (!agg_idx.ok()) return Fail(agg_idx.status());
-    tmpl.agg_column = *agg_idx;
-    for (const auto& name : SplitString(dims, ',')) {
-      auto idx = (*table)->GetColumnIndex(std::string(TrimWhitespace(name)));
-      if (!idx.ok()) return Fail(idx.status());
-      tmpl.condition_columns.push_back(*idx);
-    }
-    Status st = (*engine)->Prepare(tmpl);
+    auto templates = ParseTemplates(**table, measure, dims);
+    if (!templates.ok()) return Fail(templates.status());
+    Status st = (*engine)->Prepare(*templates);
     if (!st.ok()) return Fail(st);
-    std::printf("prepared %s in %s\n",
-                tmpl.ToString((*table)->schema()).c_str(),
+    for (size_t t = 0; t < (*engine)->num_templates(); ++t) {
+      std::printf("prepared %s (%zu cells)\n",
+                  (*templates)[t].ToString((*table)->schema()).c_str(),
+                  (*engine)->cube_of(t)->NumCells());
+    }
+    std::printf("prepared %zu template(s) in %s\n",
+                (*engine)->num_templates(),
                 FormatDuration(prep_timer.ElapsedSeconds()).c_str());
   } else {
     std::printf("no --state/--measure+--dims: serving plain AQP\n");
@@ -166,7 +202,7 @@ int main(int argc, char** argv) {
       slow_ms <= 0 ? 0 : static_cast<double>(slow_ms) / 1000.0;
   if (FlagOr(args, "no-obs", "") == "true") obs::SetEnabled(false);
   bool dump_metrics = FlagOr(args, "metrics", "") == "true";
-  QueryService service(EngineRef(engine->get()), sopts);
+  QueryService service(engine->get(), sopts);
 
   std::unique_ptr<IngestManager> ingest;
   if (FlagOr(args, "ingest", "") == "true") {
