@@ -11,6 +11,7 @@
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "obs/metrics.h"
 
 namespace aqpp {
@@ -34,6 +35,8 @@ struct ExtentMetrics {
   obs::Counter* cache_hits;
   obs::Counter* cache_misses;
   obs::Gauge* cache_hit_rate;
+  obs::Histogram* verify_seconds;
+  obs::Histogram* decode_seconds;
 
   static ExtentMetrics& Get() {
     static ExtentMetrics m = [] {
@@ -53,6 +56,12 @@ struct ExtentMetrics {
       n.cache_hit_rate = reg.GetGauge(
           "aqpp_extent_cache_hit_rate_percent", "",
           "Decoded-extent cache hit rate since process start (percent)");
+      n.verify_seconds = reg.GetHistogram(
+          "aqpp_extent_verify_seconds", "", {},
+          "Seconds per Pin() miss spent checking the header and payload CRC");
+      n.decode_seconds = reg.GetHistogram(
+          "aqpp_extent_decode_seconds", "", {},
+          "Seconds per Pin() miss spent unpacking the verified payload");
       return n;
     }();
     return m;
@@ -407,9 +416,12 @@ Result<std::shared_ptr<ExtentFileReader>> ExtentFileReader::Open(
       }
       b.encoding = static_cast<ExtentEncoding>(encoding);
       b.type = static_cast<DataType>(type);
+      // Compared without overflow: a sum near 2^64 would wrap past the
+      // footer check and send Pin() outside the mapping.
       if (b.rows != expect_rows ||
-          b.offset < sizeof(kExtentFileMagic) ||
-          b.offset + sizeof(ExtentHeader) + b.encoded_bytes > footer_offset) {
+          b.offset < sizeof(kExtentFileMagic) || b.offset > footer_offset ||
+          footer_offset - b.offset <
+              sizeof(ExtentHeader) + uint64_t{b.encoded_bytes}) {
         return Status::IOError("corrupt extent directory in '" + path + "'");
       }
     }
@@ -449,6 +461,9 @@ Result<ExtentFileReader::DecodedColumn> ExtentFileReader::Pin(size_t e,
   }
   auto& metrics = ExtentMetrics::Get();
   const uint64_t key = CacheKey(e, col);
+  const ExtentBlobInfo& b = blob(e, col);
+  std::shared_ptr<std::vector<int64_t>> ints;
+  std::shared_ptr<std::vector<double>> dbls;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -458,6 +473,13 @@ Result<ExtentFileReader::DecodedColumn> ExtentFileReader::Pin(size_t e,
       metrics.cache_hits->Increment();
       metrics.cache_hit_rate->Set(HitRatePercent(hits_, misses_));
       return it->second->value;
+    }
+    if (b.type == DataType::kDouble && !spare_dbls_.empty()) {
+      dbls = std::move(spare_dbls_.back());
+      spare_dbls_.pop_back();
+    } else if (b.type != DataType::kDouble && !spare_ints_.empty()) {
+      ints = std::move(spare_ints_.back());
+      spare_ints_.pop_back();
     }
   }
 
@@ -469,7 +491,6 @@ Result<ExtentFileReader::DecodedColumn> ExtentFileReader::Pin(size_t e,
     return Status::IOError(StrFormat(
         "short read from '%s': extent %zu truncated", path_.c_str(), e));
   }
-  const ExtentBlobInfo& b = blob(e, col);
   ExtentHeader header;
   std::memcpy(&header, map_ + b.offset, sizeof(header));
   // Cross-check header against the footer directory: a torn or bit-flipped
@@ -484,21 +505,25 @@ Result<ExtentFileReader::DecodedColumn> ExtentFileReader::Pin(size_t e,
         "directory (corrupt file)",
         e, col, path_.c_str()));
   }
+  const uint8_t* payload = map_ + b.offset + sizeof(ExtentHeader);
+  Timer timer;
+  AQPP_RETURN_NOT_OK(VerifyExtent(header, payload));
+  const double verify_seconds = timer.ElapsedSeconds();
+  timer.Reset();
   DecodedColumn decoded;
   decoded.type = b.type;
   decoded.rows = b.rows;
-  const uint8_t* payload = map_ + b.offset + sizeof(ExtentHeader);
   if (b.type == DataType::kDouble) {
-    auto dbls = std::make_shared<std::vector<double>>();
-    std::vector<int64_t> unused;
-    AQPP_RETURN_NOT_OK(DecodeExtent(header, payload, &unused, dbls.get()));
+    if (dbls == nullptr) dbls = std::make_shared<std::vector<double>>();
+    AQPP_RETURN_NOT_OK(DecodeExtent(header, payload, nullptr, dbls.get()));
     decoded.dbls = std::move(dbls);
   } else {
-    auto ints = std::make_shared<std::vector<int64_t>>();
-    std::vector<double> unused;
-    AQPP_RETURN_NOT_OK(DecodeExtent(header, payload, ints.get(), &unused));
+    if (ints == nullptr) ints = std::make_shared<std::vector<int64_t>>();
+    AQPP_RETURN_NOT_OK(DecodeExtent(header, payload, ints.get(), nullptr));
     decoded.ints = std::move(ints);
   }
+  metrics.verify_seconds->Observe(verify_seconds);
+  metrics.decode_seconds->Observe(timer.ElapsedSeconds());
   metrics.read->Increment();
   metrics.decoded_bytes->Increment(static_cast<uint64_t>(b.rows) * 8);
 
@@ -515,10 +540,25 @@ Result<ExtentFileReader::DecodedColumn> ExtentFileReader::Pin(size_t e,
   lru_.push_front(CacheEntry{key, decoded});
   index_[key] = lru_.begin();
   while (lru_.size() > cache_capacity_) {
+    RecycleLocked(std::move(lru_.back().value));
     index_.erase(lru_.back().key);
     lru_.pop_back();
   }
   return decoded;
+}
+
+void ExtentFileReader::RecycleLocked(DecodedColumn evicted) {
+  // use_count() == 1 under mu_ means the cache held the only reference, and
+  // new ones are only ever copied from the cache under mu_.
+  if (evicted.ints != nullptr && evicted.ints.use_count() == 1 &&
+      spare_ints_.size() < cache_capacity_) {
+    spare_ints_.push_back(
+        std::const_pointer_cast<std::vector<int64_t>>(std::move(evicted.ints)));
+  } else if (evicted.dbls != nullptr && evicted.dbls.use_count() == 1 &&
+             spare_dbls_.size() < cache_capacity_) {
+    spare_dbls_.push_back(
+        std::const_pointer_cast<std::vector<double>>(std::move(evicted.dbls)));
+  }
 }
 
 void ExtentFileReader::ReleaseBefore(size_t e) {

@@ -196,6 +196,17 @@ class ExtentFileReader {
   size_t cache_capacity_ = 48;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
+  // Buffers of evicted decodes that nobody else held, reused by the next
+  // miss of the same type. A steady scan then allocates and frees nothing:
+  // no page faults or zero fill per miss, and no freed buffers piling up in
+  // each thread's malloc arena. A buffer is only allocated when no spare of
+  // its type exists, so a type never has more buffers than it once had
+  // cached or decoding at the same time; the lists are also capped at
+  // cache_capacity_ each.
+  std::vector<std::shared_ptr<std::vector<int64_t>>> spare_ints_;
+  std::vector<std::shared_ptr<std::vector<double>>> spare_dbls_;
+
+  void RecycleLocked(DecodedColumn evicted);  // requires mu_
 };
 
 // Convenience: pack an in-memory table into an extent file (dictionaries

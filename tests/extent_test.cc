@@ -1,12 +1,16 @@
-// Extent storage tests: lossless encoding round-trips, the on-disk file
-// format, hostile-byte handling (corruption, truncation, oversized lengths),
-// failpoint-injected I/O faults, the decoded-extent LRU, and the
-// adopted-buffer borrow path (Column::AdoptDoubleData).
+// Extent storage tests: both CRC-32 arms and the width-specialized unpack
+// loops against bytewise oracles, lossless encoding round-trips, the on-disk
+// file format, hostile-byte handling (corruption, truncation, oversized
+// lengths, wrapped offsets), failpoint-injected I/O faults, the
+// decoded-extent LRU and its metrics, and the adopted-buffer borrow path
+// (Column::AdoptDoubleData).
 //
 // The corruption tests run in every build flavor; the injection tests skip
 // themselves when failpoints are compiled out, mirroring fault_io_test.cc.
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "obs/metrics.h"
 #include "storage/column_source.h"
 #include "storage/extent.h"
 #include "storage/extent_file.h"
@@ -109,6 +114,246 @@ class ExtentTest : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+// ---------------------------------------------------------------------------
+// CRC-32: both arms against the bytewise table loop they replaced.
+// ---------------------------------------------------------------------------
+
+uint32_t BytewiseCrc32(const void* data, size_t n) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownValues) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(internal::Crc32Portable("123456789", 9), 0xCBF43926u);
+  if (internal::Crc32ClmulSupported()) {
+    EXPECT_EQ(internal::Crc32Clmul("123456789", 9), 0xCBF43926u);
+  }
+}
+
+// Every length 0-300 covers the folding arm's < 64-byte path, its 16-byte
+// tail loop and every bytewise remainder; 65545 and 524288 cover long folds
+// with and without a tail. Offsets 0-15 cover every 16-byte misalignment.
+TEST(Crc32Test, BothArmsMatchBytewiseOracle) {
+  const bool clmul = internal::Crc32ClmulSupported();
+  if (!clmul) std::fprintf(stderr, "PCLMULQDQ arm not available here\n");
+  std::vector<uint8_t> buf(524288 + 16);
+  Rng rng(testutil::TestSeed(21));
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  lengths.push_back(65545);
+  lengths.push_back(524288);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t n : lengths) {
+      const uint8_t* p = buf.data() + offset;
+      const uint32_t want = BytewiseCrc32(p, n);
+      ASSERT_EQ(internal::Crc32Portable(p, n), want)
+          << "portable, length " << n << " offset " << offset;
+      if (clmul) {
+        ASSERT_EQ(internal::Crc32Clmul(p, n), want)
+            << "clmul, length " << n << " offset " << offset;
+      }
+      ASSERT_EQ(Crc32(p, n), want) << "length " << n << " offset " << offset;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Width-specialized unpack loops against the generic per-byte loop.
+// ---------------------------------------------------------------------------
+
+uint64_t LoadPackedU64(const uint8_t* p, uint8_t width) {
+  uint64_t v = 0;
+  for (uint8_t b = 0; b < width; ++b) {
+    v |= static_cast<uint64_t>(p[b]) << (8 * b);
+  }
+  return v;
+}
+
+// The generic decode the width-specialized loops replaced.
+std::vector<int64_t> OracleDecode(const ExtentHeader& h,
+                                  const uint8_t* payload) {
+  const size_t rows = h.rows;
+  std::vector<int64_t> out(rows);
+  const uint8_t width = payload[0];
+  switch (static_cast<ExtentEncoding>(h.encoding)) {
+    case ExtentEncoding::kInt64For: {
+      const uint64_t ref = LoadPackedU64(payload + 1, 8);
+      for (size_t i = 0; i < rows; ++i) {
+        out[i] = static_cast<int64_t>(
+            ref + LoadPackedU64(payload + 9 + i * width, width));
+      }
+      break;
+    }
+    case ExtentEncoding::kInt64DeltaFor: {
+      uint64_t acc = LoadPackedU64(payload + 1, 8);
+      const uint64_t ref = LoadPackedU64(payload + 9, 8);
+      out[0] = static_cast<int64_t>(acc);
+      for (size_t i = 1; i < rows; ++i) {
+        acc += ref + LoadPackedU64(payload + 17 + (i - 1) * width, width);
+        out[i] = static_cast<int64_t>(acc);
+      }
+      break;
+    }
+    case ExtentEncoding::kInt64Dict: {
+      const uint64_t k = LoadPackedU64(payload + 1, 4);
+      const uint8_t* vals = payload + 5;
+      const uint8_t* idx = vals + k * 8;
+      for (size_t i = 0; i < rows; ++i) {
+        const uint64_t j = LoadPackedU64(idx + i * width, width);
+        out[i] = static_cast<int64_t>(LoadPackedU64(vals + j * 8, 8));
+      }
+      break;
+    }
+    default:
+      ADD_FAILURE() << "no oracle for encoding " << int{h.encoding};
+  }
+  return out;
+}
+
+// Encodes `values`, checks the encoder picked `encoding` at `width` (the
+// payload's first byte), and checks the decode against the oracle and the
+// input.
+void ExpectUnpackMatchesOracle(const std::vector<int64_t>& values,
+                               ExtentEncoding encoding, uint8_t width) {
+  SCOPED_TRACE(testing::Message()
+               << ExtentEncodingName(encoding) << " width " << int{width}
+               << ", " << values.size() << " rows");
+  std::string blob;
+  ExtentHeader header;
+  ASSERT_TRUE(EncodeExtent(values.data(), values.size(), DataType::kInt64,
+                           &blob, &header)
+                  .ok());
+  const uint8_t* payload =
+      reinterpret_cast<const uint8_t*>(blob.data()) + sizeof(ExtentHeader);
+  ASSERT_EQ(header.encoding, static_cast<uint8_t>(encoding));
+  ASSERT_EQ(payload[0], width);
+  ASSERT_TRUE(VerifyExtent(header, payload).ok());
+  std::vector<int64_t> decoded;
+  ASSERT_TRUE(DecodeExtent(header, payload, &decoded, nullptr).ok());
+  EXPECT_EQ(decoded, OracleDecode(header, payload));
+  EXPECT_EQ(decoded, values);
+}
+
+constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
+
+TEST(UnpackTest, ForWidthsMatchOracle) {
+  Rng rng(testutil::TestSeed(22));
+  ExpectUnpackMatchesOracle(std::vector<int64_t>(2, kI64Min),
+                            ExtentEncoding::kInt64For, 0);
+  ExpectUnpackMatchesOracle(std::vector<int64_t>(12345, kI64Max),
+                            ExtentEncoding::kInt64For, 0);
+  // Unsorted values whose first two rows pin the range to the width's max,
+  // at the int64 extremes so `ref + packed` wraps through uint64.
+  const struct {
+    uint8_t width;
+    uint64_t span;
+    int64_t base;
+  } cases[] = {{1, 0xFFu, kI64Max - 0xFF},
+               {2, 0xFFFFu, kI64Min},
+               {4, 0xFFFFFFFFu, -0x7FFFFFFF}};
+  for (const auto& c : cases) {
+    for (size_t rows : {size_t{3}, size_t{7}, size_t{12345}, kExtentRows}) {
+      std::vector<int64_t> values(rows);
+      for (auto& v : values) {
+        v = static_cast<int64_t>(static_cast<uint64_t>(c.base) +
+                                 rng.NextBounded(c.span + 1));
+      }
+      values[0] = c.base;
+      values[1] = static_cast<int64_t>(static_cast<uint64_t>(c.base) + c.span);
+      ExpectUnpackMatchesOracle(values, ExtentEncoding::kInt64For, c.width);
+    }
+  }
+}
+
+TEST(UnpackTest, DeltaForWidthsMatchOracle) {
+  Rng rng(testutil::TestSeed(23));
+  // Per width: the largest delta step that still packs into it when the
+  // steps are all of one sign, and half of it for a two-signed walk.
+  const struct {
+    uint8_t width;
+    int64_t step;
+  } cases[] = {{1, 255}, {2, 65535}, {4, 4'000'000'000}};
+  for (const auto& c : cases) {
+    for (size_t rows : {size_t{12345}, size_t{65535}, kExtentRows}) {
+      std::vector<int64_t> down(rows), up(rows), walk(rows);
+      down[0] = kI64Max;  // descending from the top: every delta <= 0
+      up[0] = kI64Min;    // ascending from the bottom
+      walk[0] = 0;
+      for (size_t i = 1; i < rows; ++i) {
+        down[i] = down[i - 1] - rng.NextInt(0, c.step);
+        up[i] = up[i - 1] + rng.NextInt(0, c.step);
+        walk[i] = walk[i - 1] + rng.NextInt(-c.step / 2, c.step / 2);
+      }
+      ExpectUnpackMatchesOracle(down, ExtentEncoding::kInt64DeltaFor, c.width);
+      ExpectUnpackMatchesOracle(up, ExtentEncoding::kInt64DeltaFor, c.width);
+      ExpectUnpackMatchesOracle(walk, ExtentEncoding::kInt64DeltaFor,
+                                c.width);
+    }
+  }
+}
+
+TEST(UnpackTest, DictIndexWidthsMatchOracle) {
+  Rng rng(testutil::TestSeed(24));
+  // k = 5 and 256 fit one index byte; 257 and 4096 need two. The values
+  // span the whole int64 range, so FOR cannot pack them.
+  for (size_t k : {size_t{5}, size_t{256}, size_t{257}, size_t{4096}}) {
+    std::vector<int64_t> distinct = {kI64Min, kI64Max};
+    while (distinct.size() < k) {
+      distinct.push_back(static_cast<int64_t>(rng.Next()));
+    }
+    for (size_t rows : {size_t{12345}, kExtentRows}) {
+      std::vector<int64_t> values(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        // Every value at least once, then random picks.
+        values[i] = distinct[i < k ? i : rng.NextBounded(k)];
+      }
+      ExpectUnpackMatchesOracle(values, ExtentEncoding::kInt64Dict,
+                                k <= 256 ? 1 : 2);
+    }
+  }
+}
+
+TEST(UnpackTest, DictIndexOutOfRangeIsIOError) {
+  std::vector<int64_t> values(1000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 2 == 0 ? kI64Min : kI64Max;
+  }
+  std::string blob;
+  ExtentHeader header;
+  ASSERT_TRUE(EncodeExtent(values.data(), values.size(), DataType::kInt64,
+                           &blob, &header)
+                  .ok());
+  ASSERT_EQ(header.encoding, static_cast<uint8_t>(ExtentEncoding::kInt64Dict));
+  // Last index byte -> 2 with k = 2, under a matching checksum: the CRC
+  // passes and the decoder's own bounds check must catch it.
+  uint8_t* payload =
+      reinterpret_cast<uint8_t*>(blob.data()) + sizeof(ExtentHeader);
+  payload[header.encoded_bytes - 1] = 2;
+  header.checksum = Crc32(payload, header.encoded_bytes);
+  ASSERT_TRUE(VerifyExtent(header, payload).ok());
+  std::vector<int64_t> decoded;
+  Status st = DecodeExtent(header, payload, &decoded, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_TRUE(decoded.empty()) << "destination touched before the check";
+}
 
 // ---------------------------------------------------------------------------
 // Encoding round-trips: every decode must be bit-identical to the input.
@@ -384,6 +629,27 @@ TEST_F(ExtentTest, CorruptTrailerFooterOffsetFailsOpen) {
   EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
 }
 
+TEST_F(ExtentTest, WrappedDirectoryOffsetFailsOpen) {
+  std::string path = WriteFile("wrap.ext", 1000, 58);
+  // One extent x three columns: the directory's three 44-byte entries end at
+  // the 16-byte trailer, and the first starts with column 0's offset, 8.
+  const uint64_t size = std::filesystem::file_size(path);
+  const uint64_t entry = size - 16 - 3 * 44;
+  uint64_t offset = 0;
+  {
+    std::ifstream f(path, std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(entry));
+    f.read(reinterpret_cast<char*>(&offset), sizeof(offset));
+  }
+  ASSERT_EQ(offset, 8u);
+  // 2^64 - 41: offset + header + payload wraps to a small number, so a
+  // summed bounds check passes and Pin() would read outside the mapping.
+  Patch(path, entry, ~uint64_t{0} - 40);
+  auto reader = ExtentFileReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+}
+
 TEST_F(ExtentTest, TruncationSweepFailsCleanly) {
   std::string path = WriteFile("t.ext", 20000, 56);
   uint64_t full = std::filesystem::file_size(path);
@@ -518,6 +784,24 @@ TEST_F(ExtentTest, PinCacheHitsAndMisses) {
   EXPECT_EQ(r.cache_misses(), 3u);
 }
 
+TEST_F(ExtentTest, PinMissObservesVerifyAndDecodeOnce) {
+  if (!obs::kCompiledIn) GTEST_SKIP() << "obs compiled out";
+  std::string path = WriteFile("h.ext", 1000, 74);
+  auto reader = ExtentFileReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  auto& reg = obs::Registry::Global();
+  const obs::Histogram* verify = reg.GetHistogram("aqpp_extent_verify_seconds");
+  const obs::Histogram* decode = reg.GetHistogram("aqpp_extent_decode_seconds");
+  const uint64_t verify0 = verify->count();
+  const uint64_t decode0 = decode->count();
+  ASSERT_TRUE((*reader)->Pin(0, 2).ok());  // miss
+  EXPECT_EQ(verify->count(), verify0 + 1);
+  EXPECT_EQ(decode->count(), decode0 + 1);
+  ASSERT_TRUE((*reader)->Pin(0, 2).ok());  // hit
+  EXPECT_EQ(verify->count(), verify0 + 1);
+  EXPECT_EQ(decode->count(), decode0 + 1);
+}
+
 TEST_F(ExtentTest, CacheCapacityEvictsLeastRecentlyUsed) {
   std::string path = WriteFile("e.ext", 1000, 72);
   ExtentFileReader::Options opt;
@@ -544,6 +828,38 @@ TEST_F(ExtentTest, PinnedBufferSurvivesEviction) {
   ASSERT_TRUE((*reader)->Pin(0, 2).ok());  // evicts the cache entry
   (*reader)->ReleaseBefore(1);
   EXPECT_EQ(*pin->ints, before);  // shared_ptr keeps the buffer alive
+}
+
+TEST_F(ExtentTest, EvictedBuffersAreReusedOnlyWhenUnheld) {
+  std::string path = WriteFile("reuse.ext", 2 * kExtentRows, 75);
+  ExtentFileReader::Options opt;
+  opt.cache_capacity = 1;
+  auto reader = ExtentFileReader::Open(path, opt);
+  ASSERT_TRUE(reader.ok());
+  ExtentFileReader& r = **reader;
+  const int64_t* first = nullptr;
+  std::vector<int64_t> e0;
+  {
+    auto pin = r.Pin(0, 0);
+    ASSERT_TRUE(pin.ok());
+    first = pin->int_data();
+    e0 = *pin->ints;
+  }
+  // Pinning (1, 0) evicts the unheld (0, 0), whose buffer the next miss
+  // decodes into.
+  auto held = r.Pin(1, 0);
+  ASSERT_TRUE(held.ok());
+  const std::vector<int64_t> e1 = *held->ints;
+  auto again = r.Pin(0, 0);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->int_data(), first);
+  EXPECT_EQ(*again->ints, e0);
+  // (1, 0) was evicted while `held` pinned it: never reused, never
+  // overwritten.
+  auto other = r.Pin(0, 1);
+  ASSERT_TRUE(other.ok());
+  EXPECT_NE(other->int_data(), held->int_data());
+  EXPECT_EQ(*held->ints, e1);
 }
 
 // ---------------------------------------------------------------------------
