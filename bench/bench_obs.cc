@@ -2,7 +2,8 @@
 // each recording primitive (counter, histogram, span) in its three states —
 // runtime-enabled, runtime-disabled, and (when built with
 // -DAQPP_DISABLE_OBS=ON) compiled out — plus the end-to-end engine Execute
-// comparison the docs/observability.md overhead table is sourced from.
+// comparison the docs/observability.md overhead table is sourced from, and
+// the deadline fallback's first online round beside it.
 //
 // The contract under test: a disabled recording call is a relaxed load plus
 // a branch (sub-nanosecond), an enabled counter/histogram recording is a
@@ -117,6 +118,27 @@ void BM_EngineExecuteObs(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineExecuteObs)->Arg(1)->Arg(0)
     ->Unit(benchmark::kMicrosecond);
+
+// The deadline fallback's cost: ExecuteOnline under an already-stopped token
+// (the service's state when a deadline fires) yields only the first round,
+// so this is identification plus a 1/64 prefix. Compare its p50 against
+// BM_EngineExecuteObs/0 (same engine, query and seeds; tracing off here).
+void BM_OnlineFirstRound(benchmark::State& state) {
+  AqppEngine& engine = ObsEngine();
+  RangeQuery q = ObsQuery();
+  CancellationToken stopped;
+  stopped.Cancel();
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    ExecuteControl control;
+    control.cancel = &stopped;
+    control.seed = seed++;
+    control.record = false;
+    auto r = engine.ExecuteOnline(q, control);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_OnlineFirstRound)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace aqpp

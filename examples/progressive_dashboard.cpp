@@ -1,9 +1,10 @@
 // Progressive ("online aggregation") dashboard scenario.
 //
 // The user hits enter; the answer appears immediately and tightens as more
-// of the sample streams in — once with plain AQP, once with AQP++ (same
-// sample, same consumption order). Then the MIN/MAX extension answers
-// extremum questions with deterministic bounds no sample could provide.
+// of the sample streams in through AqppEngine::ExecuteOnline — once with
+// plain AQP, once with AQP++ (same sample, same consumption order). Then the
+// MIN/MAX extension answers extremum questions with deterministic bounds no
+// sample could provide.
 //
 // Build & run:  ./build/examples/progressive_dashboard
 
@@ -11,11 +12,7 @@
 #include <cstdio>
 
 #include "core/engine.h"
-#include "core/precompute.h"
-#include "cube/extrema_grid.h"
-#include "core/progressive.h"
 #include "exec/executor.h"
-#include "sampling/samplers.h"
 #include "workload/bigbench.h"
 
 int main() {
@@ -29,13 +26,24 @@ int main() {
   size_t visit_date = *table->GetColumnIndex("visitDate");
   size_t duration = *table->GetColumnIndex("duration");
 
-  // Prepared artifacts: 2% sample and a 2-D cube.
-  Rng rng(3);
-  auto sample = std::move(CreateUniformSample(*table, 0.02, rng)).value();
-  Precomputer precomputer(table.get(), &sample, revenue);
-  auto prepared =
-      std::move(precomputer.Precompute({visit_date, duration}, 10'000))
-          .value();
+  // Two engines over the same 2% sample (same seed): plain AQP, and AQP++
+  // with a 2-D BP-Cube plus the extrema grid for MIN/MAX.
+  QueryTemplate tmpl;
+  tmpl.agg_column = revenue;
+  tmpl.condition_columns = {visit_date, duration};
+  auto make_engine = [&](bool precompute) {
+    EngineOptions opts;
+    opts.sample_rate = 0.02;
+    opts.cube_budget = 10'000;
+    opts.enable_precompute = precompute;
+    opts.enable_extrema = precompute;
+    opts.seed = 3;
+    auto engine = std::move(AqppEngine::Create(table, opts)).value();
+    AQPP_CHECK_OK(engine->Prepare(tmpl));
+    return engine;
+  };
+  auto plain = make_engine(false);
+  auto aqpp = make_engine(true);
 
   RangeQuery q;
   q.func = AggregateFunction::kSum;
@@ -46,11 +54,11 @@ int main() {
   std::printf("\nquery: ad revenue for visits on days 101-471 lasting "
               "33-580s (truth %.5g)\n\n", truth);
 
-  ProgressiveExecutor plain(&sample, nullptr);
-  ProgressiveExecutor aqpp(&sample, prepared.cube.get());
-  Rng rng_a(7), rng_b(7);
-  auto plain_steps = std::move(plain.Run(q, rng_a)).value();
-  auto aqpp_steps = std::move(aqpp.Run(q, rng_b)).value();
+  // The same seed draws the same consumption order on both engines.
+  ExecuteControl control;
+  control.seed = 7;
+  auto plain_steps = std::move(plain->ExecuteOnline(q, control)).value();
+  auto aqpp_steps = std::move(aqpp->ExecuteOnline(q, control)).value();
 
   std::printf("%-12s %-26s %-26s\n", "rows used", "AQP (plain sample)",
               "AQP++ (sample + BP-Cube)");
@@ -67,9 +75,7 @@ int main() {
   // ---- MIN/MAX with deterministic bounds (Section 8 extension) -----------
   std::printf("\nextremum questions (block extrema grid, deterministic "
               "bounds):\n");
-  auto grid = std::move(ExtremaGrid::Build(*table, prepared.cube->scheme(),
-                                           revenue))
-                  .value();
+  const ExtremaGrid* grid = aqpp->extrema_grid();
   RangeQuery max_q = q;
   max_q.func = AggregateFunction::kMax;
   double true_max = *exact.Execute(max_q);

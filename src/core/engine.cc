@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <set>
 
 #include "common/logging.h"
@@ -432,6 +433,95 @@ Result<ApproximateResult> AqppEngine::Execute(const RangeQuery& query,
   return EstimateScalar(query, control, *active_synopsis(),
                         slot != nullptr ? slot->identifier.get() : nullptr,
                         table_->schema(), rng);
+}
+
+namespace {
+
+// Separates the online consumption order's stream from the query seed's
+// identification and CI stream.
+constexpr uint64_t kOnlineOrderSalt = 0x6f6e6c696e65ULL;
+
+// Online rounds as fractions of the sample: geometric from 1/64 to 1.
+constexpr double kOnlineRounds[] = {1.0 / 64, 1.0 / 32, 1.0 / 16, 1.0 / 8,
+                                    1.0 / 4,  1.0 / 2,  1.0};
+
+}  // namespace
+
+Result<std::vector<ProgressiveStep>> AqppEngine::ExecuteOnline(
+    const RangeQuery& query, const ExecuteControl& control) {
+  if (!query.group_by.empty()) {
+    return Status::InvalidArgument("online rounds answer scalar queries");
+  }
+  if (query.func == AggregateFunction::kMin ||
+      query.func == AggregateFunction::kMax) {
+    return Status::Unimplemented(
+        "online rounds estimate from the sample, which cannot bound MIN/MAX");
+  }
+  AQPP_RETURN_NOT_OK(EnsureSample());
+  if (sample_.method != SamplingMethod::kUniform &&
+      sample_.method != SamplingMethod::kBernoulli) {
+    return Status::FailedPrecondition(
+        "online rounds need a uniform or Bernoulli sample: prefixes of a "
+        "stratified or biased sample are not exchangeable");
+  }
+  const size_t n = sample_.size();
+  if (n == 0) return Status::FailedPrecondition("empty sample");
+  if (control.record) RecordQuery(query);
+  Rng local_rng(control.seed.value_or(0));
+  Rng& rng = control.seed.has_value() ? local_rng : rng_;
+  const int route = RouteFor(query);
+  const AggregateIdentifier* identifier =
+      route >= 0 ? slots_[static_cast<size_t>(route)].identifier.get()
+                 : nullptr;
+  IdentifiedAggregate identified;
+  if (identifier != nullptr) {
+    AQPP_ASSIGN_OR_RETURN(identified,
+                          identifier->Identify(query, rng, control.trace));
+  }
+  const bool have_pre = !identified.pre.IsEmpty();
+  const RangePredicate pre_predicate =
+      have_pre ? identified.pre.ToPredicate(identifier->cube().scheme())
+               : RangePredicate{};
+  const Rng round_start = rng;
+
+  // A forward Fisher-Yates shuffle, drawn only as far as the current round
+  // needs: each round's rows extend the previous round's.
+  Rng order_rng(control.seed.value_or(options_.seed) ^ kOnlineOrderSalt);
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  size_t drawn = 0;
+  const EstimatorOptions eopts{options_.confidence_level,
+                               options_.bootstrap_resamples};
+  std::vector<ProgressiveStep> steps;
+  for (double f : kOnlineRounds) {
+    const size_t m = std::clamp<size_t>(
+        static_cast<size_t>(std::llround(f * static_cast<double>(n))), 1, n);
+    for (; drawn < m; ++drawn) {
+      std::swap(order[drawn],
+                order[drawn + static_cast<size_t>(
+                                  order_rng.NextBounded(n - drawn))]);
+    }
+    std::vector<size_t> rows(order.begin(), order.begin() + m);
+    std::sort(rows.begin(), rows.end());
+    const double rate = static_cast<double>(m) / static_cast<double>(n);
+    AQPP_ASSIGN_OR_RETURN(
+        Sample prefix,
+        GatherSample(sample_, rows,
+                     std::vector<double>(m, static_cast<double>(n) /
+                                                static_cast<double>(m)),
+                     rate));
+    SampleEstimator est(&prefix, eopts);
+    Rng round_rng = round_start;
+    ProgressiveStep step;
+    step.rows_used = m;
+    AQPP_ASSIGN_OR_RETURN(
+        step.ci, have_pre ? est.EstimateWithPre(query, pre_predicate,
+                                                identified.values, round_rng)
+                          : est.EstimateDirect(query, round_rng));
+    steps.push_back(step);
+    if (control.cancel != nullptr && control.cancel->ShouldStop()) break;
+  }
+  return steps;
 }
 
 namespace {

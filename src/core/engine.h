@@ -134,6 +134,13 @@ struct ApproximateResult {
   }
 };
 
+// One online-aggregation round: the estimate over the first `rows_used`
+// rows of a fixed random permutation of the sample.
+struct ProgressiveStep {
+  size_t rows_used = 0;
+  ConfidenceInterval ci;
+};
+
 struct GroupApproximateResult {
   GroupKey key;
   ApproximateResult result;
@@ -172,6 +179,22 @@ class AqppEngine {
   // single-threaded.
   Result<ApproximateResult> Execute(const RangeQuery& query,
                                     const ExecuteControl& control);
+
+  // Online aggregation (the Section 2 setting): the scalar query answered
+  // in rounds over growing prefixes of one seeded random permutation of the
+  // sample — 1/64, 1/32, ..., 1/2 and all of its rows. `pre` is identified
+  // once, as Execute identifies it. Each round is the sample estimator over
+  // the round's rows (in sample order, weights scaled by n/m), started from
+  // the same post-identification RNG state, so the full round is
+  // bit-identical to Execute under the default synopsis. The order is drawn
+  // from its own stream, derived from `control.seed` (the engine seed when
+  // unset). `control.cancel` is polled after each round: the first round is
+  // always produced, and a stopped token ends the stream early rather than
+  // failing it. Uniform and Bernoulli samples only — FailedPrecondition
+  // otherwise, since prefixes of a stratified or biased sample are not
+  // exchangeable; MIN/MAX: Unimplemented.
+  Result<std::vector<ProgressiveStep>> ExecuteOnline(
+      const RangeQuery& query, const ExecuteControl& control);
 
   // Group-by query (Appendix C): one identification pass on the
   // group-stripped query, then per-group difference estimation against the

@@ -108,6 +108,14 @@ Result<Sample> Subsample(const Sample& sample, double rate, Rng& rng) {
     weight_scale.assign(picked.size(), scale);
   }
 
+  return GatherSample(sample, picked, weight_scale, rate);
+}
+
+Result<Sample> GatherSample(const Sample& sample,
+                            const std::vector<size_t>& picked,
+                            const std::vector<double>& weight_scale,
+                            double rate) {
+  AQPP_CHECK_EQ(picked.size(), weight_scale.size());
   AQPP_ASSIGN_OR_RETURN(auto rows, TakeRows(*sample.rows, picked));
   Sample out;
   out.rows = std::move(rows);

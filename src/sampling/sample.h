@@ -66,6 +66,16 @@ Status ValidateStrata(const Sample& sample);
 // cheap subsample before the winner runs on the full sample.
 Result<Sample> Subsample(const Sample& sample, double rate, Rng& rng);
 
+// The rows `picked` (ascending) of `sample` as a sample of the same
+// population: row j gets weight sample.weights[picked[j]] * weight_scale[j],
+// a stratified sample keeps each row's stratum with every stratum's
+// `sample_rows` recounted, and the sampling fraction is scaled by `rate`.
+// Subsample's gather step; online rounds build their prefixes with it.
+Result<Sample> GatherSample(const Sample& sample,
+                            const std::vector<size_t>& picked,
+                            const std::vector<double>& weight_scale,
+                            double rate);
+
 }  // namespace aqpp
 
 #endif  // AQPP_SAMPLING_SAMPLE_H_

@@ -33,8 +33,8 @@ struct ServiceMetrics {
                        "Queries whose deadline fired (partial answers "
                        "included)."),
         reg.GetCounter("aqpp_service_partial_total", "",
-                       "Deadline-expired queries answered from a "
-                       "progressive prefix."),
+                       "Deadline-expired queries answered by their "
+                       "first online round."),
         reg.GetCounter("aqpp_service_slow_queries_total", "",
                        "Queries over the slow-query threshold."),
         reg.GetCounter("aqpp_single_flight_attached_total", "",
@@ -66,20 +66,6 @@ struct BatchServiceMetrics {
     return m;
   }
 };
-
-// The progressive executor for `query` over the engine's sample, with the
-// routed template's cube (plain AQP when no template has the query's
-// measure).
-ProgressiveExecutor ProgressiveFor(const AqppEngine& engine,
-                                   const RangeQuery& query) {
-  ProgressiveOptions popts;
-  popts.confidence_level = engine.options().confidence_level;
-  const int route = engine.RouteFor(query);
-  return ProgressiveExecutor(
-      &engine.sample(),
-      route >= 0 ? engine.cube_of(static_cast<size_t>(route)) : nullptr,
-      popts);
-}
 
 // Per-query context parked on the admission job (Job.payload). RunBatch
 // fills `out` and fires `done`, which the Execute() call blocks on.
@@ -435,8 +421,7 @@ QueryOutcome QueryService::RunOnWorker(const CanonicalQuery& canon,
     stop = result.status();
   }
 
-  if (options_.progressive_fallback &&
-      stop.code() == StatusCode::kDeadlineExceeded) {
+  if (stop.code() == StatusCode::kDeadlineExceeded) {
     obs::SpanTimer progressive_span(obs::Phase::kProgressive, trace);
     auto partial = RunProgressive(canon, token);
     if (partial.ok()) {
@@ -534,12 +519,20 @@ Status QueryService::OnlineRounds(uint64_t session_id, const RangeQuery& query,
   if (ingest_ != nullptr) {
     state_lock = std::shared_lock<std::shared_mutex>(ingest_->state_mutex());
   }
-  ProgressiveExecutor executor = ProgressiveFor(*engine_, canon.query);
-  Rng rng(canon.seed);
-  auto steps = executor.Run(canon.query, rng);
-  // Queries the progressive executor cannot answer (non-SUM/COUNT aggregates,
-  // stratified samples) produce no rounds: online degrades to one-shot.
-  if (!steps.ok()) return Status::OK();
+  ExecuteControl control;
+  control.seed = canon.seed;
+  control.record = false;
+  auto steps = engine_->ExecuteOnline(canon.query, control);
+  if (!steps.ok()) {
+    // Unstreamable aggregates and samples produce no rounds: online
+    // degrades to one-shot. Anything else is a real failure.
+    const StatusCode code = steps.status().code();
+    if (code == StatusCode::kUnimplemented ||
+        code == StatusCode::kFailedPrecondition) {
+      return Status::OK();
+    }
+    return steps.status();
+  }
   // The delta is not part of the sample, so every round gets the same exact
   // shift the one-shot answer gets — intervals translate, widths survive.
   double shift = 0.0;
@@ -572,12 +565,12 @@ Status QueryService::OnlineRounds(uint64_t session_id, const RangeQuery& query,
 
 Result<ProgressiveStep> QueryService::RunProgressive(
     const CanonicalQuery& canon, const CancellationToken* token) {
-  ProgressiveExecutor executor = ProgressiveFor(*engine_, canon.query);
-  Rng rng(canon.seed);
-  AQPP_ASSIGN_OR_RETURN(auto steps, executor.Run(canon.query, rng, token));
-  if (steps.empty()) {
-    return Status::Internal("progressive run produced no checkpoints");
-  }
+  ExecuteControl control;
+  control.cancel = token;
+  control.seed = canon.seed;
+  control.record = false;
+  AQPP_ASSIGN_OR_RETURN(auto steps,
+                        engine_->ExecuteOnline(canon.query, control));
   return steps.back();
 }
 

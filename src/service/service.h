@@ -11,22 +11,23 @@
 //                            engine Execute(canonical query,
 //                                  {cancel = token, seed = canonical seed})
 //                             │ok                │deadline exceeded
-//                        cache insert     progressive fallback: a prefix
-//                             │           of the sample under the same
-//                          return         token → partial CI (widened)
+//                        cache insert     online fallback: the first
+//                             │           online round (1/64 of the
+//                          return         sample) → partial CI (widened)
 //
 // Seeded execution makes each query a pure function of (prepared engine
 // state, canonical query), so concurrent workers never race on the session
 // RNG and a cache hit is bit-identical to re-running the query. Deadlines
 // ride a CancellationToken that the engine polls at phase boundaries; when
-// one fires, the worker falls back to the progressive executor, which always
-// yields at least its first checkpoint — a timed-out query degrades to a
-// wide interval instead of an error whenever the sample supports it
-// (uniform/Bernoulli, SUM/COUNT; anything else reports DeadlineExceeded).
+// one fires, the worker falls back to AqppEngine::ExecuteOnline under the
+// same seed, which always yields its first round — a timed-out query
+// degrades to a wide interval instead of an error whenever the sample
+// supports it (a uniform/Bernoulli sample and SUM/COUNT/AVG/VAR; MIN/MAX and
+// other samples report DeadlineExceeded).
 //
 // The engine's router picks each query's template: its id keys per-template
-// cache invalidation, and its cube backs the progressive fallback (none when
-// no template has the query's measure). Service execution bypasses the
+// cache invalidation, and its cube backs the online fallback (none when no
+// template has the query's measure). Service execution bypasses the
 // engine's workload log (record = false); sessions keep their own bounded
 // logs instead.
 
@@ -44,7 +45,6 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/ingest.h"
-#include "core/progressive.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "service/admission.h"
@@ -64,9 +64,6 @@ struct ServiceOptions {
   // Deadline applied when neither the request nor the session carries one;
   // <= 0 = unbounded.
   double default_timeout_seconds = 0;
-  // When a deadline fires, answer from a progressive prefix instead of
-  // erroring (where the sample/aggregate allow it).
-  bool progressive_fallback = true;
   // Latency samples retained for the p50/p95/p99 estimates.
   size_t latency_window = 4096;
   // Queries whose end-to-end service time reaches this land in the slow-query
@@ -85,7 +82,7 @@ struct QueryOutcome {
   // True when this outcome was shared from an identical in-flight query
   // (single-flight attach) rather than executed for this caller.
   bool single_flight = false;
-  // True when the deadline fired and `ci` comes from a progressive prefix.
+  // True when the deadline fired and `ci` is the first online round.
   bool partial = false;
   size_t partial_rows_used = 0;
   bool used_pre = false;
@@ -108,7 +105,7 @@ struct ServiceStats {
   uint64_t cache_hits = 0;
   uint64_t rejected = 0;
   uint64_t timed_out = 0;  // deadline fired (partial answers included)
-  uint64_t partial = 0;    // subset of timed_out answered progressively
+  uint64_t partial = 0;    // subset of timed_out answered by an online round
   uint64_t cancelled = 0;
   uint64_t failed = 0;
   // Queries answered by attaching to an identical in-flight execution.
@@ -152,13 +149,14 @@ class QueryService {
                        double timeout_seconds = -1,
                        obs::QueryTrace* trace = nullptr);
 
-  // Online-aggregation rounds for `query`: the progressive executor's
-  // checkpoints over growing sample prefixes, seeded from the canonical query
-  // (same seed as one-shot execution) and shifted by the exact delta fold
-  // when ingest is attached. Rounds are filtered monotone — half_width never
-  // increases from one round to the next. Queries the progressive executor
-  // cannot answer (non-SUM/COUNT, stratified samples) yield an empty round
-  // list with OK status: online mode degrades to one-shot. The caller streams
+  // Online-aggregation rounds for `query`: AqppEngine::ExecuteOnline over
+  // growing sample prefixes, seeded from the canonical query (same seed as
+  // one-shot execution) and shifted by the exact delta fold when ingest is
+  // attached. Rounds are filtered monotone — half_width never increases from
+  // one round to the next. Queries the online path refuses as unstreamable
+  // (MIN/MAX, stratified or biased samples: Unimplemented or
+  // FailedPrecondition) yield an empty round list with OK status: online
+  // mode degrades to one-shot. Any other error is returned. The caller streams
   // these as PROGRESS lines and then runs Execute() for the final answer,
   // dropping any round tighter than the final interval (see docs/ingest.md).
   Status OnlineRounds(uint64_t session_id, const RangeQuery& query,
@@ -208,6 +206,7 @@ class QueryService {
   // sample-mask pass for the whole batch, then per-member engine execution
   // with the precomputed masks. A lone request is a batch of one.
   void RunBatch(std::vector<AdmissionController::Job>& jobs);
+  // The deadline fallback: the first online round under `token`.
   Result<ProgressiveStep> RunProgressive(const CanonicalQuery& canon,
                                          const CancellationToken* token);
   void RecordLatency(double seconds);

@@ -192,7 +192,7 @@ ChaosSchedule ChaosRunner::BuildSchedule() const {
       plan.faults.push_back(catalog[idx]);
     }
     // Roughly every third phase also runs under a tight session deadline so
-    // the worker-latency fault pushes queries into the progressive fallback.
+    // the worker-latency fault pushes queries into the online fallback.
     if (rng.NextBernoulli(0.35)) plan.timeout_ms = 40;
     schedule.phases.push_back(std::move(plan));
   }

@@ -262,10 +262,13 @@ TEST(BatchAdmissionTest, LoneJobWaitsOutTheWindowThenRunsAsBatchOfOne) {
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<AqppEngine> MakePreparedEngine(
-    const std::shared_ptr<Table>& table) {
+    const std::shared_ptr<Table>& table,
+    SamplingMethod sampling = SamplingMethod::kUniform) {
   EngineOptions opts;
   opts.sample_rate = 0.05;
   opts.cube_budget = 64;
+  opts.sampling = sampling;
+  if (sampling == SamplingMethod::kStratified) opts.stratify_columns = {1};
   auto engine = AqppEngine::Create(table, opts);
   AQPP_CHECK_OK(engine.status());
   QueryTemplate tmpl;
@@ -434,12 +437,13 @@ TEST(SingleFlightTest, StaleInsertAfterMidFlightInvalidationIsDropped) {
 
 TEST(SingleFlightTest, FollowerReExecutesWhenLeaderFails) {
   auto table = testutil::MakeSynthetic({.rows = 20000});
-  auto engine = MakePreparedEngine(table);
+  // Over a stratified sample a timed-out query has no online round to fall
+  // back on, so the leader fails with DeadlineExceeded.
+  auto engine = MakePreparedEngine(table, SamplingMethod::kStratified);
 
   Gate gate;
   ServiceOptions sopts;
   sopts.cache.capacity = 0;
-  sopts.progressive_fallback = false;
   sopts.admission.num_workers = 1;
   sopts.admission.worker_hook = gate.hook();
   QueryService service(engine.get(), sopts);

@@ -210,14 +210,18 @@ INSTANTIATE_TEST_SUITE_P(
 //     again streams bit-identical rounds.
 //  3. The last round — the tightest interval the stream commits to — covers
 //     the exact ground truth at a rate inside a calibrated band around the
-//     nominal level.
+//     nominal level, for SUM and for AVG alike.
 TEST(OnlineCoverageTest, RoundsRefineDeterministicallyAndFinalRoundCovers) {
   const int datasets = 6;
   const int per_dataset = 40;
   Rng master = testutil::MakeTestRng(7600);
 
-  int total = 0;
-  int hits = 0;
+  // Per streamed aggregate: SUM through the CLT interval, AVG through the
+  // bootstrap.
+  const AggregateFunction funcs[] = {AggregateFunction::kSum,
+                                     AggregateFunction::kAvg};
+  int total[2] = {0, 0};
+  int hits[2] = {0, 0};
   for (int ds = 0; ds < datasets; ++ds) {
     auto table = MakeSynthetic({.rows = 2500,
                                 .dom1 = 100,
@@ -243,7 +247,6 @@ TEST(OnlineCoverageTest, RoundsRefineDeterministicallyAndFinalRoundCovers) {
 
     for (int t = 0; t < per_dataset; ++t) {
       RangeQuery q;
-      q.func = AggregateFunction::kSum;
       q.agg_column = 2;
       {
         int64_t width = master.NextInt(30, 60);
@@ -255,56 +258,63 @@ TEST(OnlineCoverageTest, RoundsRefineDeterministicallyAndFinalRoundCovers) {
         int64_t lo = master.NextInt(1, 50 - width);
         q.predicate.Add({1, lo, lo + width});
       }
-      double truth = *exact.Execute(q);
+      for (int f = 0; f < 2; ++f) {
+        q.func = funcs[f];
+        SCOPED_TRACE(AggregateFunctionToString(q.func));
+        double truth = *exact.Execute(q);
 
-      std::vector<ProgressiveStep> rounds;
-      ASSERT_TRUE(service.OnlineRounds(sid, q, &rounds).ok());
-      ASSERT_FALSE(rounds.empty());
-      for (size_t i = 0; i < rounds.size(); ++i) {
-        if (i > 0) {
-          EXPECT_LE(rounds[i].ci.half_width, rounds[i - 1].ci.half_width)
-              << "round " << i << " widened";
-          EXPECT_GT(rounds[i].rows_used, rounds[i - 1].rows_used);
-        }
-        if (rounds[i].ci.half_width == 0.0) {
-          EXPECT_EQ(rounds[i].rows_used, sample_rows)
-              << "zero-width round short of the full sample leaked through";
-        }
-      }
-      if (t == 0) {
-        std::vector<ProgressiveStep> again;
-        ASSERT_TRUE(service.OnlineRounds(sid, q, &again).ok());
-        ASSERT_EQ(rounds.size(), again.size());
+        std::vector<ProgressiveStep> rounds;
+        ASSERT_TRUE(service.OnlineRounds(sid, q, &rounds).ok());
+        ASSERT_FALSE(rounds.empty());
         for (size_t i = 0; i < rounds.size(); ++i) {
-          EXPECT_EQ(std::memcmp(&rounds[i].ci.estimate,
-                                &again[i].ci.estimate, sizeof(double)),
-                    0);
-          EXPECT_EQ(std::memcmp(&rounds[i].ci.half_width,
-                                &again[i].ci.half_width, sizeof(double)),
-                    0);
+          if (i > 0) {
+            EXPECT_LE(rounds[i].ci.half_width, rounds[i - 1].ci.half_width)
+                << "round " << i << " widened";
+            EXPECT_GT(rounds[i].rows_used, rounds[i - 1].rows_used);
+          }
+          if (rounds[i].ci.half_width == 0.0) {
+            EXPECT_EQ(rounds[i].rows_used, sample_rows)
+                << "zero-width round short of the full sample leaked through";
+          }
         }
-      }
-      ++total;
-      const auto& last = rounds.back();
-      if (std::fabs(last.ci.estimate - truth) <=
-          last.ci.half_width * (1 + 1e-12) + 1e-9) {
-        ++hits;
+        if (t == 0) {
+          std::vector<ProgressiveStep> again;
+          ASSERT_TRUE(service.OnlineRounds(sid, q, &again).ok());
+          ASSERT_EQ(rounds.size(), again.size());
+          for (size_t i = 0; i < rounds.size(); ++i) {
+            EXPECT_EQ(std::memcmp(&rounds[i].ci.estimate,
+                                  &again[i].ci.estimate, sizeof(double)),
+                      0);
+            EXPECT_EQ(std::memcmp(&rounds[i].ci.half_width,
+                                  &again[i].ci.half_width, sizeof(double)),
+                      0);
+          }
+        }
+        ++total[f];
+        const auto& last = rounds.back();
+        if (std::fabs(last.ci.estimate - truth) <=
+            last.ci.half_width * (1 + 1e-12) + 1e-9) {
+          ++hits[f];
+        }
       }
     }
     service.Stop();
   }
 
-  ASSERT_GT(total, 0);
-  const double cov = static_cast<double>(hits) / total;
-  std::fprintf(stderr, "[coverage] online-rounds n=%d cov=%.3f\n", total, cov);
-  const double nominal = 0.95;
-  const double sd = std::sqrt(nominal * (1 - nominal) / total);
-  // The last round is the full-sample difference estimator under the
-  // identified pre, so it pays the same winner's-curse allowance the main
-  // AQP++ battery grants (see the band rationale above).
-  EXPECT_GE(cov, nominal - 4 * sd - 0.22)
-      << "online final round undercovers: " << cov;
-  EXPECT_LE(cov, 1.0);
+  for (int f = 0; f < 2; ++f) {
+    ASSERT_GT(total[f], 0);
+    const double cov = static_cast<double>(hits[f]) / total[f];
+    std::fprintf(stderr, "[coverage] online-rounds %s n=%d cov=%.3f\n",
+                 AggregateFunctionToString(funcs[f]), total[f], cov);
+    const double nominal = 0.95;
+    const double sd = std::sqrt(nominal * (1 - nominal) / total[f]);
+    // The last round is the full-sample difference estimator under the
+    // identified pre, so it pays the same winner's-curse allowance the main
+    // AQP++ battery grants (see the band rationale above).
+    EXPECT_GE(cov, nominal - 4 * sd - 0.22)
+        << "online final round undercovers: " << cov;
+    EXPECT_LE(cov, 1.0);
+  }
 }
 
 // ---- Shard-merge coverage --------------------------------------------------

@@ -995,15 +995,37 @@ TEST_F(IngestServiceTest, OnlineRoundsAreMonotoneSeededAndShiftWithDelta) {
     EXPECT_TRUE(SameBits(rounds2[i].ci.half_width, rounds1[i].ci.half_width));
   }
 
-  // Aggregates the progressive executor cannot stream degrade to one-shot:
-  // OK with zero rounds.
+  // AVG streams through the same estimator (its bootstrap interval); the
+  // filters still hold.
   std::vector<ProgressiveStep> avg_rounds;
   ASSERT_TRUE(service_
                   ->OnlineRounds(sid_, MakeQuery(AggregateFunction::kAvg, 10,
                                                  90),
                                  &avg_rounds)
                   .ok());
-  EXPECT_TRUE(avg_rounds.empty());
+  ASSERT_FALSE(avg_rounds.empty());
+  for (size_t i = 1; i < avg_rounds.size(); ++i) {
+    EXPECT_LE(avg_rounds[i].ci.half_width, avg_rounds[i - 1].ci.half_width);
+    EXPECT_GT(avg_rounds[i].rows_used, avg_rounds[i - 1].rows_used);
+  }
+}
+
+TEST_F(IngestServiceTest, OnlineRoundsDegradeOnlyForUnstreamableQueries) {
+  // MIN/MAX cannot stream: OK with zero rounds, the caller answers one-shot.
+  std::vector<ProgressiveStep> rounds;
+  ASSERT_TRUE(service_
+                  ->OnlineRounds(sid_, MakeQuery(AggregateFunction::kMax, 10,
+                                                 90),
+                                 &rounds)
+                  .ok());
+  EXPECT_TRUE(rounds.empty());
+
+  // Any other failure is the caller's to see, not an empty stream.
+  RangeQuery bad = MakeQuery(AggregateFunction::kSum, 10, 90);
+  bad.agg_column = 99;
+  Status st = service_->OnlineRounds(sid_, bad, &rounds);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_TRUE(rounds.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@
 #include "exact_scan_oracle.h"
 #include "exec/executor.h"
 #include "kernels/binning.h"
-#include "kernels/elementwise.h"
 #include "kernels/kernels.h"
 #include "kernels/multi_scan.h"
 #include "kernels/scan.h"
@@ -365,24 +364,6 @@ TEST(ExecutorKernelTest, ResultsBitIdenticalAcrossThreadCounts) {
     } else {
       EXPECT_EQ(Bits(got), Bits(reference)) << threads << " threads";
     }
-  }
-}
-
-TEST(ElementwiseKernelTest, MatchesScalarExpressions) {
-  Rng rng(77);
-  const size_t n = 4097;
-  std::vector<double> v(n);
-  std::vector<uint8_t> q(n), p(n);
-  for (size_t i = 0; i < n; ++i) {
-    v[i] = rng.NextGaussian();
-    q[i] = rng.NextBernoulli(0.4);
-    p[i] = rng.NextBernoulli(0.4);
-  }
-  std::vector<double> y(n);
-  kernels::DifferenceSeries(v.data(), q.data(), p.data(), n, y.data());
-  for (size_t i = 0; i < n; ++i) {
-    double diff = static_cast<double>(q[i]) - static_cast<double>(p[i]);
-    EXPECT_EQ(Bits(y[i]), Bits(v[i] * diff));
   }
 }
 

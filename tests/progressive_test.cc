@@ -1,12 +1,15 @@
+// Online aggregation through AqppEngine::ExecuteOnline: every round is the
+// engine's sample estimator over a prefix of one seeded permutation of the
+// sample, so the full round is Execute itself and the early rounds are the
+// same estimator on fewer rows.
+
 #include <cmath>
 #include <cstring>
 
 #include <gtest/gtest.h>
 
-#include "core/progressive.h"
-#include "cube/prefix_cube.h"
+#include "core/engine.h"
 #include "exec/executor.h"
-#include "sampling/samplers.h"
 #include "test_util.h"
 
 namespace aqpp {
@@ -14,220 +17,267 @@ namespace {
 
 using testutil::MakeSynthetic;
 
-class ProgressiveTest : public ::testing::Test {
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+class OnlineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  static void SetUpTestSuite() {
     table_ = MakeSynthetic({.rows = 60000, .dom1 = 100, .dom2 = 50,
                             .seed = 1201});
-    Rng rng(1);
-    sample_ = std::move(CreateUniformSample(*table_, 0.1, rng)).value();
-    PartitionScheme scheme(
-        {DimensionPartition{0, {10, 20, 30, 40, 50, 60, 70, 80, 90, 100}}});
-    cube_ = std::move(PrefixCube::Build(
-                          *table_, scheme,
-                          {MeasureSpec::Sum(2), MeasureSpec::Count(),
-                           MeasureSpec::SumSquares(2)}))
-                .value();
-    executor_ = std::make_unique<ExactExecutor>(table_.get());
+    engine_ = MakeEngine(/*precompute=*/true, SamplingMethod::kUniform);
+    plain_ = MakeEngine(/*precompute=*/false, SamplingMethod::kUniform);
+  }
+  static void TearDownTestSuite() {
+    engine_.reset();
+    plain_.reset();
+    table_.reset();
   }
 
-  RangeQuery SumQuery(int64_t lo, int64_t hi) {
+  // One template, SUM(a) over c1, on a 10-cell cube.
+  static std::unique_ptr<AqppEngine> MakeEngine(bool precompute,
+                                                SamplingMethod sampling) {
+    EngineOptions opts;
+    opts.sample_rate = 0.1;
+    opts.cube_budget = 10;
+    opts.enable_precompute = precompute;
+    opts.sampling = sampling;
+    if (sampling == SamplingMethod::kStratified) opts.stratify_columns = {1};
+    auto engine = std::move(AqppEngine::Create(table_, opts)).value();
+    QueryTemplate tmpl;
+    tmpl.agg_column = 2;
+    tmpl.condition_columns = {0};
+    AQPP_CHECK_OK(engine->Prepare(tmpl));
+    return engine;
+  }
+
+  // The cube's c1 cut at 1-based index `idx`.
+  static int64_t Cut(size_t idx) {
+    return engine_->cube()->scheme().dim(0).CutValue(idx);
+  }
+
+  static RangeQuery Query(AggregateFunction func, size_t agg_column,
+                          int64_t lo, int64_t hi) {
     RangeQuery q;
-    q.func = AggregateFunction::kSum;
-    q.agg_column = 2;
+    q.func = func;
+    q.agg_column = agg_column;
     q.predicate.Add({0, lo, hi});
     return q;
   }
 
-  std::shared_ptr<Table> table_;
-  Sample sample_;
-  std::shared_ptr<PrefixCube> cube_;
-  std::unique_ptr<ExactExecutor> executor_;
+  // Broad and misaligned: identification picks a non-phi pre.
+  static RangeQuery PreQuery(AggregateFunction func) {
+    return Query(func, 2, Cut(2) + 3, Cut(7) - 2);
+  }
+  // Two values deep inside one cube cell: every candidate box adds far more
+  // difference rows than the query has, so identification keeps phi.
+  static RangeQuery PhiQuery(AggregateFunction func) {
+    return Query(func, 2, Cut(4) + 4, Cut(4) + 5);
+  }
+
+  static Result<std::vector<ProgressiveStep>> Online(
+      AqppEngine& engine, const RangeQuery& q, uint64_t seed,
+      const CancellationToken* cancel = nullptr) {
+    ExecuteControl control;
+    control.seed = seed;
+    control.record = false;
+    control.cancel = cancel;
+    return engine.ExecuteOnline(q, control);
+  }
+
+  static Result<ApproximateResult> Once(AqppEngine& engine,
+                                        const RangeQuery& q, uint64_t seed) {
+    ExecuteControl control;
+    control.seed = seed;
+    control.record = false;
+    return engine.Execute(q, control);
+  }
+
+  static inline std::shared_ptr<Table> table_;
+  static inline std::unique_ptr<AqppEngine> engine_;
+  static inline std::unique_ptr<AqppEngine> plain_;
 };
 
-TEST_F(ProgressiveTest, IntervalsTightenAsRowsAreConsumed) {
-  ProgressiveExecutor exec(&sample_, nullptr);
-  Rng rng(2);
-  auto steps = exec.Run(SumQuery(15, 65), rng);
-  ASSERT_TRUE(steps.ok()) << steps.status();
-  ASSERT_GE(steps->size(), 5u);
-  for (size_t i = 1; i < steps->size(); ++i) {
-    EXPECT_GT((*steps)[i].rows_used, (*steps)[i - 1].rows_used);
-  }
-  // Widths should shrink roughly as 1/sqrt(rows): the last step must be far
-  // tighter than the first, and monotone within noise.
-  EXPECT_LT(steps->back().ci.half_width,
-            steps->front().ci.half_width * 0.4);
-  EXPECT_EQ(steps->back().rows_used, sample_.size());
+constexpr AggregateFunction kStreamable[] = {
+    AggregateFunction::kSum, AggregateFunction::kCount,
+    AggregateFunction::kAvg, AggregateFunction::kVar};
+
+TEST_F(OnlineTest, QueriesExercisePrePhiAndNoTemplate) {
+  auto with_pre = Once(*engine_, PreQuery(AggregateFunction::kSum), 5);
+  ASSERT_TRUE(with_pre.ok()) << with_pre.status();
+  EXPECT_TRUE(with_pre->used_pre);
+  auto phi = Once(*engine_, PhiQuery(AggregateFunction::kSum), 5);
+  ASSERT_TRUE(phi.ok()) << phi.status();
+  EXPECT_FALSE(phi->used_pre);
+  EXPECT_EQ(engine_->RouteFor(Query(AggregateFunction::kSum, 1, 10, 60)), -1);
 }
 
-TEST_F(ProgressiveTest, FinalStepMatchesOneShotEstimator) {
-  ProgressiveExecutor exec(&sample_, nullptr);
-  Rng rng(3);
-  RangeQuery q = SumQuery(20, 70);
-  auto steps = exec.Run(q, rng);
-  ASSERT_TRUE(steps.ok());
-  SampleEstimator est(&sample_);
-  Rng rng2(4);
-  auto one_shot = est.EstimateDirect(q, rng2);
-  ASSERT_TRUE(one_shot.ok());
-  // Same rows, same formula: identical estimate and interval.
-  EXPECT_NEAR(steps->back().ci.estimate, one_shot->estimate,
-              std::fabs(one_shot->estimate) * 1e-9);
-  EXPECT_NEAR(steps->back().ci.half_width, one_shot->half_width,
-              one_shot->half_width * 1e-9);
-}
-
-TEST_F(ProgressiveTest, CubeShrinksEveryCheckpoint) {
-  RangeQuery q = SumQuery(12, 78);  // misaligned: difference estimation
-  ProgressiveExecutor plain(&sample_, nullptr);
-  ProgressiveExecutor with_cube(&sample_, cube_.get());
-  Rng rng_a(5), rng_b(5);
-  auto plain_steps = plain.Run(q, rng_a);
-  auto cube_steps = with_cube.Run(q, rng_b);
-  ASSERT_TRUE(plain_steps.ok());
-  ASSERT_TRUE(cube_steps.ok());
-  ASSERT_EQ(plain_steps->size(), cube_steps->size());
-  size_t tighter = 0;
-  for (size_t i = 0; i < plain_steps->size(); ++i) {
-    if ((*cube_steps)[i].ci.half_width <
-        (*plain_steps)[i].ci.half_width * 0.9) {
-      ++tighter;
+TEST_F(OnlineTest, FullRoundIsExecuteBitForBit) {
+  for (AggregateFunction func : kStreamable) {
+    const std::vector<std::pair<AqppEngine*, RangeQuery>> cases = {
+        {engine_.get(), PreQuery(func)},
+        {engine_.get(), PhiQuery(func)},
+        // No template on c2; COUNT has none on the plain engine.
+        {engine_.get(), Query(func, 1, 10, 60)},
+        {plain_.get(), Query(func, 2, 10, 60)},
+    };
+    for (size_t c = 0; c < cases.size(); ++c) {
+      AqppEngine& engine = *cases[c].first;
+      const RangeQuery& q = cases[c].second;
+      SCOPED_TRACE(std::string(AggregateFunctionToString(func)) + " case " +
+                   std::to_string(c));
+      for (uint64_t seed : {3u, 77u}) {
+        auto once = Once(engine, q, seed);
+        auto steps = Online(engine, q, seed);
+        ASSERT_TRUE(once.ok()) << once.status();
+        ASSERT_TRUE(steps.ok()) << steps.status();
+        ASSERT_EQ(steps->size(), 7u);
+        const ProgressiveStep& full = steps->back();
+        EXPECT_EQ(full.rows_used, engine.sample().size());
+        EXPECT_TRUE(SameBits(full.ci.estimate, once->ci.estimate));
+        EXPECT_TRUE(SameBits(full.ci.half_width, once->ci.half_width));
+        EXPECT_TRUE(SameBits(full.ci.level, once->ci.level));
+      }
     }
   }
-  // The pre helps at (essentially) every checkpoint.
-  EXPECT_GE(tighter, plain_steps->size() - 1);
 }
 
-TEST_F(ProgressiveTest, TruthCoveredAlongTheStream) {
-  RangeQuery q = SumQuery(25, 75);
-  double truth = *executor_->Execute(q);
-  ProgressiveExecutor exec(&sample_, cube_.get());
-  Rng rng(6);
-  auto steps = exec.Run(q, rng);
-  ASSERT_TRUE(steps.ok());
-  size_t covered = 0;
-  for (const auto& s : *steps) {
-    if (s.ci.Contains(truth)) ++covered;
+TEST_F(OnlineTest, RoundsFollowTheGeometricScheduleAndTighten) {
+  const size_t n = engine_->sample().size();
+  for (AggregateFunction func : kStreamable) {
+    auto steps = Online(*plain_, Query(func, 2, 15, 65), 2);
+    ASSERT_TRUE(steps.ok()) << steps.status();
+    ASSERT_EQ(steps->size(), 7u);
+    for (size_t i = 0; i < steps->size(); ++i) {
+      const double f = std::ldexp(1.0, static_cast<int>(i) - 6);
+      EXPECT_EQ((*steps)[i].rows_used,
+                static_cast<size_t>(std::llround(f * static_cast<double>(n))));
+    }
+    EXPECT_LT(steps->back().ci.half_width,
+              steps->front().ci.half_width * 0.4)
+        << AggregateFunctionToString(func);
   }
-  // 95% coverage per step; allow one miss along the stream.
-  EXPECT_GE(covered + 1, steps->size());
 }
 
-TEST_F(ProgressiveTest, CustomCheckpoints) {
-  ProgressiveOptions opts;
-  opts.checkpoints = {0.5, 0.1, 1.0};  // unsorted on purpose
-  ProgressiveExecutor exec(&sample_, nullptr, opts);
-  Rng rng(7);
-  auto steps = exec.Run(SumQuery(30, 60), rng);
-  ASSERT_TRUE(steps.ok());
-  ASSERT_EQ(steps->size(), 3u);
-  EXPECT_EQ((*steps)[0].rows_used, sample_.size() / 10);
-  EXPECT_EQ((*steps)[1].rows_used, sample_.size() / 2);
-  EXPECT_EQ((*steps)[2].rows_used, sample_.size());
+// COUNT over a prefix estimates N/m times the prefix's matching rows, so the
+// matching-row count k_r can be read back from every round. Nested prefixes
+// make k_r non-decreasing, growing by at most the rows each round adds; an
+// independent draw per round would break that across these queries.
+TEST_F(OnlineTest, RoundsAreNestedPrefixes) {
+  const double population = static_cast<double>(table_->num_rows());
+  for (int64_t lo = 1; lo <= 91; lo += 10) {
+    RangeQuery q = Query(AggregateFunction::kCount, 2, lo, lo + 4);
+    auto steps = Online(*plain_, q, 11);
+    ASSERT_TRUE(steps.ok()) << steps.status();
+    long long prev_k = 0;
+    size_t prev_m = 0;
+    for (const ProgressiveStep& s : *steps) {
+      const long long k = std::llround(
+          s.ci.estimate * static_cast<double>(s.rows_used) / population);
+      EXPECT_GE(k, prev_k) << "lo=" << lo << " m=" << s.rows_used;
+      EXPECT_LE(k - prev_k, static_cast<long long>(s.rows_used - prev_m));
+      prev_k = k;
+      prev_m = s.rows_used;
+    }
+  }
 }
 
-TEST_F(ProgressiveTest, RejectsUnsupportedInputs) {
-  ProgressiveExecutor exec(&sample_, nullptr);
-  Rng rng(8);
-  RangeQuery avg = SumQuery(10, 50);
-  avg.func = AggregateFunction::kAvg;
-  EXPECT_EQ(exec.Run(avg, rng).status().code(), StatusCode::kUnimplemented);
+TEST_F(OnlineTest, SameSeedSameBitsDifferentSeedDifferentStream) {
+  for (AggregateFunction func : kStreamable) {
+    RangeQuery q = PreQuery(func);
+    auto s1 = Online(*engine_, q, 42);
+    auto s2 = Online(*engine_, q, 42);
+    auto s3 = Online(*engine_, q, 43);
+    ASSERT_TRUE(s1.ok() && s2.ok() && s3.ok());
+    ASSERT_EQ(s1->size(), s2->size());
+    for (size_t i = 0; i < s1->size(); ++i) {
+      EXPECT_EQ((*s1)[i].rows_used, (*s2)[i].rows_used);
+      EXPECT_TRUE(SameBits((*s1)[i].ci.estimate, (*s2)[i].ci.estimate));
+      EXPECT_TRUE(SameBits((*s1)[i].ci.half_width, (*s2)[i].ci.half_width));
+    }
+    // Another seed draws another order, so an early round differs.
+    bool any_diff = false;
+    for (size_t i = 0; i + 1 < s1->size(); ++i) {
+      any_diff |= !SameBits((*s1)[i].ci.estimate, (*s3)[i].ci.estimate);
+    }
+    EXPECT_TRUE(any_diff) << AggregateFunctionToString(func);
+  }
+}
 
-  RangeQuery grouped = SumQuery(10, 50);
+TEST_F(OnlineTest, StoppedTokenYieldsExactlyTheFirstRound) {
+  CancellationToken stopped;
+  stopped.Cancel();
+  for (AggregateFunction func : kStreamable) {
+    RangeQuery q = PreQuery(func);
+    auto first = Online(*engine_, q, 9, &stopped);
+    auto all = Online(*engine_, q, 9);
+    ASSERT_TRUE(first.ok()) << first.status();
+    ASSERT_TRUE(all.ok()) << all.status();
+    ASSERT_EQ(first->size(), 1u);
+    EXPECT_EQ(first->front().rows_used, all->front().rows_used);
+    EXPECT_LT(first->front().rows_used, engine_->sample().size());
+    EXPECT_TRUE(SameBits(first->front().ci.estimate, all->front().ci.estimate));
+    EXPECT_TRUE(
+        SameBits(first->front().ci.half_width, all->front().ci.half_width));
+  }
+}
+
+TEST_F(OnlineTest, RefusesWhatCannotStream) {
+  auto stratified = MakeEngine(/*precompute=*/true,
+                               SamplingMethod::kStratified);
+  EXPECT_EQ(Online(*stratified, PreQuery(AggregateFunction::kSum), 1)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Online(*engine_, PreQuery(AggregateFunction::kMax), 1)
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
+  RangeQuery grouped = PreQuery(AggregateFunction::kSum);
   grouped.group_by = {1};
-  EXPECT_FALSE(exec.Run(grouped, rng).ok());
-
-  Rng srng(9);
-  auto stratified =
-      std::move(CreateStratifiedSample(*table_, {1}, 0.05, srng)).value();
-  ProgressiveExecutor strat_exec(&stratified, nullptr);
-  EXPECT_FALSE(strat_exec.Run(SumQuery(10, 50), srng).ok());
+  EXPECT_EQ(Online(*engine_, grouped, 1).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
-// ---- Online-stream contract -------------------------------------------------
-//
-// MODE ONLINE streams these steps over the wire, so the executor's
-// determinism and its zero-width semantics are load-bearing service
-// contracts, pinned here at the core level (tests/ingest_test.cc pins the
-// TCP end of the same contracts).
-
-TEST_F(ProgressiveTest, SameSeedSameBitsDifferentSeedDifferentStream) {
-  RangeQuery q = SumQuery(18, 72);
-  ProgressiveExecutor exec(&sample_, cube_.get());
-  Rng a(42), b(42), c(43);
-  auto s1 = exec.Run(q, a);
-  auto s2 = exec.Run(q, b);
-  auto s3 = exec.Run(q, c);
-  ASSERT_TRUE(s1.ok() && s2.ok() && s3.ok());
-  ASSERT_EQ(s1->size(), s2->size());
-  for (size_t i = 0; i < s1->size(); ++i) {
-    // Same seed, same consumption order: bit-identical checkpoints.
-    EXPECT_EQ((*s1)[i].rows_used, (*s2)[i].rows_used);
-    EXPECT_EQ(std::memcmp(&(*s1)[i].ci.estimate, &(*s2)[i].ci.estimate,
-                          sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(&(*s1)[i].ci.half_width, &(*s2)[i].ci.half_width,
-                          sizeof(double)),
-              0);
-  }
-  // A different seed permutes consumption, so some intermediate checkpoint
-  // must differ. (The full-sample step is excluded: it sums the same
-  // multiset, merely in a different order.)
-  bool any_diff = false;
-  for (size_t i = 0; i + 1 < std::min(s1->size(), s3->size()); ++i) {
-    if ((*s1)[i].ci.estimate != (*s3)[i].ci.estimate ||
-        (*s1)[i].ci.half_width != (*s3)[i].ci.half_width) {
-      any_diff = true;
+TEST_F(OnlineTest, AlignedQueryStreamsExactZeroWidthRounds) {
+  // (Cut(2), Cut(6)] is a union of whole cube cells: the difference support
+  // is empty in every prefix, so each round reports the exact pre with zero
+  // width. QueryService::OnlineRounds relies on this when it treats a zero
+  // width short of the full sample as "no evidence yet" for misaligned
+  // queries.
+  ExactExecutor exact(table_.get());
+  for (AggregateFunction func : {AggregateFunction::kSum,
+                                 AggregateFunction::kCount}) {
+    RangeQuery q = Query(func, 2, Cut(2) + 1, Cut(6));
+    const double truth = *exact.Execute(q);
+    auto steps = Online(*engine_, q, 10);
+    ASSERT_TRUE(steps.ok()) << steps.status();
+    ASSERT_EQ(steps->size(), 7u);
+    for (const ProgressiveStep& s : *steps) {
+      EXPECT_EQ(s.ci.half_width, 0.0);
+      EXPECT_NEAR(s.ci.estimate, truth, std::fabs(truth) * 1e-9);
     }
   }
-  EXPECT_TRUE(any_diff);
 }
 
-TEST_F(ProgressiveTest, AlignedQueryStreamsExactZeroWidthSteps) {
-  // [21, 80] is (20, 80] in half-open form — exactly two cube cuts, so the
-  // difference series is identically zero. Every checkpoint reports the pre
-  // with zero width, and that pre IS the exact answer. This is the semantic
-  // QueryService::OnlineRounds relies on when it treats a zero width short
-  // of the full sample as "no evidence yet" for misaligned queries: a
-  // zero-width FULL-sample step, by contrast, certifies exactness.
-  RangeQuery q = SumQuery(21, 80);
-  double truth = *executor_->Execute(q);
-  ProgressiveExecutor exec(&sample_, cube_.get());
-  Rng rng(10);
-  auto steps = exec.Run(q, rng);
-  ASSERT_TRUE(steps.ok());
-  ASSERT_FALSE(steps->empty());
-  for (const auto& s : *steps) {
-    EXPECT_EQ(s.ci.half_width, 0.0);
-    EXPECT_NEAR(s.ci.estimate, truth, std::fabs(truth) * 1e-9);
+TEST_F(OnlineTest, PreTightensEveryRoundAndTheStreamCovers) {
+  ExactExecutor exact(table_.get());
+  RangeQuery q = PreQuery(AggregateFunction::kSum);
+  const double truth = *exact.Execute(q);
+  auto plain = Online(*plain_, q, 6);
+  auto aqpp = Online(*engine_, q, 6);
+  ASSERT_TRUE(plain.ok() && aqpp.ok());
+  ASSERT_EQ(plain->size(), aqpp->size());
+  size_t tighter = 0;
+  size_t covered = 0;
+  for (size_t i = 0; i < aqpp->size(); ++i) {
+    if ((*aqpp)[i].ci.half_width < (*plain)[i].ci.half_width * 0.9) ++tighter;
+    if ((*aqpp)[i].ci.Contains(truth)) ++covered;
   }
-  EXPECT_EQ(steps->back().rows_used, sample_.size());
-}
-
-TEST_F(ProgressiveTest, MisalignedStreamEndsWithHonestNonzeroWidth) {
-  // Misaligned by one on each edge: a small difference region. Early
-  // checkpoints may consume no difference rows (zero width, pre-only
-  // estimate), but the full-sample step must carry a real interval that
-  // covers the truth.
-  RangeQuery q = SumQuery(12, 78);
-  double truth = *executor_->Execute(q);
-  ProgressiveExecutor exec(&sample_, cube_.get());
-  Rng rng(11);
-  auto steps = exec.Run(q, rng);
-  ASSERT_TRUE(steps.ok());
-  ASSERT_FALSE(steps->empty());
-  const auto& last = steps->back();
-  EXPECT_EQ(last.rows_used, sample_.size());
-  EXPECT_GT(last.ci.half_width, 0.0);
-  EXPECT_TRUE(last.ci.Contains(truth));
-  // Any zero-width step short of the full sample is a pre-only report: its
-  // estimate equals the pre constant, not some third value.
-  for (const auto& s : *steps) {
-    if (s.rows_used < sample_.size() && s.ci.half_width == 0.0) {
-      EXPECT_EQ(s.ci.estimate, (*steps)[0].ci.estimate);
-    }
-  }
+  EXPECT_GE(tighter, aqpp->size() - 1);
+  // 95% per round; allow one miss along the stream.
+  EXPECT_GE(covered + 1, aqpp->size());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Admission control and deadlines: bounded queues, explicit backpressure,
-// round-robin fairness, Stop() draining, and progressive partial answers
-// when a deadline fires mid-flight.
+// round-robin fairness, Stop() draining, and partial answers from the first
+// online round when a deadline fires mid-flight.
 
 #include <gtest/gtest.h>
 
@@ -307,39 +307,60 @@ TEST(ServiceDeadlineTest, FallbackOnAnotherMeasureAnswersWithoutACube) {
   ASSERT_TRUE(timed.status.ok()) << timed.status.ToString();
   ASSERT_TRUE(timed.partial);
 
-  // The fallback is the plain progressive prefix over the sample (the first
-  // checkpoint, since the token had already stopped), never a difference
-  // against the cube's sums of `a`.
+  // The fallback is the engine's first online round under the same seed:
+  // plain AQP over a 1/64 prefix, never a difference against the cube's sums
+  // of `a`.
   CanonicalQuery canon = QueryCanonicalizer(table.get()).Canonicalize(q);
-  ProgressiveExecutor plain(&engine->sample(), nullptr);
-  Rng rng(canon.seed);
   CancellationToken stopped;
   stopped.Cancel();
-  auto steps = plain.Run(canon.query, rng, &stopped);
+  ExecuteControl control;
+  control.cancel = &stopped;
+  control.seed = canon.seed;
+  control.record = false;
+  auto steps = engine->ExecuteOnline(canon.query, control);
   ASSERT_TRUE(steps.ok()) << steps.status();
   ASSERT_EQ(steps->size(), 1u);
   EXPECT_EQ(timed.partial_rows_used, steps->back().rows_used);
   EXPECT_EQ(timed.ci.estimate, steps->back().ci.estimate);
   EXPECT_EQ(timed.ci.half_width, steps->back().ci.half_width);
+  EXPECT_FALSE(timed.used_pre);
 }
 
-TEST(ServiceDeadlineTest, FallbackDisabledReportsDeadlineExceeded) {
+// A timed-out query the online path refuses — MIN/MAX, or any query over a
+// stratified sample — has no partial answer and reports DeadlineExceeded.
+TEST(ServiceDeadlineTest, OnlineRefusedQueryReportsDeadlineExceeded) {
   auto table = testutil::MakeSynthetic({.rows = 20000});
+  EngineOptions stratified;
+  stratified.sample_rate = 0.05;
+  stratified.cube_budget = 64;
+  stratified.sampling = SamplingMethod::kStratified;
+  stratified.stratify_columns = {1};
+  auto strat_engine = std::move(AqppEngine::Create(table, stratified)).value();
+  QueryTemplate tmpl;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0, 1};
+  ASSERT_TRUE(strat_engine->Prepare(tmpl).ok());
+
+  RangeQuery max_q = SumQuery();
+  max_q.func = AggregateFunction::kMax;
   auto engine = MakePreparedEngine(table);
+  const std::vector<std::pair<AqppEngine*, RangeQuery>> cases = {
+      {engine.get(), max_q}, {strat_engine.get(), SumQuery()}};
+  for (const auto& [eng, query] : cases) {
+    ServiceOptions sopts;
+    sopts.cache.capacity = 0;
+    sopts.admission.num_workers = 1;
+    sopts.admission.worker_hook = [] { std::this_thread::sleep_for(30ms); };
+    QueryService service(eng, sopts);
+    auto session = service.sessions().Open("");
+    ASSERT_TRUE(session.ok());
 
-  ServiceOptions sopts;
-  sopts.cache.capacity = 0;
-  sopts.progressive_fallback = false;
-  sopts.admission.num_workers = 1;
-  sopts.admission.worker_hook = [] { std::this_thread::sleep_for(30ms); };
-  QueryService service(engine.get(), sopts);
-  auto session = service.sessions().Open("");
-  ASSERT_TRUE(session.ok());
-
-  QueryOutcome out = service.Execute((*session)->id(), SumQuery(), 0.001);
-  EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(out.partial);
-  EXPECT_EQ(service.stats().timed_out, 1u);
+    QueryOutcome out = service.Execute((*session)->id(), query, 0.001);
+    EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_FALSE(out.partial);
+    EXPECT_EQ(service.stats().timed_out, 1u);
+    EXPECT_EQ(service.stats().partial, 0u);
+  }
 }
 
 TEST(ServiceBackpressureTest, SaturationRejectsWithRetryAfterNotHang) {
