@@ -5,7 +5,11 @@
 //   (a) exact-path scatter+merge latency at 1/2/4/8 shards over the same
 //       table, with bit-identity of every merged COUNT/SUM/AVG/VAR answer
 //       against the single-table exact executor asserted per query;
-//   (b) sampled-path (stratified-by-shard) merged latency at each width;
+//   (b) sampled-path (stratified-by-shard) merged latency at each width,
+//       in process and over TCP: one WorkerServer per shard on loopback and
+//       a ShardCoordinator answering each query end to end (canonicalize,
+//       scatter over pooled connections, merge), every answer checked
+//       bit-identical to LocalShardGroup::Query for the same seed;
 //   (c) a degradation drill: one shard killed, answer must come back
 //       flagged with a CI at least as wide as the full answer's.
 //
@@ -17,9 +21,9 @@
 // Usage:
 //   bench_shard [--preset smoke|full] [--rows N] [--queries Q]
 //               [--out PATH] [--check]
-// --check exits nonzero if any merged exact answer is not bit-identical,
-// the 4-shard exact scatter does not beat one shard by >= 1.2x, or the
-// degradation drill violates its invariants. The speedup gate applies only
+// --check exits nonzero if any merged exact answer or TCP sample answer is
+// not bit-identical, the 4-shard exact scatter does not beat one shard by
+// >= 1.2x, or the degradation drill violates its invariants. The speedup gate applies only
 // in the full preset on a machine with >= 4 hardware threads: at smoke
 // scale the per-shard scan is ~1 ms and thread-spawn overhead swamps the
 // parallelism, and on a 1-2 core box thread-per-shard scatter cannot beat a
@@ -31,6 +35,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,8 +46,11 @@
 #include "common/timer.h"
 #include "exec/executor.h"
 #include "kernels/kernels.h"
+#include "service/result_cache.h"
+#include "shard/coordinator.h"
 #include "shard/local_group.h"
 #include "shard/partial.h"
+#include "shard/worker_server.h"
 #include "workload/tpcd_skew.h"
 
 namespace aqpp {
@@ -61,9 +69,62 @@ struct WidthResult {
   size_t shards = 0;
   double exact_ms_mean = 0;
   double sample_ms_mean = 0;
+  double tcp_sample_ms_mean = 0;
   double speedup_vs_1 = 0;
   bool bit_identical = true;
+  bool tcp_bit_identical = true;
 };
+
+// Sample-mode answers over real sockets: one WorkerServer per shard and a
+// coordinator answering each query through Query(). Each answer must equal
+// the in-process group's merge of the same canonical query and seed.
+// Returns false on a setup or query error.
+bool TimeOverTcp(const shard::LocalShardGroup& group, const Table& table,
+                 const std::vector<RangeQuery>& workload, WidthResult* r) {
+  std::vector<std::unique_ptr<shard::WorkerServer>> servers;
+  std::vector<std::vector<shard::ReplicaEndpoint>> endpoints;
+  for (size_t i = 0; i < group.num_shards(); ++i) {
+    auto server = std::make_unique<shard::WorkerServer>(&group.worker(i));
+    if (Status st = server->Start(); !st.ok()) {
+      std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+      return false;
+    }
+    endpoints.push_back({{.host = "127.0.0.1", .port = server->port()}});
+    servers.push_back(std::move(server));
+  }
+  shard::ShardCoordinator coordinator(endpoints);
+  if (Status st = coordinator.Connect(); !st.ok()) {
+    std::fprintf(stderr, "error: %s\n", st.ToString().c_str());
+    return false;
+  }
+  shard::MergeOptions merge{.mode = shard::MergeMode::kSample};
+  merge.confidence_level = coordinator.options().confidence_level;
+  merge.total_rows = coordinator.total_rows();
+  QueryCanonicalizer canonicalizer(&table);
+  double total = 0;
+  for (const RangeQuery& q : workload) {
+    Timer timer;
+    auto answer = coordinator.Query(q);
+    total += timer.ElapsedSeconds();
+    if (!answer.ok()) {
+      std::fprintf(stderr, "error: %s\n", answer.status().ToString().c_str());
+      return false;
+    }
+    const CanonicalQuery canon = canonicalizer.Canonicalize(q);
+    auto local = group.Query(canon.query, {.sample = true}, answer->seed,
+                             merge);
+    if (!local.ok() || answer->cache_hit || answer->merged.degraded ||
+        canon.seed != answer->seed ||
+        !SameBits(local->ci.estimate, answer->merged.ci.estimate) ||
+        !SameBits(local->ci.half_width, answer->merged.ci.half_width)) {
+      r->tcp_bit_identical = false;
+      std::fprintf(stderr, "TCP MISMATCH: %zu shards, query %s\n",
+                   group.num_shards(), q.ToString(table.schema()).c_str());
+    }
+  }
+  r->tcp_sample_ms_mean = 1e3 * total / static_cast<double>(workload.size());
+  return true;
+}
 
 std::vector<RangeQuery> MakeWorkload(size_t count, uint64_t seed) {
   // COUNT/SUM/AVG/VAR round-robin over random ship-date windows (~10-40% of
@@ -207,11 +268,14 @@ int main(int argc, char** argv) {
         1e3 * sample_total / static_cast<double>(workload.size());
     if (shards == 1) one_shard_exact_ms = r.exact_ms_mean;
     r.speedup_vs_1 = one_shard_exact_ms / r.exact_ms_mean;
+    if (!TimeOverTcp(group, *table, workload, &r)) return 1;
+    all_identical = all_identical && r.tcp_bit_identical;
     std::fprintf(stderr,
                  "  %zu shards: exact %.2f ms (%.2fx vs 1), sample %.3f ms, "
-                 "bit_identical=%d\n",
+                 "tcp sample %.3f ms, bit_identical=%d tcp_bit_identical=%d\n",
                  shards, r.exact_ms_mean, r.speedup_vs_1, r.sample_ms_mean,
-                 r.bit_identical ? 1 : 0);
+                 r.tcp_sample_ms_mean, r.bit_identical ? 1 : 0,
+                 r.tcp_bit_identical ? 1 : 0);
     results.push_back(r);
   }
 
@@ -266,10 +330,12 @@ int main(int argc, char** argv) {
     const WidthResult& r = results[i];
     out << StrFormat(
         "    {\"shards\": %zu, \"exact_ms_mean\": %.3f, "
-        "\"sample_ms_mean\": %.3f, \"speedup_vs_1\": %.2f, "
-        "\"bit_identical\": %s}%s\n",
-        r.shards, r.exact_ms_mean, r.sample_ms_mean, r.speedup_vs_1,
-        r.bit_identical ? "true" : "false",
+        "\"sample_ms_mean\": %.3f, \"tcp_sample_ms_mean\": %.3f, "
+        "\"speedup_vs_1\": %.2f, \"bit_identical\": %s, "
+        "\"tcp_bit_identical\": %s}%s\n",
+        r.shards, r.exact_ms_mean, r.sample_ms_mean, r.tcp_sample_ms_mean,
+        r.speedup_vs_1, r.bit_identical ? "true" : "false",
+        r.tcp_bit_identical ? "true" : "false",
         i + 1 < results.size() ? "," : "");
   }
   out << "  ],\n";
@@ -284,7 +350,9 @@ int main(int argc, char** argv) {
   if (check) {
     int rc = 0;
     if (!all_identical) {
-      std::fprintf(stderr, "CHECK FAILED: merged exact answers drifted\n");
+      std::fprintf(stderr,
+                   "CHECK FAILED: merged exact or TCP sample answers "
+                   "drifted\n");
       rc = 1;
     }
     if (!smoke && hw_threads >= 4 && speedup4 < 1.2) {

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -143,7 +144,7 @@ Result<std::string> ServiceClient::ReadLine() {
   }
 }
 
-Status ServiceClient::SendLine(const std::string& request_line) {
+Status ServiceClient::Send(const std::string& request_line) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
   std::string line = request_line;
   line += '\n';
@@ -160,10 +161,22 @@ Status ServiceClient::SendLine(const std::string& request_line) {
   return Status::OK();
 }
 
-Result<Response> ServiceClient::Call(const std::string& request_line) {
-  AQPP_RETURN_NOT_OK(SendLine(request_line));
+Result<Response> ServiceClient::Receive() {
   AQPP_ASSIGN_OR_RETURN(std::string reply, ReadLine());
   return ParseResponse(reply);
+}
+
+Result<Response> ServiceClient::Call(const std::string& request_line) {
+  AQPP_RETURN_NOT_OK(Send(request_line));
+  return Receive();
+}
+
+bool ServiceClient::Reusable() const {
+  if (fd_ < 0 || !buffer_.empty()) return false;
+  // An idle connection has nothing to read: readability here means EOF, a
+  // reset, or bytes no request asked for.
+  pollfd pfd{.fd = fd_, .events = POLLIN, .revents = 0};
+  return ::poll(&pfd, 1, 0) == 0;
 }
 
 Status ServiceClient::SetRecvTimeout(double seconds) {
@@ -227,14 +240,14 @@ Status ServiceClient::SetMode(const std::string& mode) {
 Result<QueryReply> ServiceClient::QueryOnline(
     const std::string& sql,
     const std::function<bool(const ProgressLine&)>& on_progress) {
-  AQPP_RETURN_NOT_OK(SendLine("QUERY " + sql));
+  AQPP_RETURN_NOT_OK(Send("QUERY " + sql));
   bool cancel_sent = false;
   for (;;) {
     AQPP_ASSIGN_OR_RETURN(std::string line, ReadLine());
     if (line.rfind("PROGRESS", 0) == 0) {
       AQPP_ASSIGN_OR_RETURN(ProgressLine p, ParseProgressLine(line));
       if (on_progress && !on_progress(p) && !cancel_sent) {
-        AQPP_RETURN_NOT_OK(SendLine("CANCEL"));
+        AQPP_RETURN_NOT_OK(Send("CANCEL"));
         cancel_sent = true;
       }
       continue;

@@ -102,8 +102,17 @@ class ServiceClient {
   ServiceClient(const ServiceClient&) = delete;
   ServiceClient& operator=(const ServiceClient&) = delete;
 
-  // Sends one request line and reads one response line.
+  // Sends one request line and reads one response line: Send, then Receive.
   Result<Response> Call(const std::string& request_line);
+
+  // The halves of Call, for a caller that keeps requests in flight on
+  // several connections at once. Receive waits up to the recv timeout.
+  Status Send(const std::string& request_line);
+  Result<Response> Receive();
+
+  // True when the connection can carry a new request: it is open, holds no
+  // unread bytes, and the peer has not closed it. Does not block.
+  bool Reusable() const;
 
   // Caps how long a blocking read on this connection may wait (SO_RCVTIMEO;
   // <= 0 restores "wait forever"). A timed-out Call returns
@@ -164,7 +173,6 @@ class ServiceClient {
 
  private:
   Result<std::string> ReadLine();
-  Status SendLine(const std::string& line);
 
   int fd_ = -1;
   std::string buffer_;

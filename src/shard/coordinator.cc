@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
-#include <thread>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "obs/metrics.h"
-#include "service/client.h"
 #include "service/ingest_wire.h"
 #include "shard/partition.h"
 
@@ -25,6 +22,7 @@ struct CoordMetrics {
   obs::Counter* failovers;
   obs::Counter* shard_failures;
   obs::Counter* degraded;
+  obs::Counter* connections_opened;
   static const CoordMetrics& Get() {
     auto& reg = obs::Registry::Global();
     static const CoordMetrics m = {
@@ -39,6 +37,9 @@ struct CoordMetrics {
         reg.GetCounter("aqpp_coord_degraded_total", "",
                        "Merged answers returned in degraded (partial) "
                        "form."),
+        reg.GetCounter("aqpp_coord_connections_opened_total", "",
+                       "Connections opened to shard workers; the rest of "
+                       "the fetches reuse pooled ones."),
     };
     return m;
   }
@@ -63,13 +64,6 @@ struct CoordIngestMetrics {
     return m;
   }
 };
-
-obs::Histogram* ShardLatency(uint32_t shard_index) {
-  return obs::Registry::Global().GetHistogram(
-      "aqpp_coord_shard_seconds",
-      StrFormat("shard=\"%u\"", shard_index), {},
-      "Per-shard PARTIAL round-trip seconds as seen by the coordinator.");
-}
 
 Status WireError(const Response& r) {
   std::string code = r.Find("code").value_or("Internal");
@@ -134,7 +128,14 @@ ShardCoordinator::ShardCoordinator(
     : replicas_(std::move(replicas)),
       options_(options),
       wants_(WantsForMode(options.mode)),
-      cache_(ResultCacheOptions{options.cache_capacity}) {}
+      cache_(ResultCacheOptions{options.cache_capacity}) {
+  for (size_t i = 0; i < replicas_.size(); ++i) {
+    shard_latency_.push_back(obs::Registry::Global().GetHistogram(
+        "aqpp_coord_shard_seconds", StrFormat("shard=\"%zu\"", i), {},
+        "Per-shard PARTIAL round-trip seconds as seen by the coordinator."));
+    idle_.emplace_back(replicas_[i].size());
+  }
+}
 
 Status ShardCoordinator::Connect() {
   if (replicas_.empty()) {
@@ -155,14 +156,9 @@ Status ShardCoordinator::Connect() {
     Status last = Status::Unavailable("unreachable");
     bool got = false;
     for (const ReplicaEndpoint& ep : replicas_[i]) {
-      auto client = ServiceClient::Connect(ep.host, ep.port);
+      auto client = Open(ep);
       if (!client.ok()) {
         last = client.status();
-        continue;
-      }
-      if (Status st = client->SetRecvTimeout(options_.shard_timeout_seconds);
-          !st.ok()) {
-        last = std::move(st);
         continue;
       }
       auto r = client->Call("SHARDINFO");
@@ -277,10 +273,12 @@ Result<IngestAck> ShardCoordinator::IngestRaw(const std::string& payload) {
   // Row-range sharding: appended rows extend the tail, so the batch goes to
   // the last shard — to every replica, in endpoint order, so replicas fed
   // the same batch sequence hold bit-identical deltas.
-  const std::vector<ReplicaEndpoint>& reps = replicas_.back();
+  const size_t shard = replicas_.size() - 1;
+  const std::vector<ReplicaEndpoint>& reps = replicas_[shard];
   const std::string line = "INGEST " + payload;
   IngestAck ack;
-  for (const ReplicaEndpoint& ep : reps) {
+  for (size_t replica = 0; replica < reps.size(); ++replica) {
+    const ReplicaEndpoint& ep = reps[replica];
     auto fail = [&](const Status& st) {
       metrics.errors->Increment();
       return Status::Unavailable(StrFormat(
@@ -288,7 +286,10 @@ Result<IngestAck> ShardCoordinator::IngestRaw(const std::string& payload) {
           ep.host.c_str(), ep.port, ack.replicas_acked,
           st.ToString().c_str()));
     };
-    auto client = ServiceClient::Connect(ep.host, ep.port);
+    // No retry on a fresh connection: INGEST is not idempotent, and a
+    // failure after the send cannot tell whether the batch was applied.
+    bool reused = false;
+    auto client = Acquire(shard, replica, /*fresh=*/false, &reused);
     if (!client.ok()) return fail(client.status());
     if (Status st = client->SetRecvTimeout(options_.shard_timeout_seconds);
         !st.ok()) {
@@ -296,6 +297,7 @@ Result<IngestAck> ShardCoordinator::IngestRaw(const std::string& payload) {
     }
     auto r = client->Call(line);
     if (!r.ok()) return fail(r.status());
+    Release(shard, replica, std::move(*client));
     if (!r->ok) return fail(WireError(*r));
     auto appended = r->GetUint("appended");
     auto generation = r->GetUint("generation");
@@ -325,83 +327,158 @@ Result<IngestAck> ShardCoordinator::IngestRaw(const std::string& payload) {
   return ack;
 }
 
-Result<ShardPartial> ShardCoordinator::FetchFrom(
-    const ReplicaEndpoint& endpoint, const std::string& request_line) const {
+Result<ServiceClient> ShardCoordinator::Open(
+    const ReplicaEndpoint& endpoint) const {
   AQPP_ASSIGN_OR_RETURN(ServiceClient client,
                         ServiceClient::Connect(endpoint.host, endpoint.port));
+  CoordMetrics::Get().connections_opened->Increment();
   AQPP_RETURN_NOT_OK(client.SetRecvTimeout(options_.shard_timeout_seconds));
-  AQPP_ASSIGN_OR_RETURN(Response r, client.Call(request_line));
-  if (!r.ok) return WireError(r);
-  return ParsePartial(r);
+  return client;
 }
 
-Result<ShardPartial> ShardCoordinator::FetchShard(
-    uint32_t shard_index, const std::string& request_line,
-    uint64_t seed) const {
-  const CoordMetrics& metrics = CoordMetrics::Get();
-  const std::vector<ReplicaEndpoint>& reps = replicas_[shard_index];
-  const size_t num_replicas = reps.size();
-  // Same (coordinator seed, query seed, shard) => same first replica, so a
-  // repeated query exercises the same worker and chaos runs replay.
-  const size_t pick = static_cast<size_t>(
-      ShardSeed(options_.seed ^ seed, shard_index) % num_replicas);
-  Status last = Status::Unavailable("no replicas");
-  for (size_t attempt = 0; attempt < num_replicas; ++attempt) {
-    const ReplicaEndpoint& ep = reps[(pick + attempt) % num_replicas];
-    if (attempt > 0) metrics.failovers->Increment();
-    metrics.scatters->Increment();
-    Timer timer;
-    Result<ShardPartial> partial = FetchFrom(ep, request_line);
-    const double elapsed = timer.ElapsedSeconds();
-    ShardLatency(shard_index)->Observe(elapsed);
-    if (elapsed > options_.straggler_seconds) {
-      AQPP_LOG(Warning) << "straggler: shard " << shard_index << " replica "
-                        << ep.host << ":" << ep.port << " took " << elapsed
-                        << "s (budget " << options_.straggler_seconds << "s)";
+Result<ServiceClient> ShardCoordinator::Acquire(size_t shard, size_t replica,
+                                                bool fresh,
+                                                bool* reused) const {
+  *reused = false;
+  while (!fresh) {
+    std::optional<ServiceClient> idle;
+    {
+      std::lock_guard<std::mutex> lock(pool_mu_);
+      std::vector<ServiceClient>& pool = idle_[shard][replica];
+      if (pool.empty()) break;
+      idle = std::move(pool.back());
+      pool.pop_back();
     }
-    if (partial.ok()) {
-      if (partial->shard_index != shard_index ||
-          partial->num_shards != replicas_.size()) {
-        last = Status::FailedPrecondition(StrFormat(
-            "replica %s:%d answered as shard %u/%u, expected %u/%zu",
-            ep.host.c_str(), ep.port, partial->shard_index,
-            partial->num_shards, shard_index, replicas_.size()));
-        continue;
-      }
-      return partial;
+    // A worker that restarted closed every connection parked against it.
+    if (idle->Reusable()) {
+      *reused = true;
+      return std::move(*idle);
     }
-    last = partial.status();
   }
-  metrics.shard_failures->Increment();
-  return last;
+  return Open(replicas_[shard][replica]);
+}
+
+void ShardCoordinator::Release(size_t shard, size_t replica,
+                               ServiceClient client) const {
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    std::vector<ServiceClient>& pool = idle_[shard][replica];
+    if (pool.size() < kIdleConnectionsPerReplica) {
+      pool.push_back(std::move(client));
+      return;
+    }
+  }
+  client.Close();  // over the cap: closed outside the lock
+}
+
+Result<ShardPartial> ShardCoordinator::Collect(uint32_t shard, size_t replica,
+                                               ServiceClient client,
+                                               const Timer& sent) const {
+  // What is left of this request's deadline; a reply already in the socket
+  // is still taken when none is.
+  const double left = options_.shard_timeout_seconds - sent.ElapsedSeconds();
+  AQPP_RETURN_NOT_OK(client.SetRecvTimeout(std::max(left, 1e-6)));
+  AQPP_ASSIGN_OR_RETURN(Response r, client.Receive());
+  Release(shard, replica, std::move(client));
+  if (!r.ok) return WireError(r);
+  AQPP_ASSIGN_OR_RETURN(ShardPartial partial, ParsePartial(r));
+  if (partial.shard_index != shard || partial.num_shards != replicas_.size()) {
+    const ReplicaEndpoint& ep = replicas_[shard][replica];
+    return Status::FailedPrecondition(StrFormat(
+        "replica %s:%d answered as shard %u/%u, expected %u/%zu",
+        ep.host.c_str(), ep.port, partial.shard_index, partial.num_shards,
+        shard, replicas_.size()));
+  }
+  return partial;
 }
 
 std::vector<std::optional<ShardPartial>> ShardCoordinator::Scatter(
     const RangeQuery& query, uint64_t seed) const {
+  const CoordMetrics& metrics = CoordMetrics::Get();
   PartialSpec spec;
   spec.query = query;
   spec.wants = wants_;
   spec.seed = seed;
   const std::string line = "PARTIAL " + FormatPartialSpec(spec);
-  std::vector<std::optional<ShardPartial>> partials(replicas_.size());
-  auto fetch = [&](uint32_t i) {
-    Result<ShardPartial> r = FetchShard(i, line, seed);
-    if (r.ok()) {
-      partials[i] = std::move(r).value();
-    } else {
-      AQPP_LOG(Warning) << "shard " << i
-                        << " unavailable: " << r.status().ToString();
-    }
+  const size_t n = replicas_.size();
+  std::vector<std::optional<ShardPartial>> partials(n);
+
+  // One shard's walk through its replica rotation.
+  struct Fetch {
+    size_t first = 0;     // seeded first pick
+    size_t tried = 0;     // replicas failed over so far
+    size_t replica = 0;   // this round's: (first + tried) mod R
+    bool fresh = false;   // retry the same replica on a new connection
+    bool reused = false;  // this round's connection came from the pool
+    std::optional<ServiceClient> client;  // set once the request is sent
+    Status error;         // set when this round's request was not sent
+    Timer sent;
   };
-  if (replicas_.size() > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(replicas_.size());
-    for (uint32_t i = 0; i < replicas_.size(); ++i) {
-      threads.emplace_back(fetch, i);
+  std::vector<Fetch> fetches(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    // Same (coordinator seed, query seed, shard) => same first replica, so
+    // a repeated query exercises the same worker and chaos runs replay.
+    fetches[i].first = static_cast<size_t>(
+        ShardSeed(options_.seed ^ seed, i) % replicas_[i].size());
+  }
+  std::vector<uint32_t> pending(n);
+  std::iota(pending.begin(), pending.end(), 0);
+  while (!pending.empty()) {
+    // Send to every shard still missing before reading any reply.
+    for (uint32_t i : pending) {
+      Fetch& f = fetches[i];
+      f.replica = (f.first + f.tried) % replicas_[i].size();
+      metrics.scatters->Increment();
+      Result<ServiceClient> client = Acquire(i, f.replica, f.fresh, &f.reused);
+      if (!client.ok()) {
+        f.error = client.status();
+        continue;
+      }
+      f.sent.Reset();
+      f.error = client->Send(line);
+      if (f.error.ok()) f.client = std::move(*client);
     }
-    for (std::thread& t : threads) t.join();
-  } else {
-    fetch(0);
+    // Then read them in shard order.
+    std::vector<uint32_t> missing;
+    for (uint32_t i : pending) {
+      Fetch& f = fetches[i];
+      Result<ShardPartial> partial = f.error;
+      if (f.client) {
+        partial = Collect(i, f.replica, std::move(*f.client), f.sent);
+        f.client.reset();
+        const double elapsed = f.sent.ElapsedSeconds();
+        shard_latency_[i]->Observe(elapsed);
+        if (elapsed > options_.straggler_seconds) {
+          const ReplicaEndpoint& ep = replicas_[i][f.replica];
+          AQPP_LOG(Warning) << "straggler: shard " << i << " replica "
+                            << ep.host << ":" << ep.port << " took "
+                            << elapsed << "s (budget "
+                            << options_.straggler_seconds << "s)";
+        }
+      }
+      if (partial.ok()) {
+        partials[i] = std::move(partial).value();
+        continue;
+      }
+      // A pooled connection the worker has dropped (it restarted) says
+      // nothing about the replica: retry it once on a fresh connection,
+      // which is not a failover.
+      if (f.reused && partial.status().code() == StatusCode::kIOError) {
+        f.fresh = true;
+        missing.push_back(i);
+        continue;
+      }
+      f.fresh = false;
+      if (++f.tried < replicas_[i].size()) {
+        metrics.failovers->Increment();
+        missing.push_back(i);
+        continue;
+      }
+      metrics.shard_failures->Increment();
+      AQPP_LOG(Warning) << "shard " << i << " unavailable: "
+                        << partial.status().ToString();
+    }
+    pending = std::move(missing);
   }
   return partials;
 }

@@ -16,17 +16,26 @@
 // Only when every replica of a shard fails does the merge degrade: the
 // answer is extrapolated, its CI widened, flagged `degraded`, and — by
 // contract, enforced here — never inserted into the result cache.
+//
+// Connections: the coordinator keeps a small pool of idle connections per
+// replica. A scatter runs on the calling thread: it takes one connection
+// per shard, writes every PARTIAL line, then reads the replies in shard
+// order, so the workers compute concurrently while it waits on the first.
 #ifndef AQPP_SHARD_COORDINATOR_H_
 #define AQPP_SHARD_COORDINATOR_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "common/timer.h"
+#include "obs/metrics.h"
+#include "service/client.h"
 #include "service/result_cache.h"
 #include "shard/partial.h"
 #include "storage/table.h"
@@ -34,14 +43,20 @@
 namespace aqpp {
 namespace shard {
 
+// Idle connections kept per replica. A connection is parked only after a
+// complete reply; past this many it is closed instead. Well below a
+// worker's kMaxConnections (64), so several coordinators can share a fleet.
+inline constexpr size_t kIdleConnectionsPerReplica = 8;
+
 struct ReplicaEndpoint {
   std::string host = "127.0.0.1";
   int port = 0;
 };
 
 struct CoordinatorOptions {
-  // Per-attempt recv deadline for SHARDINFO / PARTIAL calls. A replica that
-  // blows this deadline counts as failed and the next replica is tried.
+  // Per-attempt recv deadline for SHARDINFO / PARTIAL / INGEST calls,
+  // counted from the request's send. A replica that blows this deadline
+  // counts as failed and the next replica is tried.
   double shard_timeout_seconds = 2.0;
   // Shards slower than this get a straggler warning in the log.
   double straggler_seconds = 0.5;
@@ -114,7 +129,9 @@ class ShardCoordinator {
 
   // Raw scatter of an already-canonical query (gate testing and chaos
   // drills): no cache, no canonicalization; `partials[i]` is shard i or
-  // nullopt if every replica failed.
+  // nullopt if every replica failed. Failover runs in rounds over the
+  // shards still missing: each sends to its next replica, then all are
+  // read. Thread-safe after Connect().
   std::vector<std::optional<ShardPartial>> Scatter(const RangeQuery& query,
                                                    uint64_t seed) const;
 
@@ -131,14 +148,22 @@ class ShardCoordinator {
     uint64_t sample_rows = 0;
   };
 
-  // One PARTIAL round-trip against one replica (fresh connection; a recv
-  // timeout poisons a line-protocol connection, so none are pooled).
-  Result<ShardPartial> FetchFrom(const ReplicaEndpoint& endpoint,
-                                 const std::string& request_line) const;
-  // Deterministic replica pick + rotation failover for one shard.
-  Result<ShardPartial> FetchShard(uint32_t shard_index,
-                                  const std::string& request_line,
-                                  uint64_t seed) const;
+  // Opens a connection with the recv deadline set.
+  Result<ServiceClient> Open(const ReplicaEndpoint& endpoint) const;
+  // An idle pooled connection to replica `replica` of shard `shard` (idle
+  // ones the peer closed are dropped), or, when `fresh` or none is idle, a
+  // new one. `*reused` tells which.
+  Result<ServiceClient> Acquire(size_t shard, size_t replica, bool fresh,
+                                bool* reused) const;
+  // Parks `client` in its replica's pool, or closes it if the pool is full.
+  // Only a connection that just read a complete reply may come back: after
+  // an error or a timeout a late reply would desynchronize the protocol.
+  void Release(size_t shard, size_t replica, ServiceClient client) const;
+  // Reads shard `shard`'s PARTIAL reply from `client` within what is left
+  // of the deadline counted from `sent`, parks the connection on a complete
+  // reply, and checks that the partial is the one asked for.
+  Result<ShardPartial> Collect(uint32_t shard, size_t replica,
+                               ServiceClient client, const Timer& sent) const;
 
   std::vector<std::vector<ReplicaEndpoint>> replicas_;
   CoordinatorOptions options_;
@@ -149,6 +174,11 @@ class ShardCoordinator {
   std::optional<QueryCanonicalizer> canonicalizer_;
   ResultCache cache_;
   std::atomic<uint64_t> ingest_generation_{0};
+  // aqpp_coord_shard_seconds{shard="i"}, looked up once.
+  std::vector<obs::Histogram*> shard_latency_;
+  mutable std::mutex pool_mu_;
+  // idle_[shard][replica]: connections parked after a complete reply.
+  mutable std::vector<std::vector<std::vector<ServiceClient>>> idle_;
 };
 
 }  // namespace shard

@@ -15,6 +15,7 @@
 // failpoints (the stand-ins for a killed worker mid-request); a stopped
 // WorkerServer stands in for a worker that is gone entirely.
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include "exec/executor.h"
 #include "expr/query.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "shard/coordinator.h"
 #include "shard/local_group.h"
 #include "shard/partial.h"
@@ -146,6 +149,19 @@ class ShardChaosTest : public ::testing::Test {
     return MergePartials(q, c.Scatter(q, seed), mopt);
   }
 
+  // Waits (up to 10 s) until no worker server holds a connection.
+  bool WaitForIdleWorkers() const {
+    for (int i = 0; i < 1000; ++i) {
+      bool idle = true;
+      for (const auto& s : servers_) {
+        idle = idle && s->active_connections() == 0;
+      }
+      if (idle) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  }
+
   static std::shared_ptr<Table> table_;
   static std::unique_ptr<LocalShardGroup> group_;
   std::vector<std::unique_ptr<WorkerServer>> servers_;
@@ -181,18 +197,31 @@ TEST_F(ShardChaosTest, DroppedConnectionIsAbsorbedByReplicaFailover) {
   CoordinatorOptions copt;
   copt.mode = MergeMode::kSample;
   copt.shard_timeout_seconds = 1.0;
-  ShardCoordinator coordinator(endpoints_, copt);
-  ASSERT_TRUE(coordinator.Connect().ok());
-
   const RangeQuery q = MakeQuery(AggregateFunction::kSum, 10, 90);
-  auto baseline = Ask(coordinator, q, 99, MergeMode::kSample);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  ASSERT_FALSE(baseline->degraded);
+  std::optional<MergedAnswer> baseline;
+  {
+    ShardCoordinator coordinator(endpoints_, copt);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    auto first = Ask(coordinator, q, 99, MergeMode::kSample);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_FALSE(first->degraded);
+    baseline = *first;
+  }
+  obs::Counter* failovers =
+      obs::Registry::Global().GetCounter("aqpp_coord_failovers_total");
 
-  // One connection (whichever scatter thread lands first) dies mid-request;
-  // every shard still has a healthy replica, so the answer must come back
-  // full — and because replicas are bit-identical, with the same bits.
+  // One connection dies mid-request; every shard still has a healthy
+  // replica, so the answer must come back full — and because replicas are
+  // bit-identical, with the same bits. The recv seam fires before a
+  // connection's next read, so a pooled connection would take the fault
+  // after its request instead of dropping it. Each seam therefore gets a
+  // fresh coordinator, armed once every worker connection from before has
+  // closed: the measured query's own connections are the only readers.
   for (const char* seam : {"shard/worker/recv", "shard/worker/send"}) {
+    ShardCoordinator coordinator(endpoints_, copt);
+    ASSERT_TRUE(coordinator.Connect().ok());
+    ASSERT_TRUE(WaitForIdleWorkers()) << seam;
+    const uint64_t failovers_before = failovers->value();
     fail::Registry::Global().Enable(seam, fail::Trigger::OneShot(),
                                     {.kind = fail::ActionKind::kReturnError});
     auto merged = Ask(coordinator, q, 99, MergeMode::kSample);
@@ -203,6 +232,10 @@ TEST_F(ShardChaosTest, DroppedConnectionIsAbsorbedByReplicaFailover) {
     EXPECT_TRUE(SameBits(merged->ci.estimate, baseline->ci.estimate)) << seam;
     EXPECT_TRUE(SameBits(merged->ci.half_width, baseline->ci.half_width))
         << seam;
+    if (obs::kCompiledIn) {
+      EXPECT_GT(failovers->value(), failovers_before)
+          << seam << ": the fault missed the measured query";
+    }
   }
 }
 

@@ -6,7 +6,13 @@
 // approximate: the shard tier's contract is that distribution is invisible
 // in the answer bits, so EXPECT_NEAR would under-test it.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -19,7 +25,9 @@
 
 #include "exec/executor.h"
 #include "expr/query.h"
+#include "common/timer.h"
 #include "kernels/kernels.h"
+#include "obs/metrics.h"
 #include "service/client.h"
 #include "shard/coordinator.h"
 #include "shard/coordinator_server.h"
@@ -577,6 +585,208 @@ TEST_F(CoordinatorTcpTest, QueryCachesFullAnswersButNeverDegradedOnes) {
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached->cache_hit);
   EXPECT_FALSE(cached->merged.degraded);
+}
+
+// ---- Connection pool -------------------------------------------------------
+
+uint64_t CoordCounter(const char* name) {
+  return obs::Registry::Global().GetCounter(name)->value();
+}
+
+MergeOptions SampleMerge(const ShardCoordinator& c) {
+  MergeOptions m;
+  m.mode = MergeMode::kSample;
+  m.total_rows = c.total_rows();
+  return m;
+}
+
+// The seeded replica a scatter with `seed` tries first for `shard`.
+size_t FirstReplica(const CoordinatorOptions& copt, uint64_t seed,
+                    uint32_t shard, size_t replicas) {
+  return static_cast<size_t>(ShardSeed(copt.seed ^ seed, shard) % replicas);
+}
+
+TEST_F(CoordinatorTcpTest, RestartedWorkerCostsNoFailover) {
+  // Shard 0 gets a second replica, so a lost pooled connection that were
+  // treated as a failing replica would show as a failover.
+  const LocalShardGroup& group = GroupOf(2);
+  auto spare = std::make_unique<WorkerServer>(&group.worker(0));
+  ASSERT_TRUE(spare->Start().ok());
+  endpoints_[0].push_back({.host = "127.0.0.1", .port = spare->port()});
+  servers_.push_back(std::move(spare));
+
+  CoordinatorOptions copt;
+  copt.mode = MergeMode::kSample;
+  copt.shard_timeout_seconds = 1.0;
+  ShardCoordinator coordinator(endpoints_, copt);
+  ASSERT_TRUE(coordinator.Connect().ok());
+  const MergeOptions mopt = SampleMerge(coordinator);
+  constexpr uint64_t kSeed = 77;
+  const size_t pick = FirstReplica(copt, kSeed, 0, 2);
+  const size_t server = pick == 0 ? 0 : servers_.size() - 1;
+
+  const RangeQuery q1 = MakeQuery(AggregateFunction::kSum, 10, 80, 2, 40);
+  auto first = MergePartials(q1, coordinator.Scatter(q1, kSeed), mopt);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(first->degraded);
+
+  // The picked replica restarts on the same port between two queries: the
+  // connection the coordinator parked against it is dead.
+  const int port = servers_[server]->port();
+  servers_[server]->Stop();
+  servers_[server] = std::make_unique<WorkerServer>(
+      &group.worker(0), WorkerServerOptions{.host = "127.0.0.1", .port = port});
+  ASSERT_TRUE(servers_[server]->Start().ok());
+
+  const uint64_t failovers = CoordCounter("aqpp_coord_failovers_total");
+  const uint64_t failures = CoordCounter("aqpp_coord_shard_failures_total");
+  const RangeQuery q2 = MakeQuery(AggregateFunction::kAvg, 5, 95, 1, 30);
+  auto second = MergePartials(q2, coordinator.Scatter(q2, kSeed), mopt);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_FALSE(second->degraded);
+  EXPECT_EQ(second->shards_answered, 2u);
+  auto local = group.Query(q2, {.sample = true}, kSeed, mopt);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_TRUE(SameBits(second->ci.estimate, local->ci.estimate));
+  EXPECT_TRUE(SameBits(second->ci.half_width, local->ci.half_width));
+  EXPECT_EQ(CoordCounter("aqpp_coord_failovers_total"), failovers);
+  EXPECT_EQ(CoordCounter("aqpp_coord_shard_failures_total"), failures);
+}
+
+TEST_F(CoordinatorTcpTest, SilentReplicasFailOverWithinTwoDeadlines) {
+  // A bare listening socket accepts at the TCP level and never replies:
+  // each shard's first pick is one, its other replica the real worker.
+  int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::bind(silent, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(silent, 16), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(silent, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const ReplicaEndpoint hang{.host = "127.0.0.1", .port = ntohs(addr.sin_port)};
+
+  CoordinatorOptions copt;
+  copt.mode = MergeMode::kSample;
+  copt.shard_timeout_seconds = 0.5;
+  constexpr uint64_t kSeed = 31;
+  std::vector<std::vector<ReplicaEndpoint>> endpoints;
+  for (uint32_t i = 0; i < 2; ++i) {
+    std::vector<ReplicaEndpoint> reps(2, endpoints_[i][0]);
+    reps[FirstReplica(copt, kSeed, i, 2)] = hang;
+    endpoints.push_back(std::move(reps));
+  }
+  ShardCoordinator coordinator(endpoints, copt);
+  ASSERT_TRUE(coordinator.Connect().ok());  // outside the timed scatter
+
+  const uint64_t failovers = CoordCounter("aqpp_coord_failovers_total");
+  const RangeQuery q = MakeQuery(AggregateFunction::kSum, 20, 70, 3, 45);
+  Timer timer;
+  auto merged = MergePartials(q, coordinator.Scatter(q, kSeed),
+                              SampleMerge(coordinator));
+  const double elapsed = timer.ElapsedSeconds();
+  ::close(silent);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_FALSE(merged->degraded);
+  EXPECT_EQ(merged->shards_answered, 2u);
+  // Both silent picks are read against deadlines counted from their own
+  // sends, so together they cost one deadline, not two.
+  EXPECT_LT(elapsed, 2 * copt.shard_timeout_seconds);
+  auto local = GroupOf(2).Query(q, {.sample = true}, kSeed,
+                                SampleMerge(coordinator));
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_TRUE(SameBits(merged->ci.estimate, local->ci.estimate));
+  EXPECT_TRUE(SameBits(merged->ci.half_width, local->ci.half_width));
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(CoordCounter("aqpp_coord_failovers_total"), failovers + 2);
+  }
+}
+
+TEST_F(CoordinatorTcpTest, ThreadsSharingACoordinatorMatchASequentialRun) {
+  CoordinatorOptions copt;
+  copt.mode = MergeMode::kSample;
+  ShardCoordinator coordinator(endpoints_, copt);
+  ASSERT_TRUE(coordinator.Connect().ok());
+  const MergeOptions mopt = SampleMerge(coordinator);
+  const AggregateFunction funcs[] = {
+      AggregateFunction::kSum, AggregateFunction::kCount,
+      AggregateFunction::kAvg, AggregateFunction::kVar};
+  std::vector<RangeQuery> queries;
+  for (int i = 0; i < 16; ++i) {
+    queries.push_back(MakeQuery(funcs[i % 4], 3 + i, 55 + 2 * i, i % 5,
+                                28 + i % 13));
+  }
+  auto run = [&](size_t i) -> std::pair<double, double> {
+    auto merged = MergePartials(queries[i],
+                                coordinator.Scatter(queries[i], 500 + i), mopt);
+    if (!merged.ok() || merged->degraded) return {-1.0, -1.0};
+    return {merged->ci.estimate, merged->ci.half_width};
+  };
+  std::vector<std::pair<double, double>> expected;
+  for (size_t i = 0; i < queries.size(); ++i) expected.push_back(run(i));
+
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<std::pair<double, double>>> got(
+      kThreads, std::vector<std::pair<double, double>>(queries.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the battery from its own offset.
+      for (size_t j = 0; j < queries.size(); ++j) {
+        const size_t i = (t * 2 + j) % queries.size();
+        got[t][i] = run(i);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_TRUE(SameBits(got[t][i].first, expected[i].first) &&
+                  SameBits(got[t][i].second, expected[i].second))
+          << "thread " << t << " query " << i;
+    }
+  }
+}
+
+TEST_F(CoordinatorTcpTest, BurstLeavesAtMostTheIdleCapOpen) {
+  CoordinatorOptions copt;
+  copt.mode = MergeMode::kSample;
+  ShardCoordinator coordinator(endpoints_, copt);
+  ASSERT_TRUE(coordinator.Connect().ok());
+  constexpr int kThreads = 2 * static_cast<int>(kIdleConnectionsPerReplica);
+  std::atomic<int> ready{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int j = 0; j < 4; ++j) {
+        const RangeQuery q =
+            MakeQuery(AggregateFunction::kSum, t, 60 + j, 0, 20 + t);
+        for (const auto& p : coordinator.Scatter(q, 900 + 4 * t + j)) {
+          if (!p.has_value()) failed.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failed.load(), 0);
+  // Connections beyond the cap are closed as they come back; the workers
+  // retire them asynchronously, so wait for the count to settle.
+  for (const auto& server : servers_) {
+    size_t active = server->active_connections();
+    for (int i = 0; i < 500 && active > kIdleConnectionsPerReplica; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      active = server->active_connections();
+    }
+    EXPECT_LE(active, kIdleConnectionsPerReplica);
+    EXPECT_GE(active, 1u) << "the pool kept no connection";
+  }
 }
 
 TEST_F(CoordinatorTcpTest, ClientDegradedRetryPolicy) {
